@@ -122,14 +122,6 @@ def _cmd_classify(args) -> int:
 _TYPE_OF_CIRCLE = {"Type1": 1, "Type2": 2, "Type3": 3, "Type4": 4}
 
 
-def _orbit_groups(result: routes.EnumerationResult) -> dict[tuple[str, int], int]:
-    groups: dict[tuple[str, int], int] = {}
-    for orb in result.orbits or ():
-        key = (orb.circle_type, orb.length)
-        groups[key] = groups.get(key, 0) + 1
-    return groups
-
-
 def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORDER,
                with_pq: bool = False) -> dict:
     """The full cross-validation; returns the machine-readable report.
@@ -137,6 +129,8 @@ def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORD
     Any count or set disagreement fails the run; resource-gate skips of
     the two search routes are recorded but do not fail it.
     """
+    if with_pq and p <= q:
+        raise ValueError(f"--pq needs p > q, got ({p}, {q})")
     profile = arith.divisibility_profile(p, q)
     table = counts.count_table(p, q)
     checks: list[dict] = []
@@ -169,14 +163,18 @@ def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORD
 
         try:
             oracle = routes.closure_oracle(spec, max_hol_order=oracle_limit)
-        except (holomorph.OracleTooLargeError, routes.SearchTooLargeError) as exc:
+        except holomorph.OracleTooLargeError as exc:
             skip(f"type{g_type}/closure-oracle-agrees", str(exc))
         else:
             check(f"type{g_type}/closure-oracle-agrees", oracle.keys() == base.keys(),
                   {"structured": len(base.braces), "oracle": len(oracle.braces)})
 
-        routes.aut_orbits(base)
-        got_orbits = _orbit_groups(base)
+        try:
+            routes.aut_orbits(base)
+        except routes.MethodDisagreementError as exc:
+            check(f"type{g_type}/orbits-vs-class-table", False, str(exc))
+            continue
+        got_orbits = base.orbit_groups()
         want_orbits: dict[tuple[str, int], int] = {}
         for gt in profile.g_types:
             for count, length in table.classes_at(gt, g_type):
@@ -202,14 +200,14 @@ def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORD
     check("totals-row-sums", totals_ok)
 
     if with_pq:
-        if p <= q:
-            raise ValueError(f"--pq needs p > q, got ({p}, {q})")
         pq_table = counts.pq_tables(p, q)
+        results = {}
         try:
             results = routes.pq_enumerate(p, q, max_hol_order=oracle_limit)
         except (holomorph.OracleTooLargeError, routes.SearchTooLargeError) as exc:
             skip("pq/enumeration", str(exc))
-            results = {}
+        except routes.MethodDisagreementError as exc:
+            check("pq/enumeration", False, str(exc))
         for family, result in results.items():
             got = result.counts_by_type()
             expected = {
@@ -219,7 +217,7 @@ def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORD
             }
             check(f"pq/{family}/counts-vs-e-prime", got == expected,
                   {"got": got, "want": expected})
-            got_orbits = _orbit_groups(result)
+            got_orbits = result.orbit_groups()
             want_orbits = {}
             for gt in ("PQ-Cyclic", "PQ-Metacyclic"):
                 for count, length in pq_table.classes_at(gt, family):

@@ -153,18 +153,6 @@ def count_table(p: int, q: int) -> CountTable:
                       classes=classes, totals=totals)
 
 
-def e_prime_table(p: int, q: int) -> dict[tuple[int, int], int]:
-    return dict(count_table(p, q).e_prime)
-
-
-def e_table(p: int, q: int) -> dict[tuple[int, int], int]:
-    return dict(count_table(p, q).e)
-
-
-def class_tables(p: int, q: int) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-    return dict(count_table(p, q).classes)
-
-
 def totals(p: int, q: int, gamma_type: int) -> int:
     return count_table(p, q).total_for(gamma_type)
 

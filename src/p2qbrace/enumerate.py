@@ -9,11 +9,12 @@
   so nothing family-specific enters.
 * ``closure_oracle`` reads gamma tables off the regular subgroups found
   by the holomorph closure search, a route that never touches the
-  functional equation.
+  functional equation or the other two routes.
 
-Where more than one route runs they must agree as sets of gamma tables,
-not merely in count.  ``aut_orbits`` partitions a complete enumeration
-into conjugation orbits, which is the isomorphism-class structure.
+Where more than one route runs, the caller compares them once, as sets
+of gamma tables, not merely in count.  ``aut_orbits`` partitions a
+complete enumeration into conjugation orbits, which is the
+isomorphism-class structure.
 """
 
 from __future__ import annotations
@@ -78,12 +79,15 @@ class EnumerationResult:
             out[rec.circle_type] = out.get(rec.circle_type, 0) + 1
         return dict(sorted(out.items()))
 
+    def orbit_groups(self) -> dict[tuple[str, int], int]:
+        """Number of orbits per (circle type, orbit length)."""
+        groups: dict[tuple[str, int], int] = {}
+        for orb in self.orbits or ():
+            key = (orb.circle_type, orb.length)
+            groups[key] = groups.get(key, 0) + 1
+        return groups
+
     def summary_dict(self) -> dict:
-        orbit_groups: dict[tuple[str, int], int] = {}
-        if self.orbits is not None:
-            for orb in self.orbits:
-                key = (orb.circle_type, orb.length)
-                orbit_groups[key] = orbit_groups.get(key, 0) + 1
         return {
             "group": {
                 "family": self.spec.family,
@@ -96,7 +100,7 @@ class EnumerationResult:
             "counts": self.counts_by_type(),
             "orbits": [
                 {"length": length, "circle_type": ctype, "size": count}
-                for (ctype, length), count in sorted(orbit_groups.items())
+                for (ctype, length), count in sorted(self.orbit_groups().items())
             ],
         }
 
@@ -404,29 +408,14 @@ def closure_oracle(spec: GroupSpec,
                    max_hol_order: int = holomorph.DEFAULT_MAX_HOL_ORDER) -> EnumerationResult:
     """Braces read off the exhaustive regular-subgroup closure search.
 
-    Cross-checks itself against ``gfe_search``: the two routes must
-    produce identical gamma-table sets.
+    Never consults the other routes: comparing it with them is the
+    caller's job (``pq_enumerate`` and ``verify``).
     """
-    hol_size = holomorph.holo(spec).size
-    if hol_size > max_hol_order:
-        raise holomorph.OracleTooLargeError(
-            f"oracle-too-large: |Hol(G)| = {hol_size} exceeds the limit {max_hol_order}"
-        )
-    reference = gfe_search(spec)
-    candidates = holomorph.closure_search_regular(
-        spec, max_hol_order=max_hol_order, expected_count=len(reference.braces)
-    )
     gammas: dict[tuple[int, ...], GammaFunction] = {}
-    for cand in candidates:
+    for cand in holomorph.closure_search_regular(spec, max_hol_order=max_hol_order):
         gm = gamma_from_regular(spec, cand.members)
         gammas[gm.key] = gm
-    result = _finalize(spec, "closure-oracle", gammas)
-    if result.keys() != reference.keys():
-        raise MethodDisagreementError(
-            f"closure oracle and functional-equation search disagree on "
-            f"{spec}: {len(result.braces)} vs {len(reference.braces)} braces"
-        )
-    return result
+    return _finalize(spec, "closure-oracle", gammas)
 
 
 # -- orbits under conjugation -------------------------------------------------
@@ -487,11 +476,13 @@ def aut_orbits(result: EnumerationResult) -> list[Orbit]:
 def pq_enumerate(p: int, q: int,
                  max_hol_order: int = holomorph.DEFAULT_MAX_HOL_ORDER
                  ) -> dict[str, EnumerationResult]:
-    """Search plus oracle on the order-pq groups, keyed by family.
+    """Oracle and search on the order-pq groups, keyed by family.
 
     Covers the cyclic group always and the metacyclic one when it
-    exists (q | p-1).  Requires p > q.  Each result carries its orbit
-    partition and has already survived the two-route agreement check.
+    exists (q | p-1).  Requires p > q.  Each family runs the closure
+    oracle once and the search once; differing gamma-table sets raise
+    ``MethodDisagreementError``.  Each result is the oracle's, with its
+    orbit partition attached.
     """
     if p <= q:
         raise ValueError(f"order-pq enumeration needs p > q, got ({p}, {q})")
@@ -502,6 +493,12 @@ def pq_enumerate(p: int, q: int,
     for family in families:
         spec = make_group(family, p, q)
         result = closure_oracle(spec, max_hol_order=max_hol_order)
+        searched = gfe_search(spec)
+        if result.keys() != searched.keys():
+            raise MethodDisagreementError(
+                f"closure oracle and functional-equation search disagree on "
+                f"{spec}: {len(result.braces)} vs {len(searched.braces)} braces"
+            )
         aut_orbits(result)
         out[family] = result
     return out

@@ -42,7 +42,8 @@ ISO_TYPES = ("Type1", "Type2", "Type3", "Type4", "PQ-Cyclic", "PQ-Metacyclic", "
 
 
 class AutSizeMismatchError(RuntimeError):
-    """The searched automorphism group disagrees with the predicted size."""
+    """The searched automorphism group disagrees with the predicted size,
+    or one of its permutations is not a homomorphism."""
 
 
 class GroupElement(NamedTuple):
@@ -418,6 +419,12 @@ def aut_group(spec: GroupSpec) -> AutGroup:
     a^-1 b a = b^t; each surviving pair is expanded to a full permutation
     and kept only if bijective.  The result size is checked against the
     closed-form count for the family and a mismatch is a hard error.
+
+    Every permutation is then proved a homomorphism, once for the whole
+    group: alpha(x g) = alpha(x) alpha(g) for all x and both generators g
+    extends, by associativity, to all products.  Under g o k = g^gamma(k) k
+    this is the brace law (g h) o k = (g o k) k^-1 (h o k) for every gamma
+    function on G, so no brace re-checks it.
     """
     if spec.n > arith.MAX_GROUP_ORDER:
         raise ValueError(f"|G| = {spec.n} exceeds the supported bound")
@@ -444,7 +451,17 @@ def aut_group(spec: GroupSpec) -> AutGroup:
             f"aut-size-mismatch: found {len(auts)} automorphisms of "
             f"{spec.family} (p={spec.p}, q={spec.q}), expected {expected}"
         )
-    return AutGroup(spec, auts)
+    ag = AutGroup(spec, auts)
+    mt, aperm = spec.mul_table, ag.aperm
+    for g in (spec.idx(GroupElement(1, 0)), spec.idx(GroupElement(0, 1))):
+        bad = aperm[:, mt[:, g]] != mt[aperm, aperm[:, [g]]]
+        if bad.any():
+            k, x = (int(i) for i in np.argwhere(bad)[0])
+            raise AutSizeMismatchError(
+                f"aut-not-homomorphism: automorphism {k} of {spec.family} "
+                f"(p={spec.p}, q={spec.q}) fails at (x, g) = ({x}, {g})"
+            )
+    return ag
 
 
 def iota(spec: GroupSpec, g: GroupElement) -> Automorphism:

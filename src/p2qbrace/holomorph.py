@@ -215,7 +215,6 @@ def _aut_orbit_of_subgroup(H: Holomorph, members: np.ndarray) -> list[np.ndarray
 def closure_search_regular(
     spec: GroupSpec,
     max_hol_order: int = DEFAULT_MAX_HOL_ORDER,
-    expected_count: int | None = None,
 ) -> list[PermSubgroupCandidate]:
     """Every regular subgroup of Hol(G), by generator-closure search.
 
@@ -224,9 +223,9 @@ def closure_search_regular(
     elements.  The first generator ranges over Aut(G)-conjugation orbit
     representatives of that set and each hit is closed up under
     conjugation, which covers the full set because conjugation permutes
-    regular subgroups.  Pairs suffice for the two-generated groups in
-    scope; if ``expected_count`` is given and pairs fall short, the
-    search retries with generator triples before giving up.
+    regular subgroups.  By the classification the count tables encode,
+    every regular subgroup is isomorphic to one of the families in
+    scope, all two-generated, so generator pairs reach each one.
     """
     H = holo(spec)
     if H.size > max_hol_order:
@@ -253,11 +252,6 @@ def closure_search_regular(
     def in_known_subgroup(k1: int, k2: int) -> bool:
         return any(m[k1] and m[k2] for m in membership)
 
-    def try_seeds(seeds: np.ndarray) -> None:
-        members = _closure_within(H, seeds, allowed, spec.n)
-        if members is not None and members.size == spec.n:
-            record(members)
-
     for r in reps:
         # quick vectorized cut: both first-round products must stay allowed
         ok = allowed[H.mul(r, fpf)] & allowed[H.mul(fpf, r)]
@@ -265,20 +259,9 @@ def closure_search_regular(
             s = int(s)
             if in_known_subgroup(r, s):
                 continue
-            try_seeds(np.array([r, s], dtype=np.int64))
-
-    if expected_count is not None and len(found) < expected_count:
-        # completeness fallback, not expected to trigger for the groups
-        # in scope (all are two-generated)
-        for r in reps:
-            ok = allowed[H.mul(r, fpf)] & allowed[H.mul(fpf, r)]
-            partners = fpf[ok]
-            for i, s in enumerate(partners):
-                for u in partners[i + 1:]:
-                    s_i, u_i = int(s), int(u)
-                    if any(m[r] and m[s_i] and m[u_i] for m in membership):
-                        continue
-                    try_seeds(np.array([r, s_i, u_i], dtype=np.int64))
+            members = _closure_within(H, np.array([r, s], dtype=np.int64), allowed, spec.n)
+            if members is not None and members.size == spec.n:
+                record(members)
 
     out = []
     for key in sorted(found):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from p2qbrace import cli, groups
+from p2qbrace import enumerate as routes
 
 
 def run(capsys, *argv):
@@ -114,9 +115,47 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--p", "15", "--q", "2")
         assert code == 2
 
-    def test_pq_flag_needs_larger_p(self, capsys):
+    def test_pq_flag_needs_larger_p(self, capsys, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("a route ran before the input was rejected")
+
+        monkeypatch.setattr(routes, "structured_enumerate", refuse)
         code, _, _ = run(capsys, "verify", "--p", "3", "--q", "7", "--pq")
         assert code == 2
+
+    def test_pq_route_disagreement_is_a_failed_check(self, capsys, monkeypatch):
+        search = routes.gfe_search
+
+        def drop_one_on_pq(spec, *args, **kwargs):
+            result = search(spec, *args, **kwargs)
+            if spec.family.startswith("PQ-"):
+                result.braces.pop()
+            return result
+
+        monkeypatch.setattr(routes, "gfe_search", drop_one_on_pq)
+        code, out, _ = run(capsys, "verify", "--p", "3", "--q", "2", "--pq")
+        assert code == 1
+        statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        assert statuses["pq/enumeration"] == "fail"
+        assert statuses["type4/gfe-search-agrees"] == "pass"
+        assert not any(name.startswith("pq/PQ-") for name in statuses)
+
+    def test_incomplete_orbit_is_a_failed_check(self, capsys, monkeypatch):
+        structured = routes.structured_enumerate
+
+        def drop_last(spec):
+            result = structured(spec)
+            if spec.family == "P2Q-Type4":
+                result.braces.pop()  # its conjugates now leave the set
+            return result
+
+        monkeypatch.setattr(routes, "structured_enumerate", drop_last)
+        code, out, _ = run(capsys, "verify", "--p", "3", "--q", "2")
+        assert code == 1
+        check = next(c for c in json.loads(out)["checks"]
+                     if c["name"] == "type4/orbits-vs-class-table")
+        assert check["status"] == "fail"
+        assert "conjugation left the enumerated set" in check["detail"]
 
     @pytest.mark.slow
     def test_square_division_pair_passes_with_gate_skips(self, capsys):

@@ -149,6 +149,15 @@ class TestClosureOracle:
         with pytest.raises(holomorph.OracleTooLargeError):
             routes.closure_oracle(make_group("P2Q-Type2", 3, 7))
 
+    def test_never_consults_the_search(self, enum_cache, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle ran the functional-equation search")
+
+        monkeypatch.setattr(routes, "gfe_search", refuse)
+        result = routes.closure_oracle(make_group("P2Q-Type4", 3, 2))
+        assert len(result.braces) == 56
+        assert result.keys() == enum_cache("P2Q-Type4", 3, 2).keys()
+
 
 class TestOrbits:
     def test_type1_medium_orbit_shape(self, enum_cache):
@@ -250,6 +259,18 @@ class TestPqEnumerate:
     def test_requires_p_larger(self):
         with pytest.raises(ValueError):
             routes.pq_enumerate(3, 7)
+
+    def test_search_disagreement_raises(self, monkeypatch):
+        search = routes.gfe_search
+
+        def drop_one(spec, *args, **kwargs):
+            result = search(spec, *args, **kwargs)
+            result.braces.pop()
+            return result
+
+        monkeypatch.setattr(routes, "gfe_search", drop_one)
+        with pytest.raises(routes.MethodDisagreementError):
+            routes.pq_enumerate(3, 2)
 
 
 class TestExports:

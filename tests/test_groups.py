@@ -139,6 +139,22 @@ class TestAutGroup:
             b_members = np.array(spec.cyclic_subgroup(spec.idx(E(0, 1))))
             assert np.isin(ag.aperm[:, b_members], b_members).all()
 
+    def test_non_homomorphic_row_is_rejected(self, monkeypatch):
+        # swap two images of the automorphism a -> ab, b -> b: still a
+        # bijection, but two automorphisms agree on a subgroup, so a
+        # permutation two points away from one is no automorphism
+        build = groups._build_perm
+
+        def tampered(spec, img_a, img_b):
+            perm = build(spec, img_a, img_b)
+            if (img_a, img_b) == (E(1, 1), E(0, 1)):
+                perm[[3, 4]] = perm[[4, 3]]
+            return perm
+
+        monkeypatch.setattr(groups, "_build_perm", tampered)
+        with pytest.raises(groups.AutSizeMismatchError, match="^aut-not-homomorphism:"):
+            aut_group.__wrapped__(make_group("P2Q-Type4", 3, 2))
+
     def test_generators_generate(self):
         ag = aut_group(make_group("P2Q-Type2", 3, 7))
         gens = ag.generators()
