@@ -83,16 +83,19 @@ def inversion_gamma(spec: GroupSpec) -> GammaFunction:
     return GammaFunction(spec, tuple(int(x) for x in table))
 
 
-def find_gfe_violation(gamma: GammaFunction) -> Optional[tuple[int, int]]:
-    """First (g, h) pair violating the functional equation, or None."""
-    spec = gamma.spec
-    ag = aut_group(spec)
+def find_gfe_violation(
+    gamma: GammaFunction, circ: Optional[np.ndarray] = None
+) -> Optional[tuple[int, int]]:
+    """First (g, h) pair violating the functional equation, or None.
+
+    ``circ`` is gamma's circle table; it is built here when not given.
+    """
+    if circ is None:
+        circ = circle_table(gamma)
+    ag = aut_group(gamma.spec)
     gt = gamma.arr()
-    n = spec.n
-    rng = np.arange(n)
-    targets = spec.mul_table[ag.aperm[gt[rng][None, :], rng[:, None]], rng[None, :]]
-    want = ag.comp[gt[rng][:, None], gt[rng][None, :]]
-    bad = gt[targets] != want
+    want = ag.comp[gt[:, None], gt[None, :]]
+    bad = gt[circ] != want
     if not bad.any():
         return None
     g, h = np.argwhere(bad)[0]
@@ -208,10 +211,10 @@ def brace_from_gamma(gamma: GammaFunction) -> SkewBraceRecord:
     because every value of gamma is a row of Aut(G), and ``aut_group``
     proves each row a homomorphism once per group.
     """
-    violation = find_gfe_violation(gamma)
+    circ = circle_table(gamma)
+    violation = find_gfe_violation(gamma, circ)
     if violation is not None:
         raise GfeError(f"gamma functional equation fails at pair {violation}")
-    circ = circle_table(gamma)
     ker = kernel(gamma)
     _check_kernel(gamma, circ, ker)
     iso = classify_iso_type(circ, assume_group=True)

@@ -21,7 +21,14 @@ from pathlib import Path
 
 from . import arith, counts, holomorph
 from . import enumerate as routes
-from .groups import aut_group, cayley_from_json, classify_iso_type, make_group
+from .groups import (
+    AutTooLargeError,
+    aut_group,
+    cayley_from_json,
+    check_aut_gate,
+    classify_iso_type,
+    make_group,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -142,9 +149,11 @@ def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORD
     def skip(name: str, reason: str) -> None:
         checks.append({"name": name, "status": "skipped", "reason": reason})
 
+    specs = {g_type: make_group(f"P2Q-Type{g_type}", p, q) for g_type in profile.g_types}
+    for spec in specs.values():
+        check_aut_gate(spec)  # before any route runs
     computed_aut_sizes: dict[int, int] = {}
-    for g_type in profile.g_types:
-        spec = make_group(f"P2Q-Type{g_type}", p, q)
+    for g_type, spec in specs.items():
         computed_aut_sizes[g_type] = aut_group(spec).size
         base = routes.structured_enumerate(spec)
         got = {_TYPE_OF_CIRCLE[k]: v for k, v in base.counts_by_type().items()}
@@ -260,7 +269,8 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (holomorph.OracleTooLargeError, routes.SearchTooLargeError) as exc:
+    except (AutTooLargeError, holomorph.OracleTooLargeError,
+            routes.SearchTooLargeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RESOURCE_GATE
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -43,7 +43,20 @@ ISO_TYPES = ("Type1", "Type2", "Type3", "Type4", "PQ-Cyclic", "PQ-Metacyclic", "
 
 class AutSizeMismatchError(RuntimeError):
     """The searched automorphism group disagrees with the predicted size,
-    or one of its permutations is not a homomorphism."""
+    one of its permutations is not a homomorphism, or it is not closed
+    under composition."""
+
+
+class AutTooLargeError(RuntimeError):
+    """Aut(G)'s tables would exceed ``AUT_TABLE_MAX_BYTES``."""
+
+
+# Bound on the predicted bytes of Aut(G)'s two dense int32 tables,
+# ``aperm`` (|Aut| x |G|) and ``comp`` (|Aut| x |Aut|).
+AUT_TABLE_MAX_BYTES = 1 << 28
+
+# entries of ``comp`` built per column block, which bounds the temporaries
+_COMP_BLOCK_ENTRIES = 1 << 16
 
 
 class GroupElement(NamedTuple):
@@ -289,6 +302,15 @@ class AutGroup:
     element x under automorphism k, and ``comp[i, j]`` is "apply i, then
     j".  The list is sorted by (img_a, img_b) indices, which makes every
     downstream enumeration order-stable.
+
+    A homomorphism is fixed by its images of the generators a and b, so
+    automorphisms are looked up by that pair: one int32 table gives the
+    index of the automorphism with a -> x and b -> y, or -1 if there is
+    none.  ``comp``, ``ainv``, ``iota_map``, ``identity_idx`` and
+    ``index_of_perm`` are array gathers through this lookup.  The table
+    spans the distinct images of a and of b only, so it is no larger than
+    the set of image pairs ``aut_group`` searched, where an |G| x |G|
+    table would take 400 MB at |G| = 10^4.
     """
 
     def __init__(self, spec: GroupSpec, auts: list[Automorphism]):
@@ -296,23 +318,54 @@ class AutGroup:
         self.auts = auts
         self.size = len(auts)
         self.aperm = np.array([a.perm for a in auts], dtype=np.int32)
-        self._index: dict[bytes, int] = {
-            a.perm.astype(np.int32).tobytes(): k for k, a in enumerate(auts)
-        }
-        self.identity_idx = self._index[
-            np.arange(spec.n, dtype=np.int32).tobytes()
-        ]
+        self._gen_idx = (spec.idx(GroupElement(1, 0)), spec.idx(GroupElement(0, 1)))
+        img_a, img_b = (self.aperm[:, g] for g in self._gen_idx)
+        # rank of each element among the images of a (of b); every other
+        # element gets -1, which selects the all-miss last row (column)
+        self._rank_a, self._rank_b = (self._ranks(img, spec.n) for img in (img_a, img_b))
+        self._lut = np.full(
+            (self._rank_a.max() + 2, self._rank_b.max() + 2), -1, dtype=np.int32
+        )
+        self._lut[self._rank_a[img_a], self._rank_b[img_b]] = np.arange(
+            self.size, dtype=np.int32
+        )
+        self.identity_idx = self.index_of_perm(np.arange(spec.n))
         self._comp: np.ndarray | None = None
         self._ainv: np.ndarray | None = None
         self._iota_map: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._generators: list[int] | None = None
 
+    @staticmethod
+    def _ranks(images: np.ndarray, n: int) -> np.ndarray:
+        seen = np.zeros(n, dtype=bool)
+        seen[images] = True
+        rank = np.full(n, -1, dtype=np.int32)
+        rank[seen] = np.arange(seen.sum(), dtype=np.int32)
+        return rank
+
+    def _lookup(self, img_a, img_b) -> np.ndarray:
+        """Index of the automorphism with a -> img_a and b -> img_b, or -1."""
+        return self._lut[self._rank_a[img_a], self._rank_b[img_b]]
+
+    def _closed_lookup(self, img_a, img_b, what: str) -> np.ndarray:
+        idx = self._lookup(img_a, img_b)
+        if (idx < 0).any():
+            spec = self.spec
+            raise AutSizeMismatchError(
+                f"aut-not-closed: a {what} of {spec.family} (p={spec.p}, "
+                f"q={spec.q}) is not among its {self.size} automorphisms"
+            )
+        return idx
+
     def index_of_perm(self, perm: np.ndarray) -> int:
-        key = np.asarray(perm, dtype=np.int32).tobytes()
-        if key not in self._index:
+        perm = np.asarray(perm)
+        k = -1
+        if perm.shape == (self.spec.n,):
+            k = int(self._lookup(perm[self._gen_idx[0]], perm[self._gen_idx[1]]))
+        if k < 0 or not np.array_equal(self.aperm[k], perm):
             raise KeyError("permutation is not an automorphism of this group")
-        return self._index[key]
+        return k
 
     def index_of(self, aut: Automorphism) -> int:
         return self.index_of_perm(aut.perm)
@@ -322,22 +375,24 @@ class AutGroup:
         """comp[i, j] = index of the composite "i then j"."""
         if self._comp is None:
             m = self.size
+            img_a, img_b = (self.aperm[:, g] for g in self._gen_idx)
             comp = np.empty((m, m), dtype=np.int32)
-            for j in range(m):
-                rows = self.aperm[j][self.aperm]  # rows[i] = perm_j o perm_i
-                for i in range(m):
-                    comp[i, j] = self._index[rows[i].tobytes()]
+            cols = max(1, _COMP_BLOCK_ENTRIES // m)
+            for lo in range(0, m, cols):
+                # "i then j" sends a to aperm[j, img_a[i]], and b likewise
+                block = self.aperm[lo:lo + cols]
+                comp[:, lo:lo + cols] = self._closed_lookup(
+                    block[:, img_a], block[:, img_b], "composite"
+                ).T
             self._comp = comp
         return self._comp
 
     @property
     def ainv(self) -> np.ndarray:
         if self._ainv is None:
-            eye = self.identity_idx
-            pos = np.argwhere(self.comp == eye)
-            inv = np.empty(self.size, dtype=np.int32)
-            inv[pos[:, 0]] = pos[:, 1]
-            self._ainv = inv
+            # the inverse of k sends each generator g to its preimage under k
+            pre_a, pre_b = (np.argmax(self.aperm == g, axis=1) for g in self._gen_idx)
+            self._ainv = self._closed_lookup(pre_a, pre_b, "inverse")
         return self._ainv
 
     @property
@@ -346,27 +401,25 @@ class AutGroup:
         if self._iota_map is None:
             mt = self.spec.mul_table
             inv = self.spec.inv_table
-            out = np.empty(self.spec.n, dtype=np.int32)
-            for g in range(self.spec.n):
-                perm = mt[mt[inv[g]], g]
-                out[g] = self._index[perm.astype(np.int32).tobytes()]
-            self._iota_map = out
+            rng = np.arange(self.spec.n)
+            conj_a, conj_b = (mt[mt[inv, g], rng] for g in self._gen_idx)
+            self._iota_map = self._closed_lookup(conj_a, conj_b, "conjugation")
         return self._iota_map
 
     def order_of(self, k: int) -> int:
         if self._orders is None:
-            self._orders = np.array(
-                [self._order_scan(i) for i in range(self.size)], dtype=np.int32
-            )
+            # follow the generator images of every automorphism's powers
+            rows = np.arange(self.size)
+            ga, gb = self._gen_idx
+            cur_a, cur_b = self.aperm[:, ga], self.aperm[:, gb]
+            orders = np.zeros(self.size, dtype=np.int32)
+            for d in range(1, self.size + 1):
+                orders[(cur_a == ga) & (cur_b == gb) & (orders == 0)] = d
+                if orders.all():
+                    break
+                cur_a, cur_b = self.aperm[rows, cur_a], self.aperm[rows, cur_b]
+            self._orders = orders
         return int(self._orders[k])
-
-    def _order_scan(self, k: int) -> int:
-        d = 1
-        cur = k
-        while cur != self.identity_idx:
-            cur = int(self.comp[cur, k])
-            d += 1
-        return d
 
     def generators(self) -> list[int]:
         """A small generating set, found greedily in canonical order."""
@@ -411,6 +464,24 @@ def _build_perm(spec: GroupSpec, img_a: GroupElement, img_b: GroupElement) -> np
     return mt[apow[:, None], bpow[None, :]].reshape(spec.n).astype(np.int32)
 
 
+def check_aut_gate(spec: GroupSpec) -> None:
+    """Raise AutTooLargeError if Aut(G)'s dense tables would be too large.
+
+    The prediction needs only |G| and the closed-form |Aut|, so it runs
+    before any search.  ``aperm`` (|Aut| x |G|) and ``comp`` (|Aut| x
+    |Aut|) are int32 tables; the larger takes 4 |Aut| max(|Aut|, |G|) bytes.
+    """
+    if spec.n > arith.MAX_GROUP_ORDER:
+        raise ValueError(f"|G| = {spec.n} exceeds the supported bound")
+    m = _closed_form_aut_size(spec)
+    predicted = 4 * m * max(m, spec.n)
+    if predicted > AUT_TABLE_MAX_BYTES:
+        raise AutTooLargeError(
+            f"aut-too-large: |Aut| = {m} and |G| = {spec.n} need {predicted} "
+            f"bytes of tables, over the limit {AUT_TABLE_MAX_BYTES}"
+        )
+
+
 @lru_cache(maxsize=None)
 def aut_group(spec: GroupSpec) -> AutGroup:
     """Compute Aut(G) by exhaustive generator-image search.
@@ -425,9 +496,10 @@ def aut_group(spec: GroupSpec) -> AutGroup:
     extends, by associativity, to all products.  Under g o k = g^gamma(k) k
     this is the brace law (g h) o k = (g o k) k^-1 (h o k) for every gamma
     function on G, so no brace re-checks it.
+
+    ``check_aut_gate`` runs before any search.
     """
-    if spec.n > arith.MAX_GROUP_ORDER:
-        raise ValueError(f"|G| = {spec.n} exceeds the supported bound")
+    check_aut_gate(spec)
     a_candidates = [spec.el(i) for i in spec.elements_of_order(spec.c_mod)]
     b_candidates = [spec.el(i) for i in spec.elements_of_order(spec.n_mod)]
     auts = []
@@ -479,31 +551,26 @@ def psi_for_A(spec: GroupSpec, a_gen: GroupElement) -> Automorphism:
     """
     ag = aut_group(spec)
     p = spec.p
+    b_idx = spec.idx(GroupElement(0, 1))
+    a_idx = spec.idx(a_gen)
     if spec.family == "P2Q-Type4":
         if spec.elem_order(a_gen) != spec.q:
             raise ValueError("a_gen must generate a Sylow q-subgroup (order q)")
-        img_a_target = a_gen
-        want = lambda aut: (
-            aut.perm[spec.idx(img_a_target)] == spec.idx(img_a_target)
-            and aut.perm[spec.idx(GroupElement(0, 1))]
-            == spec.idx(GroupElement(0, (1 + p) % spec.n_mod))
-        )
+        want_a, want_b = a_idx, spec.idx(GroupElement(0, (1 + p) % spec.n_mod))
     elif spec.family == "P2Q-Type2":
         if spec.elem_order(a_gen) != p * p:
             raise ValueError("a_gen must generate a Sylow p-subgroup (order p^2)")
-        target = spec.idx(spec.power(a_gen, 1 + p))
-        want = lambda aut: (
-            aut.perm[spec.idx(GroupElement(0, 1))] == spec.idx(GroupElement(0, 1))
-            and aut.perm[spec.idx(a_gen)] == target
-        )
+        want_a, want_b = spec.idx(spec.power(a_gen, 1 + p)), b_idx
     else:
         raise ValueError(f"psi_for_A applies to P2Q-Type2/P2Q-Type4, not {spec.family}")
-    matches = [aut for aut in ag.auts if want(aut)]
+    matches = np.flatnonzero(
+        (ag.aperm[:, a_idx] == want_a) & (ag.aperm[:, b_idx] == want_b)
+    )
     if len(matches) != 1:
         raise AutSizeMismatchError(
             f"expected exactly one matching automorphism, found {len(matches)}"
         )
-    return matches[0]
+    return ag.auts[int(matches[0])]
 
 
 # -- isomorphism-type fingerprinting ----------------------------------------
@@ -604,9 +671,7 @@ def classify_iso_type(table, assume_group: bool = False) -> IsoResult:
     abelian = bool(np.array_equal(table, table.T))
     cyclic = bool((orders == n).any())
     has_p2 = bool((orders == p * p).any()) if is_p2q else True
-    center_size = int(
-        sum(1 for x in range(n) if np.array_equal(table[x], table[:, x]))
-    )
+    center_size = int((table == table.T).all(axis=1).sum())
     p_part = p * p if is_p2q else p
     num_p_elements = int(np.isin(orders, [d for d in _divisors(p_part)]).sum())
     num_q_elements = int(((orders == 1) | (orders == q)).sum())

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -176,6 +177,24 @@ class TestVerify:
         statuses = {c["name"]: c["status"] for c in report["checks"]}
         assert statuses["type1/closure-oracle-agrees"] == "pass"
         assert statuses["type2/closure-oracle-agrees"] == "pass"
+
+
+class TestAutGate:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "--p", "11", "--q", "5", "--type", "4"),
+            ("verify", "--p", "11", "--q", "5"),
+        ],
+    )
+    def test_large_aut_exits_3_promptly(self, capsys, argv):
+        # Type4 (11, 5): |Aut| = 13,310, so comp alone would be ~709 MB
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: aut-too-large:")
 
 
 class TestPq:

@@ -171,6 +171,58 @@ class TestAutGroup:
             frontier = nxt
         assert len(reached) == ag.size
 
+    @pytest.mark.parametrize(
+        "family,p,q", [("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7), ("PQ-Metacyclic", 7, 3)]
+    )
+    def test_composition_matches_permutations(self, family, p, q):
+        ag = aut_group(make_group(family, p, q))
+        rows = np.arange(ag.size)
+        # then_j[i, j, x] = aperm[j][aperm[i]][x]
+        then_j = ag.aperm[rows[None, :, None], ag.aperm[:, None, :]]
+        assert np.array_equal(ag.aperm[ag.comp], then_j)
+
+    def test_orders_match_composition_powers(self):
+        ag = aut_group(make_group("P2Q-Type2", 3, 7))
+        for k in range(ag.size):
+            d, cur = 1, k
+            while cur != ag.identity_idx:
+                cur, d = int(ag.comp[cur, k]), d + 1
+            assert ag.order_of(k) == d
+
+    def test_index_of_perm_round_trip_and_rejection(self):
+        spec = make_group("P2Q-Type2", 3, 7)
+        ag = aut_group(spec)
+        for k in range(ag.size):
+            assert ag.index_of_perm(ag.aperm[k]) == k
+        swapped = np.arange(spec.n)
+        swapped[[1, 2]] = swapped[[2, 1]]
+        with pytest.raises(KeyError):
+            ag.index_of_perm(swapped)
+        with pytest.raises(KeyError):
+            ag.index_of_perm(np.arange(spec.n - 1))
+
+    def test_missing_composite_is_not_closed(self):
+        # Aut(G) less one non-identity element is no longer a group
+        ag = aut_group(make_group("P2Q-Type4", 3, 2))
+        drop = (ag.identity_idx + 1) % ag.size
+        partial = groups.AutGroup(ag.spec, [a for k, a in enumerate(ag.auts) if k != drop])
+        with pytest.raises(groups.AutSizeMismatchError, match="^aut-not-closed:"):
+            partial.comp
+
+    def test_table_gate_is_checked_before_search(self, monkeypatch):
+        spec = make_group("P2Q-Type4", 3, 2)
+        need = 4 * 54 * 54  # 4 |Aut| max(|Aut|, |G|) with |Aut| = 54, |G| = 18
+        monkeypatch.setattr(groups, "AUT_TABLE_MAX_BYTES", need)
+        assert aut_group.__wrapped__(spec).size == 54
+
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(groups, "AUT_TABLE_MAX_BYTES", need - 1)
+        monkeypatch.setattr(groups, "_build_perm", no_search)
+        with pytest.raises(groups.AutTooLargeError, match="^aut-too-large:"):
+            aut_group.__wrapped__(spec)
+
 
 class TestIota:
     def test_identity_maps_to_identity_automorphism(self):
@@ -182,6 +234,14 @@ class TestIota:
         spec = make_group("P2Q-Type4", 3, 2)
         io = iota(spec, E(1, 0))
         assert io.perm[spec.idx(E(0, 1))] == spec.idx(E(0, 8))
+
+    @pytest.mark.parametrize("family,p,q", [("P2Q-Type4", 3, 2), ("P2Q-Type3", 3, 19)])
+    def test_iota_map_matches_definition(self, family, p, q):
+        spec = make_group(family, p, q)
+        ag = aut_group(spec)
+        mt, inv = spec.mul_table, spec.inv_table
+        for g in range(spec.n):
+            assert np.array_equal(ag.aperm[ag.iota_map[g]], mt[mt[inv[g]], g])
 
     def test_homomorphism_sample_type3(self):
         spec = make_group("P2Q-Type3", 3, 19)
