@@ -28,19 +28,38 @@ def _check_modulus(m: int) -> None:
         raise ValueError(f"modulus must be an integer >= 2, got {m!r}")
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this
+# bound (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for inputs below 10**4."""
+    """Deterministic Miller-Rabin test, exact for n < ``PRIME_TEST_BOUND``.
+
+    Larger n raise ValueError rather than risk a wrong answer.
+    """
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_TEST_BOUND}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -176,6 +195,9 @@ class DivisibilityProfile:
 
 
 def divisibility_profile(p: int, q: int) -> DivisibilityProfile:
+    # the bound first, so that a huge p or q never reaches the primality test
+    if p * p * q > MAX_GROUP_ORDER:
+        raise ValueError(f"p^2 q = {p * p * q} exceeds the supported bound {MAX_GROUP_ORDER}")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if not is_prime(q):
@@ -187,8 +209,6 @@ def divisibility_profile(p: int, q: int) -> DivisibilityProfile:
             "p must be odd: groups of order 4q admit regular subgroups whose "
             "Sylow 2-subgroups are not cyclic, which this package does not cover"
         )
-    if p * p * q > MAX_GROUP_ORDER:
-        raise ValueError(f"p^2 q = {p * p * q} exceeds the supported bound {MAX_GROUP_ORDER}")
     if (q - 1) % (p * p) == 0:
         p_vs_q1 = "square"
     elif (q - 1) % p == 0:

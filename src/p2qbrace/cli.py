@@ -129,6 +129,20 @@ def _cmd_classify(args) -> int:
 _TYPE_OF_CIRCLE = {"Type1": 1, "Type2": 2, "Type3": 3, "Type4": 4}
 
 
+def _orbits_vs_classes(result: routes.EnumerationResult, rows) -> tuple[bool, dict]:
+    """Compare orbits with class-table ``rows``: (circle type, classes) pairs."""
+    got = result.orbit_groups()
+    want: dict[tuple[str, int], int] = {}
+    for label, classes in rows:
+        for count, length in classes:
+            if count:
+                want[(label, length)] = want.get((label, length), 0) + count
+    return got == want, {
+        "got": {f"{k[0]}@{k[1]}": v for k, v in sorted(got.items())},
+        "want": {f"{k[0]}@{k[1]}": v for k, v in sorted(want.items())},
+    }
+
+
 def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORDER,
                with_pq: bool = False) -> dict:
     """The full cross-validation; returns the machine-readable report.
@@ -168,7 +182,7 @@ def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORD
             skip(f"type{g_type}/gfe-search-agrees", str(exc))
         else:
             check(f"type{g_type}/gfe-search-agrees", searched.keys() == base.keys(),
-                  {"structured": len(base.braces), "search": len(searched.braces)})
+                  {"structured": len(base.gammas), "search": len(searched.gammas)})
 
         try:
             oracle = routes.closure_oracle(spec, max_hol_order=oracle_limit)
@@ -176,23 +190,15 @@ def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORD
             skip(f"type{g_type}/closure-oracle-agrees", str(exc))
         else:
             check(f"type{g_type}/closure-oracle-agrees", oracle.keys() == base.keys(),
-                  {"structured": len(base.braces), "oracle": len(oracle.braces)})
+                  {"structured": len(base.gammas), "oracle": len(oracle.gammas)})
 
         try:
             routes.aut_orbits(base)
         except routes.MethodDisagreementError as exc:
             check(f"type{g_type}/orbits-vs-class-table", False, str(exc))
             continue
-        got_orbits = base.orbit_groups()
-        want_orbits: dict[tuple[str, int], int] = {}
-        for gt in profile.g_types:
-            for count, length in table.classes_at(gt, g_type):
-                if count:
-                    key = (f"Type{gt}", length)
-                    want_orbits[key] = want_orbits.get(key, 0) + count
-        check(f"type{g_type}/orbits-vs-class-table", got_orbits == want_orbits,
-              {"got": {f"{k[0]}@{k[1]}": v for k, v in sorted(got_orbits.items())},
-               "want": {f"{k[0]}@{k[1]}": v for k, v in sorted(want_orbits.items())}})
+        check(f"type{g_type}/orbits-vs-class-table", *_orbits_vs_classes(
+            base, ((f"Type{gt}", table.classes_at(gt, g_type)) for gt in profile.g_types)))
 
     scaling_ok = all(
         table.e_at(gt, g) * computed_aut_sizes[g]
@@ -221,20 +227,13 @@ def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORD
             got = result.counts_by_type()
             expected = {
                 gt: pq_table.e_prime_at(gt, family)
-                for gt in ("PQ-Cyclic", "PQ-Metacyclic")
+                for gt in counts.PQ_TYPES
                 if pq_table.e_prime_at(gt, family)
             }
             check(f"pq/{family}/counts-vs-e-prime", got == expected,
                   {"got": got, "want": expected})
-            got_orbits = result.orbit_groups()
-            want_orbits = {}
-            for gt in ("PQ-Cyclic", "PQ-Metacyclic"):
-                for count, length in pq_table.classes_at(gt, family):
-                    if count:
-                        want_orbits[(gt, length)] = want_orbits.get((gt, length), 0) + count
-            check(f"pq/{family}/orbits-vs-class-table", got_orbits == want_orbits,
-                  {"got": {f"{k[0]}@{k[1]}": v for k, v in sorted(got_orbits.items())},
-                   "want": {f"{k[0]}@{k[1]}": v for k, v in sorted(want_orbits.items())}})
+            check(f"pq/{family}/orbits-vs-class-table", *_orbits_vs_classes(
+                result, ((gt, pq_table.classes_at(gt, family)) for gt in counts.PQ_TYPES)))
 
     ok = all(c["status"] != "fail" for c in checks)
     return {

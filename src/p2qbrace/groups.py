@@ -48,11 +48,11 @@ class AutSizeMismatchError(RuntimeError):
 
 
 class AutTooLargeError(RuntimeError):
-    """Aut(G)'s tables would exceed ``AUT_TABLE_MAX_BYTES``."""
+    """The group's dense tables would exceed ``AUT_TABLE_MAX_BYTES``."""
 
 
-# Bound on the predicted bytes of Aut(G)'s two dense int32 tables,
-# ``aperm`` (|Aut| x |G|) and ``comp`` (|Aut| x |Aut|).
+# Bound on the predicted bytes of the largest dense int32 table: ``comp``
+# (|Aut| x |Aut|), ``aperm`` (|Aut| x |G|) or a |G| x |G| table.
 AUT_TABLE_MAX_BYTES = 1 << 28
 
 # entries of ``comp`` built per column block, which bounds the temporaries
@@ -465,16 +465,17 @@ def _build_perm(spec: GroupSpec, img_a: GroupElement, img_b: GroupElement) -> np
 
 
 def check_aut_gate(spec: GroupSpec) -> None:
-    """Raise AutTooLargeError if Aut(G)'s dense tables would be too large.
+    """Raise AutTooLargeError if the group's dense tables would be too large.
 
     The prediction needs only |G| and the closed-form |Aut|, so it runs
-    before any search.  ``aperm`` (|Aut| x |G|) and ``comp`` (|Aut| x
-    |Aut|) are int32 tables; the larger takes 4 |Aut| max(|Aut|, |G|) bytes.
+    before any search.  ``comp`` (|Aut| x |Aut|), ``aperm`` (|Aut| x |G|),
+    ``mul_table`` and every record's circle table (|G| x |G|) are int32
+    tables; the largest takes at most 4 max(|Aut|, |G|)^2 bytes.
     """
     if spec.n > arith.MAX_GROUP_ORDER:
         raise ValueError(f"|G| = {spec.n} exceeds the supported bound")
     m = _closed_form_aut_size(spec)
-    predicted = 4 * m * max(m, spec.n)
+    predicted = 4 * max(m, spec.n) ** 2
     if predicted > AUT_TABLE_MAX_BYTES:
         raise AutTooLargeError(
             f"aut-too-large: |Aut| = {m} and |G| = {spec.n} need {predicted} "
@@ -731,11 +732,6 @@ def _name_fingerprint(fp: Fingerprint, is_p2q: bool) -> str:
     if fp.center_size == 1 and fp.sylow_p_normal:
         return "Type4"
     return "Other"
-
-
-def family_iso_type(family: str) -> str:
-    """The isomorphism-class label of a family's own Cayley table."""
-    return family.removeprefix("P2Q-")
 
 
 # -- Cayley table JSON interchange -------------------------------------------

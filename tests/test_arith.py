@@ -37,6 +37,26 @@ class TestModPow:
             arith.mod_pow(2, -1, 7)
 
 
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert [arith.is_prime(n) for n in range(-3, 10**5)] == [
+            trial(n) for n in range(-3, 10**5)
+        ]
+
+    def test_large_values(self):
+        assert arith.is_prime(1000000000000000003)
+        assert not arith.is_prime(1000000000000000001)  # 101 * 9901 * 999999000001
+        # strong pseudoprime to the first twelve prime bases
+        assert not arith.is_prime(318665857834031151167461)
+
+    def test_rejects_values_past_the_exact_range(self):
+        with pytest.raises(ValueError):
+            arith.is_prime(arith.PRIME_TEST_BOUND)
+
+
 class TestMultOrder:
     def test_identity(self):
         for m in (5, 9, 21):
@@ -177,3 +197,5 @@ class TestDivisibilityProfile:
             arith.divisibility_profile(9, 7)
         with pytest.raises(ValueError):
             arith.divisibility_profile(101, 3)  # 101^2 * 3 > 10^4
+        with pytest.raises(ValueError, match="exceeds the supported bound"):
+            arith.divisibility_profile(arith.PRIME_TEST_BOUND + 2, 2)

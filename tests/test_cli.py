@@ -36,6 +36,15 @@ class TestTables:
         assert code == 2
         assert "odd" in err
 
+    def test_huge_prime_is_rejected_promptly(self, capsys):
+        # the p^2 q bound is checked before primality
+        start = time.perf_counter()
+        code, out, err = run(capsys, "tables", "--p", "1000000000000000003", "--q", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "exceeds the supported bound" in err
+
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "tables", "--p", "3", "--q", "19")
         _, out2, _ = run(capsys, "tables", "--p", "3", "--q", "19")
@@ -130,7 +139,7 @@ class TestVerify:
         def drop_one_on_pq(spec, *args, **kwargs):
             result = search(spec, *args, **kwargs)
             if spec.family.startswith("PQ-"):
-                result.braces.pop()
+                result.gammas.popitem()
             return result
 
         monkeypatch.setattr(routes, "gfe_search", drop_one_on_pq)
@@ -140,6 +149,28 @@ class TestVerify:
         assert statuses["pq/enumeration"] == "fail"
         assert statuses["type4/gfe-search-agrees"] == "pass"
         assert not any(name.startswith("pq/PQ-") for name in statuses)
+
+    def test_records_are_built_only_for_structured_and_pq_oracle(self, monkeypatch):
+        # search and p^2 q oracle results are compared as key sets, so
+        # no record is built for them
+        built = []
+        build = routes.brace_from_gamma
+
+        def counting(gamma):
+            built.append(gamma.spec.family)
+            return build(gamma)
+
+        monkeypatch.setattr(routes, "brace_from_gamma", counting)
+        report = cli.verify_run(3, 2, with_pq=True)
+        statuses = {c["name"]: c["status"] for c in report["checks"]}
+        assert statuses["type4/gfe-search-agrees"] == "pass"
+        assert statuses["type4/closure-oracle-agrees"] == "pass"
+        reported = sum(
+            sum(c["detail"]["got"].values()) for c in report["checks"]
+            if c["name"].endswith(("/structured-vs-e-prime", "/counts-vs-e-prime"))
+        )
+        assert reported == 4 + 56 + 2 + 8
+        assert len(built) == reported
 
     def test_incomplete_orbit_is_a_failed_check(self, capsys, monkeypatch):
         structured = routes.structured_enumerate
@@ -185,10 +216,13 @@ class TestAutGate:
         [
             ("enumerate", "--p", "11", "--q", "5", "--type", "4"),
             ("verify", "--p", "11", "--q", "5"),
+            ("enumerate", "--p", "3", "--q", "1109", "--type", "1"),
+            ("verify", "--p", "3", "--q", "1109"),
         ],
     )
     def test_large_aut_exits_3_promptly(self, capsys, argv):
-        # Type4 (11, 5): |Aut| = 13,310, so comp alone would be ~709 MB
+        # Type4 (11, 5): |Aut| = 13,310, so comp alone would be ~709 MB;
+        # Type1 (3, 1109): |G| = 9,981, so mul_table alone would be ~398 MB
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
@@ -206,6 +240,15 @@ class TestPq:
     def test_needs_p_larger(self, capsys):
         code, _, _ = run(capsys, "pq", "--p", "3", "--q", "7")
         assert code == 2
+
+    def test_huge_prime_answers_promptly(self, capsys):
+        p = 1000000000000000003
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "pq", "--p", str(p), "--q", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert f"PQ-Cyclic,PQ-Metacyclic,{2 * p},2,2x{p}" in out
+        assert f"PQ-Metacyclic,PQ-Cyclic,1,{p},1x1" in out
 
 
 class TestClassifyCayley:

@@ -1,6 +1,6 @@
 import pytest
 
-from p2qbrace import counts
+from p2qbrace import arith, counts
 
 DESK_PAIRS = [(3, 2), (3, 7), (3, 19), (5, 2), (5, 3), (5, 11), (7, 3), (3, 31), (7, 2)]
 
@@ -117,6 +117,8 @@ class TestPqTables:
             counts.pq_tables(3, 7)
         with pytest.raises(ValueError):
             counts.pq_tables(9, 2)
+        with pytest.raises(ValueError):
+            counts.pq_tables(arith.PRIME_TEST_BOUND + 2, 2)
 
 
 class TestRenderings:

@@ -3,8 +3,8 @@ from collections import Counter
 
 import pytest
 
+from p2qbrace import brace, holomorph
 from p2qbrace import enumerate as routes
-from p2qbrace import holomorph
 from p2qbrace.brace import dual_gamma
 from p2qbrace.groups import make_group
 
@@ -32,6 +32,22 @@ class TestStructured:
         for fam, p, q in [("P2Q-Type1", 3, 7), ("P2Q-Type4", 3, 2)]:
             result = enum_cache(fam, p, q)
             assert identity_gamma(result.spec).table in result.keys()
+
+    @pytest.mark.parametrize("family,p,q", [("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7)])
+    def test_one_circle_table_per_record(self, monkeypatch, family, p, q):
+        # lifts and the kernel-p branch are checked only when records are built
+        calls = []
+        table = brace.circle_table
+
+        def counting(gamma):
+            calls.append(gamma.key)
+            return table(gamma)
+
+        monkeypatch.setattr(brace, "circle_table", counting)
+        result = routes.structured_enumerate(make_group(family, p, q))
+        assert calls == []
+        records = result.braces
+        assert sorted(calls) == [rec.canonical_key for rec in records]
 
     def test_braces_are_canonically_sorted_and_distinct(self, enum_cache):
         result = enum_cache("P2Q-Type2", 3, 7)
@@ -265,7 +281,7 @@ class TestPqEnumerate:
 
         def drop_one(spec, *args, **kwargs):
             result = search(spec, *args, **kwargs)
-            result.braces.pop()
+            result.gammas.popitem()
             return result
 
         monkeypatch.setattr(routes, "gfe_search", drop_one)
