@@ -205,8 +205,7 @@ def _structured_type23(spec: GroupSpec) -> dict[tuple[int, ...], GammaFunction]:
     gammas: dict[tuple[int, ...], GammaFunction] = {identity_gamma(spec).key: identity_gamma(spec)}
 
     if spec.family == "P2Q-Type2":
-        psi = psi_for_A(spec, GroupElement(1, 0))
-        psi_idx = ag.index_of(psi)
+        psi_idx = psi_for_A(spec, GroupElement(1, 0))
         psi_powers = {psi_idx}
         cur = psi_idx
         for _ in range(p - 1):
@@ -276,7 +275,7 @@ def _structured_type4(spec: GroupSpec) -> dict[tuple[int, ...], GammaFunction]:
     mt = spec.mul_table
     for gen_idx, _members in sylows:
         a_gen = spec.el(gen_idx)
-        psi_idx = ag.index_of(psi_for_A(spec, a_gen))
+        psi_idx = psi_for_A(spec, a_gen)
         iota_inv_a = int(ag.ainv[ag.iota_map[gen_idx]])
         a_pows = [spec.identity_idx]
         for _ in range(q - 1):
@@ -430,11 +429,9 @@ def aut_orbits(result: EnumerationResult) -> list[Orbit]:
     ag = aut_group(spec)
     gens = ag.generators()
     by_key = {rec.canonical_key: rec for rec in result.braces}
-    if len(by_key) != len(result.braces):
-        raise ValueError("duplicate braces in enumeration result")
     orbits: list[Orbit] = []
     seen: set[tuple[int, ...]] = set()
-    for rec in sorted(result.braces, key=lambda r: r.canonical_key):
+    for rec in result.braces:
         if rec.canonical_key in seen:
             continue
         orbit_keys = {rec.canonical_key}

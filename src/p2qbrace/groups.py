@@ -21,6 +21,8 @@ Families and their presentations:
 
 Automorphism groups are found by exhaustive generator-image search and
 validated against the known closed-form sizes; they are never assumed.
+Aut(G) is stored as one sorted matrix of permutation rows, and an
+automorphism is a row index into it.
 """
 
 from __future__ import annotations
@@ -260,29 +262,6 @@ def make_group(family: str, p: int, q: int) -> GroupSpec:
 # -- automorphisms ----------------------------------------------------------
 
 
-class Automorphism:
-    """An automorphism stored by generator images plus its full permutation."""
-
-    __slots__ = ("img_a", "img_b", "perm")
-
-    def __init__(self, img_a: GroupElement, img_b: GroupElement, perm: np.ndarray):
-        self.img_a = img_a
-        self.img_b = img_b
-        self.perm = perm
-
-    def __call__(self, idx: int) -> int:
-        return int(self.perm[idx])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Automorphism) and np.array_equal(self.perm, other.perm)
-
-    def __hash__(self) -> int:
-        return hash(self.perm.tobytes())
-
-    def __repr__(self) -> str:
-        return f"Automorphism(a->{tuple(self.img_a)}, b->{tuple(self.img_b)})"
-
-
 def _closed_form_aut_size(spec: GroupSpec) -> int:
     p, q = spec.p, spec.q
     return {
@@ -298,10 +277,11 @@ def _closed_form_aut_size(spec: GroupSpec) -> int:
 class AutGroup:
     """The full automorphism group over the canonical element order.
 
-    Automorphisms act on the right: ``aperm[k, x]`` is the image of
-    element x under automorphism k, and ``comp[i, j]`` is "apply i, then
-    j".  The list is sorted by (img_a, img_b) indices, which makes every
-    downstream enumeration order-stable.
+    An automorphism is a row index k of ``aperm``, the only copy of its
+    permutation.  Automorphisms act on the right: ``aperm[k, x]`` is the
+    image of element x under automorphism k, and ``comp[i, j]`` is "apply
+    i, then j".  The constructor takes the rows sorted by the image of a,
+    then of b, which makes every downstream enumeration order-stable.
 
     A homomorphism is fixed by its images of the generators a and b, so
     automorphisms are looked up by that pair: one int32 table gives the
@@ -313,11 +293,10 @@ class AutGroup:
     table would take 400 MB at |G| = 10^4.
     """
 
-    def __init__(self, spec: GroupSpec, auts: list[Automorphism]):
+    def __init__(self, spec: GroupSpec, aperm: np.ndarray):
         self.spec = spec
-        self.auts = auts
-        self.size = len(auts)
-        self.aperm = np.array([a.perm for a in auts], dtype=np.int32)
+        self.aperm = aperm
+        self.size = len(aperm)
         self._gen_idx = (spec.idx(GroupElement(1, 0)), spec.idx(GroupElement(0, 1)))
         img_a, img_b = (self.aperm[:, g] for g in self._gen_idx)
         # rank of each element among the images of a (of b); every other
@@ -366,9 +345,6 @@ class AutGroup:
         if k < 0 or not np.array_equal(self.aperm[k], perm):
             raise KeyError("permutation is not an automorphism of this group")
         return k
-
-    def index_of(self, aut: Automorphism) -> int:
-        return self.index_of_perm(aut.perm)
 
     @property
     def comp(self) -> np.ndarray:
@@ -503,7 +479,7 @@ def aut_group(spec: GroupSpec) -> AutGroup:
     check_aut_gate(spec)
     a_candidates = [spec.el(i) for i in spec.elements_of_order(spec.c_mod)]
     b_candidates = [spec.el(i) for i in spec.elements_of_order(spec.n_mod)]
-    auts = []
+    perms = []
     for ia in a_candidates:
         ia_inv = spec.inv_elem(ia)
         for ib in b_candidates:
@@ -514,19 +490,20 @@ def aut_group(spec: GroupSpec) -> AutGroup:
             perm = _build_perm(spec, ia, ib)
             seen = np.zeros(spec.n, dtype=bool)
             seen[perm] = True
-            if not seen.all():
-                continue
-            auts.append(Automorphism(ia, ib, perm))
-    auts.sort(key=lambda a: (spec.idx(a.img_a), spec.idx(a.img_b)))
+            if seen.all():
+                perms.append(perm)
     expected = _closed_form_aut_size(spec)
-    if len(auts) != expected:
+    if len(perms) != expected:
         raise AutSizeMismatchError(
-            f"aut-size-mismatch: found {len(auts)} automorphisms of "
+            f"aut-size-mismatch: found {len(perms)} automorphisms of "
             f"{spec.family} (p={spec.p}, q={spec.q}), expected {expected}"
         )
-    ag = AutGroup(spec, auts)
-    mt, aperm = spec.mul_table, ag.aperm
-    for g in (spec.idx(GroupElement(1, 0)), spec.idx(GroupElement(0, 1))):
+    gens = (spec.idx(GroupElement(1, 0)), spec.idx(GroupElement(0, 1)))
+    aperm = np.array(perms, dtype=np.int32)
+    # sort by the image of a, then of b
+    aperm = aperm[np.lexsort((aperm[:, gens[1]], aperm[:, gens[0]]))]
+    mt = spec.mul_table
+    for g in gens:
         bad = aperm[:, mt[:, g]] != mt[aperm, aperm[:, [g]]]
         if bad.any():
             k, x = (int(i) for i in np.argwhere(bad)[0])
@@ -534,17 +511,16 @@ def aut_group(spec: GroupSpec) -> AutGroup:
                 f"aut-not-homomorphism: automorphism {k} of {spec.family} "
                 f"(p={spec.p}, q={spec.q}) fails at (x, g) = ({x}, {g})"
             )
-    return ag
+    return AutGroup(spec, aperm)
 
 
-def iota(spec: GroupSpec, g: GroupElement) -> Automorphism:
-    """The inner automorphism x -> g^-1 x g, as a member of Aut(G)."""
-    ag = aut_group(spec)
-    return ag.auts[int(ag.iota_map[spec.idx(g)])]
+def iota(spec: GroupSpec, g: GroupElement) -> int:
+    """Index in Aut(G) of the inner automorphism x -> g^-1 x g."""
+    return int(aut_group(spec).iota_map[spec.idx(g)])
 
 
-def psi_for_A(spec: GroupSpec, a_gen: GroupElement) -> Automorphism:
-    """The distinguished order-p automorphism tied to a Sylow complement.
+def psi_for_A(spec: GroupSpec, a_gen: GroupElement) -> int:
+    """Index of the distinguished order-p automorphism tied to a Sylow complement.
 
     For P2Q-Type4, the map fixing a_gen (a generator of a Sylow
     q-subgroup) with b -> b^(1+p).  For P2Q-Type2, the map fixing b with
@@ -571,7 +547,7 @@ def psi_for_A(spec: GroupSpec, a_gen: GroupElement) -> Automorphism:
         raise AutSizeMismatchError(
             f"expected exactly one matching automorphism, found {len(matches)}"
         )
-    return ag.auts[int(matches[0])]
+    return int(matches[0])
 
 
 # -- isomorphism-type fingerprinting ----------------------------------------
@@ -743,11 +719,18 @@ def cayley_to_json(table: np.ndarray) -> str:
 
 
 def cayley_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply") from None
     if not isinstance(data, dict) or "n" not in data or "table" not in data:
         raise ValueError('expected an object {"n": ..., "table": [[...]]}')
     n = data["n"]
-    table = np.asarray(data["table"], dtype=np.int32)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    table = np.asarray(data["table"])
     if table.shape != (n, n):
         raise ValueError(f"table shape {table.shape} does not match n={n}")
-    return table
+    if table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= n:
+        raise ValueError(f"table entries must be integers in 0..{n - 1}")
+    return table.astype(np.int32)

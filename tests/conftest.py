@@ -1,9 +1,15 @@
-"""Shared enumeration cache so expensive searches run once per session."""
+"""Shared enumeration cache so expensive searches run once per session,
+and the hypothesis profile every property test runs under."""
 
 import pytest
+from hypothesis import settings
 
 from p2qbrace import enumerate as routes
 from p2qbrace.groups import make_group
+
+# property tests draw the same examples on every run
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 _CACHE: dict = {}
 

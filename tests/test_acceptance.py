@@ -10,11 +10,12 @@ from collections import Counter
 import pytest
 
 from conftest import enumerate_cached
-from p2qbrace import counts, holomorph
+from p2qbrace import brace, counts, holomorph
 from p2qbrace import enumerate as routes
 from p2qbrace.brace import (
     check_gfe,
     circle_inverse,
+    circle_table,
     dual_gamma,
     rgf_from_generator,
     verify_brace_axiom,
@@ -197,6 +198,15 @@ def test_criterion_6a_gfe_everywhere():
     print(f"\nACCEPTANCE 6a (functional equation on all {total} braces): PASS")
 
 
+def test_criterion_6a_kernel_follows_from_gfe():
+    # record building leaves this to the functional equation; the
+    # reference check confirms it on every brace
+    for result in _every_enumerated_brace():
+        for rec in result.braces:
+            brace._check_kernel(rec.gamma, circle_table(rec.gamma), rec.kernel)
+    print("\nACCEPTANCE 6a (kernel a subgroup of (G, *), normal in (G, o)): PASS")
+
+
 def test_criterion_6b_brace_axiom_everywhere():
     for result in _every_enumerated_brace():
         exhaustive = result.spec.n <= 63
@@ -237,7 +247,7 @@ def test_criterion_6e_closed_form_circle_inverse():
     for result in _every_enumerated_brace():
         spec = result.spec
         for rec in result.braces:
-            circ = rec.circle_table
+            circ = circle_table(rec.gamma)
             for x in range(spec.n):
                 z = circle_inverse(rec.gamma, spec.el(x))
                 assert circ[spec.idx(z), x] == spec.identity_idx

@@ -74,7 +74,7 @@ class TestCircle:
         result = enum_cache("P2Q-Type4", 3, 2)
         spec = result.spec
         for rec in result.braces:
-            circ = rec.circle_table
+            circ = circle_table(rec.gamma)
             for x in range(spec.n):
                 z = circle_inverse(rec.gamma, spec.el(x))
                 assert circ[spec.idx(z), x] == spec.identity_idx
@@ -104,6 +104,27 @@ class TestBraceRecords:
         rgf = rgf_from_generator(spec, E(1, 0), eta)
         gm = lift_rgf(spec, rgf, spec.cyclic_subgroup(spec.idx(E(0, 1))))
         assert brace_from_gamma(gm).circle_type == "Type1"
+
+    def test_gfe_violation_is_rejected(self):
+        spec = make_group("P2Q-Type4", 3, 2)
+        ag = aut_group(spec)
+        alpha = (ag.identity_idx + 1) % ag.size
+        gm = GammaFunction(spec, (alpha,) * spec.n)  # alpha alpha != alpha
+        assert find_gfe_violation(gm) is not None
+        with pytest.raises(brace.GfeError):
+            brace_from_gamma(gm)
+
+    def test_records_do_not_check_the_kernel(self, monkeypatch):
+        def no_check(*args):
+            raise AssertionError("the kernel was checked")
+
+        monkeypatch.setattr(brace, "_check_kernel", no_check)
+        spec = make_group("P2Q-Type2", 3, 7)
+        assert brace_from_gamma(inversion_gamma(spec)).circle_type == "Type2"
+
+    def test_records_hold_no_arrays(self, enum_cache):
+        for rec in enum_cache("P2Q-Type2", 3, 7).braces:
+            assert not any(isinstance(v, np.ndarray) for v in vars(rec).values())
 
     def test_json_field_order(self):
         spec = make_group("P2Q-Type4", 3, 2)
@@ -208,9 +229,10 @@ class TestRgf:
 
         spec = make_group("P2Q-Type1", 3, 7)
         ag = aut_group(spec)
+        a_idx, b_idx = spec.idx(E(1, 0)), spec.idx(E(0, 1))
         eta = next(
-            k for k, aut in enumerate(ag.auts)
-            if aut.img_a == spec.power(E(1, 0), 4) and aut.img_b == E(0, 1)
+            k for k, (img_a, img_b) in enumerate(ag.aperm[:, [a_idx, b_idx]])
+            if img_a == spec.idx(spec.power(E(1, 0), 4)) and img_b == b_idx
         )
         rgf = rgf_from_generator(spec, E(1, 0), eta)
         for k in range(9):
@@ -254,8 +276,7 @@ class TestRgf:
         from p2qbrace.groups import psi_for_A
 
         spec = make_group("P2Q-Type2", 3, 7)
-        ag = aut_group(spec)
-        psi = ag.index_of(psi_for_A(spec, E(1, 0)))
+        psi = psi_for_A(spec, E(1, 0))
         for gen_idx, _members in spec.sylow_subgroups(9):
             rgf_from_generator(spec, spec.el(gen_idx), psi)  # must not raise
 
@@ -348,11 +369,12 @@ class TestInvariantSubgroups:
                   for _gen, m in spec.sylow_subgroups(order)]
         for rec in result.braces:
             gt = rec.gamma.arr()
+            circ = circle_table(rec.gamma)
             for members in sylows:
                 marr = np.array(members)
                 images = ag.aperm[gt[marr][:, None], marr[None, :]]
                 if np.isin(images, marr).all():
-                    assert np.isin(rec.circle_table[np.ix_(marr, marr)], marr).all()
+                    assert np.isin(circ[np.ix_(marr, marr)], marr).all()
 
     @pytest.mark.parametrize("family,p,q", [("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7)])
     def test_invariant_cyclic_generators_keep_their_order(self, enum_cache, family, p, q):
@@ -365,7 +387,7 @@ class TestInvariantSubgroups:
                   for gm in spec.sylow_subgroups(order)]
         for rec in result.braces:
             gt = rec.gamma.arr()
-            circ = rec.circle_table
+            circ = circle_table(rec.gamma)
             for gen, members in sylows:
                 marr = np.array(members)
                 images = ag.aperm[gt[marr][:, None], marr[None, :]]

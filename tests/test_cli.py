@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from p2qbrace import cli, groups
 from p2qbrace import enumerate as routes
@@ -299,3 +300,49 @@ class TestClassifyCayley:
         path.write_text("not json")
         code, _, _ = run(capsys, "classify-cayley", "--in", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("n,entry", [
+        ("2", "99999999999"), ("2", "null"), ("2", "{}"), ("2", "1.5"),
+        ("true", "1"), ("2.0", "1"),
+    ])
+    def test_malformed_input_is_bad_input(self, capsys, tmp_path, n, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"n": {n}, "table": [[0, {entry}], [1, 0]]}}')
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "classify-cayley", "--in", str(path))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_deep_nesting_is_bad_input(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 2, "table": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, _, err = run(capsys, "classify-cayley", "--in", str(path))
+        assert code == 2 and err.startswith("error: ")
+
+    def test_fractional_entry_is_not_truncated(self, capsys, tmp_path):
+        table = groups.make_group("PQ-Cyclic", 3, 2).mul_table.tolist()
+        table[0][1] += 0.5
+        path = tmp_path / "c6.json"
+        path.write_text(json.dumps({"n": 6, "table": table}))
+        code, _, err = run(capsys, "classify-cayley", "--in", str(path))
+        assert code == 2 and err.startswith("error: ")
+
+    _json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=3), children, max_size=3),
+        max_leaves=8,
+    )
+
+    @given(
+        n=st.integers(min_value=-1, max_value=7) | _json_values,
+        table=st.lists(
+            st.lists(st.integers(min_value=-1, max_value=7) | _json_values, max_size=7),
+            max_size=7,
+        ),
+    )
+    def test_any_json_is_answered_or_rejected(self, tmp_path_factory, n, table):
+        path = tmp_path_factory.mktemp("fuzz") / "t.json"
+        path.write_text(json.dumps({"n": n, "table": table}))
+        assert cli.main(["classify-cayley", "--in", str(path)]) in (0, 2)

@@ -205,7 +205,7 @@ class TestAutGroup:
         # Aut(G) less one non-identity element is no longer a group
         ag = aut_group(make_group("P2Q-Type4", 3, 2))
         drop = (ag.identity_idx + 1) % ag.size
-        partial = groups.AutGroup(ag.spec, [a for k, a in enumerate(ag.auts) if k != drop])
+        partial = groups.AutGroup(ag.spec, np.delete(ag.aperm, drop, axis=0))
         with pytest.raises(groups.AutSizeMismatchError, match="^aut-not-closed:"):
             partial.comp
 
@@ -228,12 +228,13 @@ class TestIota:
     def test_identity_maps_to_identity_automorphism(self):
         spec = make_group("P2Q-Type4", 3, 2)
         ag = aut_group(spec)
-        assert ag.index_of(iota(spec, spec.identity)) == ag.identity_idx
+        assert iota(spec, spec.identity) == ag.identity_idx
 
     def test_type4_conjugation_by_a(self):
         spec = make_group("P2Q-Type4", 3, 2)
+        ag = aut_group(spec)
         io = iota(spec, E(1, 0))
-        assert io.perm[spec.idx(E(0, 1))] == spec.idx(E(0, 8))
+        assert ag.aperm[io, spec.idx(E(0, 1))] == spec.idx(E(0, 8))
 
     @pytest.mark.parametrize("family,p,q", [("P2Q-Type4", 3, 2), ("P2Q-Type3", 3, 19)])
     def test_iota_map_matches_definition(self, family, p, q):
@@ -257,32 +258,35 @@ class TestIota:
 class TestPsi:
     def test_type4_values(self):
         spec = make_group("P2Q-Type4", 3, 2)
+        ag = aut_group(spec)
         psi = psi_for_A(spec, E(1, 0))
-        assert psi.perm[spec.idx(E(0, 1))] == spec.idx(E(0, 4))
-        assert psi.perm[spec.idx(E(1, 0))] == spec.idx(E(1, 0))
+        assert ag.aperm[psi, spec.idx(E(0, 1))] == spec.idx(E(0, 4))
+        assert ag.aperm[psi, spec.idx(E(1, 0))] == spec.idx(E(1, 0))
 
     def test_type4_order_p(self):
         spec = make_group("P2Q-Type4", 3, 2)
         ag = aut_group(spec)
-        assert ag.order_of(ag.index_of(psi_for_A(spec, E(1, 0)))) == 3
+        assert ag.order_of(psi_for_A(spec, E(1, 0))) == 3
 
     def test_type4_fixes_related_sylow_complements(self):
         # psi is the identity on each subgroup <a b^(p i)>
         spec = make_group("P2Q-Type4", 3, 2)
+        ag = aut_group(spec)
         psi = psi_for_A(spec, E(1, 0))
         p = spec.p
         for i in range(p):
             gen = spec.mul(E(1, 0), spec.power(E(0, 1), p * i))
             for member in spec.cyclic_subgroup(spec.idx(gen)):
-                assert psi.perm[member] == member
+                assert ag.aperm[psi, member] == member
 
     def test_type2_fixes_b_and_powers_every_p2_element(self):
         spec = make_group("P2Q-Type2", 3, 7)
+        ag = aut_group(spec)
         psi = psi_for_A(spec, E(1, 0))
-        assert psi.perm[spec.idx(E(0, 1))] == spec.idx(E(0, 1))
+        assert ag.aperm[psi, spec.idx(E(0, 1))] == spec.idx(E(0, 1))
         for i in spec.elements_of_order(9):
             x = spec.el(i)
-            assert psi.perm[i] == spec.idx(spec.power(x, 1 + spec.p))
+            assert ag.aperm[psi, i] == spec.idx(spec.power(x, 1 + spec.p))
 
     def test_wrong_generator_rejected(self):
         spec = make_group("P2Q-Type4", 3, 2)
