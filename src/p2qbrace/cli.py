@@ -267,6 +267,8 @@ def main(argv=None) -> int:
         "classify-cayley": _cmd_classify,
     }[args.command]
     try:
+        if getattr(args, "oracle_limit", 0) < 0:
+            raise ValueError(f"--oracle-limit must be at least 0, got {args.oracle_limit}")
         return handler(args)
     except (AutTooLargeError, holomorph.OracleTooLargeError,
             routes.SearchTooLargeError) as exc:

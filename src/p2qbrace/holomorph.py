@@ -10,9 +10,14 @@ single index alpha * n + g so that searches can run on numpy arrays.
 enumerates every regular subgroup of the holomorph by generator-pair
 closure, with no reference to gamma functions.  Its pruning rests on two
 exact facts: a non-identity element of a regular subgroup has no fixed
-point, and conjugation by Aut(G) permutes the regular subgroups, so the
-first generator only needs to range over conjugacy-orbit representatives
-as long as every found subgroup is closed up under that conjugation.
+point, and conjugation by Aut(G) permutes the regular subgroups.  So
+once every found subgroup is closed up under that conjugation, the
+first generator r only needs to range over Aut(G)-orbit representatives,
+and the second over representatives of the orbits of the stabiliser
+Stab(r) = {beta : r^beta = r}, because <r, s^beta> = <r, s>^beta for beta
+in Stab(r).  A pair inside an already found subgroup generates nothing
+new, so each r keeps a mask of the members of the found subgroups
+through r and skips the second generators it covers.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .groups import GroupElement, GroupSpec, aut_group
+from .groups import GroupSpec, aut_group
 
 DEFAULT_MAX_HOL_ORDER = 1200
 
@@ -68,16 +73,6 @@ class Holomorph:
         g = self.spec.mul_table[self.aut.aperm[a2, g1], g2]
         return alpha * self.n + g
 
-    def inv(self, k):
-        a, g = np.divmod(k, self.n)
-        ai = self.aut.ainv[a]
-        return ai * self.n + self.aut.aperm[ai, self.spec.inv_table[g]]
-
-    def act(self, k, x):
-        """Image of element index x under the permutation k."""
-        a, g = np.divmod(k, self.n)
-        return self.spec.mul_table[self.aut.aperm[a, x], g]
-
     @property
     def fixed_point_free_mask(self) -> np.ndarray:
         """mask[k] is True when the permutation k moves every point."""
@@ -99,50 +94,17 @@ class Holomorph:
         alpha = self.aut.comp[self.aut.comp[binv, a], beta]
         return alpha * self.n + self.aut.aperm[beta, g]
 
+    def stabiliser(self, k: int) -> np.ndarray:
+        """Automorphisms beta with k^beta == k, for k = (alpha, g): those
+        that fix g and commute with alpha."""
+        alpha, g = divmod(int(k), self.n)
+        comp = self.aut.comp
+        return np.flatnonzero((self.aut.aperm[:, g] == g) & (comp[alpha] == comp[:, alpha]))
+
 
 @lru_cache(maxsize=None)
 def holo(spec: GroupSpec) -> Holomorph:
     return Holomorph(spec)
-
-
-def rho(spec: GroupSpec, g: GroupElement) -> HolElement:
-    """Right translation x -> x g."""
-    h = holo(spec)
-    return HolElement(h.aut.identity_idx, spec.idx(g))
-
-
-def lambda_rep(spec: GroupSpec, g: GroupElement) -> HolElement:
-    """Left translation x -> g x, written inside Aut(G) rho(G)."""
-    h = holo(spec)
-    gi = spec.idx(g)
-    ginv = int(spec.inv_table[gi])
-    return HolElement(int(h.aut.iota_map[ginv]), gi)
-
-
-def conjugate_by_inv(spec: GroupSpec, h: HolElement) -> HolElement:
-    """Conjugate of (alpha, g) by the inversion permutation of G.
-
-    Inversion normalizes the holomorph; concretely (alpha, g) goes to
-    (alpha * iota(g), g^-1), the permutation x -> g^-1 x^alpha.
-    """
-    H = holo(spec)
-    alpha = int(H.aut.comp[h.alpha, H.aut.iota_map[h.g]])
-    return HolElement(alpha, int(spec.inv_table[h.g]))
-
-
-def is_regular(spec: GroupSpec, members: Iterable[HolElement]) -> bool:
-    """Transitive with trivial stabilizers: |G| elements, closed under the
-    product, and their images of the identity cover G exactly once."""
-    H = holo(spec)
-    mem = {H.flatten(m if isinstance(m, HolElement) else HolElement(*m)) for m in members}
-    if len(mem) != spec.n:
-        return False
-    targets = {k % spec.n for k in mem}
-    if len(targets) != spec.n:
-        return False
-    arr = np.fromiter(mem, dtype=np.int64)
-    prods = H.mul(arr[:, None], arr[None, :])
-    return bool(np.isin(prods, arr).all())
 
 
 def _closure_within(H: Holomorph, seeds: np.ndarray, allowed: np.ndarray,
@@ -167,28 +129,16 @@ def _closure_within(H: Holomorph, seeds: np.ndarray, allowed: np.ndarray,
         members = new
 
 
-def _aut_orbit_reps(H: Holomorph, candidates: np.ndarray) -> list[int]:
-    """Representatives of Aut(G)-conjugation orbits on the candidate set."""
-    gens = H.aut.generators()
-    cand = set(int(c) for c in candidates)
-    reps: list[int] = []
-    seen: set[int] = set()
-    for k in sorted(cand):
-        if k in seen:
-            continue
-        reps.append(k)
-        frontier = [k]
-        seen.add(k)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for b in gens:
-                    y = int(H.conjugate_by_aut(x, b))
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-    return reps
+def _orbit_reps(H: Holomorph, cand: np.ndarray, betas: Iterable[int]) -> np.ndarray:
+    """The least element of each orbit of conjugation by ``betas`` on ``cand``.
+
+    ``betas`` is a subgroup of Aut(G) and ``cand`` a sorted set it maps to
+    itself, so one pass over ``betas`` reaches every member of each orbit.
+    """
+    least = cand.copy()
+    for beta in betas:
+        np.minimum(least, H.conjugate_by_aut(cand, beta), out=least)
+    return cand[least == cand]
 
 
 def _aut_orbit_of_subgroup(H: Holomorph, members: np.ndarray) -> list[np.ndarray]:
@@ -220,12 +170,17 @@ def closure_search_regular(
 
     Non-identity members of a regular subgroup are fixed-point-free, so
     candidates are prefiltered to the identity plus the fixed-point-free
-    elements.  The first generator ranges over Aut(G)-conjugation orbit
-    representatives of that set and each hit is closed up under
-    conjugation, which covers the full set because conjugation permutes
-    regular subgroups.  By the classification the count tables encode,
-    every regular subgroup is isomorphic to one of the families in
-    scope, all two-generated, so generator pairs reach each one.
+    elements.  Conjugation by Aut(G) permutes regular subgroups and each
+    hit is closed up under it, so the first generator r ranges over
+    Aut(G)-orbit representatives.  For beta in Stab(r), <r, s^beta> is
+    <r, s>^beta, and the cut that both r s and s r stay allowed holds for s
+    exactly when it holds for s^beta, so the second generator ranges over
+    Stab(r)-orbit representatives.  A per-r mask holds the members of the
+    found subgroups through r; a second generator inside it is skipped,
+    since <r, s> would lie in a known regular subgroup.  By the
+    classification the count tables encode, every regular subgroup is
+    isomorphic to one of the families in scope, all two-generated, so
+    generator pairs reach each one.
     """
     H = holo(spec)
     if H.size > max_hol_order:
@@ -235,33 +190,26 @@ def closure_search_regular(
     allowed = H.fixed_point_free_mask.copy()
     allowed[H.identity] = True
     fpf = np.flatnonzero(H.fixed_point_free_mask)
-    reps = _aut_orbit_reps(H, fpf)
 
     found: dict[tuple[int, ...], np.ndarray] = {}
-    membership: list[np.ndarray] = []  # boolean masks of found subgroups
 
-    def record(members: np.ndarray) -> None:
-        for img in _aut_orbit_of_subgroup(H, members):
-            key = tuple(img.tolist())
-            if key not in found:
-                found[key] = img
-                mask = np.zeros(H.size, dtype=bool)
-                mask[img] = True
-                membership.append(mask)
-
-    def in_known_subgroup(k1: int, k2: int) -> bool:
-        return any(m[k1] and m[k2] for m in membership)
-
-    for r in reps:
+    for r in _orbit_reps(H, fpf, range(H.aut.size)).tolist():
+        covered = np.zeros(H.size, dtype=bool)  # members of found subgroups through r
+        if found:
+            subs = np.array(list(found.values()))
+            covered[subs[(subs == r).any(axis=1)]] = True
         # quick vectorized cut: both first-round products must stay allowed
         ok = allowed[H.mul(r, fpf)] & allowed[H.mul(fpf, r)]
-        for s in fpf[ok]:
-            s = int(s)
-            if in_known_subgroup(r, s):
+        for s in _orbit_reps(H, fpf[ok], H.stabiliser(r)):
+            if covered[s]:
                 continue
             members = _closure_within(H, np.array([r, s], dtype=np.int64), allowed, spec.n)
-            if members is not None and members.size == spec.n:
-                record(members)
+            if members is None or members.size != spec.n:
+                continue
+            for img in _aut_orbit_of_subgroup(H, members):
+                found[tuple(img.tolist())] = img
+                if r in img:
+                    covered[img] = True
 
     out = []
     for key in sorted(found):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from p2qbrace import brace, holomorph
+from p2qbrace import brace
 from p2qbrace.brace import (
     GammaFunction,
     brace_from_gamma,
@@ -22,6 +22,7 @@ from p2qbrace.brace import (
 )
 from p2qbrace.groups import GroupElement as E
 from p2qbrace.groups import aut_group, make_group
+from reference import conjugate_by_inv, is_regular, lambda_rep, rho
 
 
 def iota_idx(spec, el):
@@ -143,13 +144,13 @@ class TestNuSubgroup:
     def test_identity_gamma_gives_right_translations(self):
         spec = make_group("P2Q-Type1", 3, 2)
         assert nu_subgroup(identity_gamma(spec)) == {
-            holomorph.rho(spec, g) for g in spec.elements()
+            rho(spec, g) for g in spec.elements()
         }
 
     def test_inversion_gamma_gives_left_translations(self):
         spec = make_group("P2Q-Type4", 3, 2)
         assert nu_subgroup(inversion_gamma(spec)) == {
-            holomorph.lambda_rep(spec, g) for g in spec.elements()
+            lambda_rep(spec, g) for g in spec.elements()
         }
 
     def test_regular_and_injective_over_enumeration(self, enum_cache):
@@ -158,7 +159,7 @@ class TestNuSubgroup:
         seen = set()
         for rec in result.braces:
             nu = frozenset(nu_subgroup(rec.gamma))
-            assert holomorph.is_regular(spec, nu)
+            assert is_regular(spec, nu)
             assert nu not in seen
             seen.add(nu)
 
@@ -194,7 +195,7 @@ class TestDuality:
         spec = make_group("P2Q-Type4", 3, 2)
         gm = inversion_gamma(spec)
         lhs = nu_subgroup(dual_gamma(gm))
-        rhs = {holomorph.conjugate_by_inv(spec, h) for h in nu_subgroup(gm)}
+        rhs = {conjugate_by_inv(spec, h) for h in nu_subgroup(gm)}
         assert lhs == rhs
 
 

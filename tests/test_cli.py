@@ -211,6 +211,28 @@ class TestVerify:
         assert statuses["type2/closure-oracle-agrees"] == "pass"
 
 
+class TestOracleLimit:
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--p", "3", "--q", "2", "--type", "4", "--method", "oracle"),
+        ("verify", "--p", "3", "--q", "2"),
+    ])
+    def test_negative_limit_is_bad_input(self, capsys, monkeypatch, argv):
+        def refuse(spec):
+            raise AssertionError("a route ran before the input was rejected")
+
+        monkeypatch.setattr(routes, "structured_enumerate", refuse)
+        code, out, err = run(capsys, *argv, "--oracle-limit", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --oracle-limit")
+
+    def test_zero_limit_gates_the_oracle(self, capsys):
+        code, _, err = run(capsys, "enumerate", "--p", "3", "--q", "2", "--type", "4",
+                           "--method", "oracle", "--oracle-limit", "0")
+        assert code == 3
+        assert err.startswith("error: oracle-too-large:")
+
+
 class TestAutGate:
     @pytest.mark.parametrize(
         "argv",

@@ -4,11 +4,12 @@ import pytest
 from p2qbrace import holomorph
 from p2qbrace.groups import GroupElement as E
 from p2qbrace.groups import aut_group, classify_iso_type, make_group
-from p2qbrace.holomorph import (
-    HolElement,
-    closure_search_regular,
+from p2qbrace.holomorph import HolElement, closure_search_regular, holo
+from reference import (
+    act,
+    brute_force_regular,
     conjugate_by_inv,
-    holo,
+    inv,
     is_regular,
     lambda_rep,
     rho,
@@ -52,14 +53,14 @@ class TestHolStructure:
         spec = make_group("P2Q-Type4", 3, 2)
         H = holo(spec)
         ks = np.arange(H.size)
-        assert (H.mul(ks, H.inv(ks)) == H.identity).all()
+        assert (H.mul(ks, inv(H, ks)) == H.identity).all()
 
     def test_action_is_permutation(self):
         spec = make_group("P2Q-Type2", 3, 7)
         H = holo(spec)
         xs = np.arange(spec.n)
         for k in (0, 17, H.size - 1):
-            assert sorted(H.act(k, xs).tolist()) == list(range(spec.n))
+            assert sorted(act(H, k, xs).tolist()) == list(range(spec.n))
 
 
 class TestRhoLambda:
@@ -79,7 +80,7 @@ class TestRhoLambda:
         b = E(0, 1)
         k = H.flatten(lambda_rep(spec, b))
         for x in range(spec.n):
-            assert H.act(k, x) == spec.mul_table[spec.idx(b), x]
+            assert act(H, k, x) == spec.mul_table[spec.idx(b), x]
 
     def test_rho_is_homomorphism(self):
         spec = make_group("PQ-Metacyclic", 3, 2)
@@ -99,7 +100,7 @@ class TestConjugateByInv:
             k = H.flatten(image)
             ginv = spec.inv_elem(g)
             for x in range(spec.n):
-                assert H.act(k, x) == spec.mul_table[spec.idx(ginv), x]
+                assert act(H, k, x) == spec.mul_table[spec.idx(ginv), x]
 
     def test_involution(self):
         spec = make_group("P2Q-Type2", 3, 7)
@@ -177,4 +178,43 @@ class TestClosureSearch:
         mask = H.fixed_point_free_mask
         xs = np.arange(spec.n)
         for k in range(H.size):
-            assert mask[k] == bool((H.act(k, xs) != xs).all())
+            assert mask[k] == bool((act(H, k, xs) != xs).all())
+
+
+class TestClosurePruning:
+    """The orbit and coverage pruning keep every regular subgroup."""
+
+    @pytest.mark.parametrize("family,p,q", [
+        ("PQ-Metacyclic", 3, 2), ("P2Q-Type1", 3, 2), ("PQ-Cyclic", 7, 3),
+    ])
+    def test_same_subgroups_as_every_pair_closed(self, family, p, q):
+        spec = make_group(family, p, q)
+        keys = {cand.canonical_key for cand in closure_search_regular(spec)}
+        assert keys == brute_force_regular(spec)
+
+    @pytest.mark.parametrize("family,p,q,attempts", [
+        ("P2Q-Type4", 3, 2, 4350), ("PQ-Metacyclic", 7, 3, 5286),
+    ])
+    def test_attempt_counts(self, monkeypatch, family, p, q, attempts):
+        calls = []
+        closure = holomorph._closure_within
+
+        def counting(*args):
+            calls.append(args)
+            return closure(*args)
+
+        monkeypatch.setattr(holomorph, "_closure_within", counting)
+        closure_search_regular(make_group(family, p, q))
+        assert len(calls) == attempts
+
+    def test_stabiliser_of_each_first_generator(self):
+        spec = make_group("P2Q-Type4", 3, 2)
+        H = holo(spec)
+        betas = range(H.aut.size)
+        fpf = np.flatnonzero(H.fixed_point_free_mask)
+        reps = holomorph._orbit_reps(H, fpf, betas)
+        orbits = {frozenset(int(H.conjugate_by_aut(k, b)) for b in betas) for k in fpf}
+        assert sorted(reps.tolist()) == sorted(min(orbit) for orbit in orbits)
+        for r in reps.tolist():
+            want = [b for b in betas if H.conjugate_by_aut(r, b) == r]
+            assert H.stabiliser(r).tolist() == want
