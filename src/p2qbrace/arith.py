@@ -10,15 +10,13 @@ The one non-generic piece is the partial geometric sum
 
 which converts between ordinary powers and twisted powers of a cyclic
 generator.  When s = 1 (mod p) and m = p**n the values es(0), ...,
-es(p**n - 1) sweep out every residue class exactly once, and ``fs`` is
-the inverse lookup.
+es(p**n - 1) sweep out every residue class exactly once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 MAX_GROUP_ORDER = 10_000
 
@@ -61,17 +59,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def smallest_prime_factor(n: int) -> int:
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 def mod_pow(base: int, exp: int, m: int) -> int:
@@ -125,55 +112,6 @@ def es(k: int, s: int, m: int) -> int:
         total = (total + power) % m
         power = power * s % m
     return total
-
-
-@dataclass(frozen=True)
-class EsTable:
-    """All values es(0), ..., es(m-1) for a fixed multiplier s modulo m.
-
-    Only constructed when the values form a complete residue system, so
-    the table is invertible.
-    """
-
-    s: int
-    modulus: int
-    values: tuple[int, ...]
-
-    def inverse(self, r: int) -> int:
-        return self.values.index(r % self.modulus)
-
-
-@lru_cache(maxsize=None)
-def es_table(s: int, m: int) -> EsTable:
-    _check_modulus(m)
-    values = []
-    total = 0
-    power = 1
-    s_red = s % m
-    for _ in range(m):
-        values.append(total)
-        total = (total + power) % m
-        power = power * s_red % m
-    if sorted(values) != list(range(m)):
-        raise ValueError(
-            f"partial sums of s={s} do not cover all residues modulo {m}"
-        )
-    return EsTable(s=s_red, modulus=m, values=tuple(values))
-
-
-def fs(r: int, s: int, m: int) -> int:
-    """The unique k in [0, m) with es(k, s, m) = r (mod m).
-
-    Needs s = 1 (mod p) for the smallest prime p dividing m, otherwise
-    ``es`` is not injective on [0, m) and the lookup is refused.
-    """
-    _check_modulus(m)
-    p = smallest_prime_factor(m)
-    if s % p != 1:
-        raise ValueError(
-            f"s={s} is not 1 modulo {p}, so the partial sums are not invertible mod {m}"
-        )
-    return es_table(s, m).inverse(r)
 
 
 @dataclass(frozen=True)

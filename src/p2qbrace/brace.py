@@ -71,6 +71,16 @@ class GammaFunction:
         return np.asarray(self.table, dtype=np.int32)
 
 
+def gamma_from_array(spec: GroupSpec, table: np.ndarray) -> GammaFunction:
+    """The gamma function with this array of automorphism indices.
+
+    The key's entries are the shared ints of ``AutGroup.ints``, so a
+    table holds |G| pointers rather than |G| int objects.
+    """
+    ints = aut_group(spec).ints
+    return GammaFunction(spec, tuple(map(ints.__getitem__, table.tolist())))
+
+
 def identity_gamma(spec: GroupSpec) -> GammaFunction:
     ag = aut_group(spec)
     return GammaFunction(spec, (ag.identity_idx,) * spec.n)
@@ -80,7 +90,7 @@ def inversion_gamma(spec: GroupSpec) -> GammaFunction:
     """The gamma function of the left-regular image: y -> iota(y^-1)."""
     ag = aut_group(spec)
     table = ag.iota_map[spec.inv_table]
-    return GammaFunction(spec, tuple(int(x) for x in table))
+    return gamma_from_array(spec, table)
 
 
 def find_gfe_violation(
@@ -281,7 +291,7 @@ def dual_gamma(gamma: GammaFunction) -> GammaFunction:
     gt = gamma.arr()
     inv = spec.inv_table
     table = ag.comp[gt[inv], ag.iota_map[inv]]
-    return GammaFunction(spec, tuple(int(x) for x in table))
+    return gamma_from_array(spec, table)
 
 
 def conjugate_gamma(gamma: GammaFunction, beta: int) -> GammaFunction:
@@ -296,7 +306,7 @@ def conjugate_gamma(gamma: GammaFunction, beta: int) -> GammaFunction:
     binv = int(ag.ainv[beta])
     moved = gt[ag.aperm[binv]]
     table = ag.comp[ag.comp[binv, moved], beta]
-    return GammaFunction(spec, tuple(int(x) for x in table))
+    return gamma_from_array(spec, table)
 
 
 def is_morphism(gamma: GammaFunction) -> bool:

@@ -183,6 +183,7 @@ def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORD
         else:
             check(f"type{g_type}/gfe-search-agrees", searched.keys() == base.keys(),
                   {"structured": len(base.gammas), "search": len(searched.gammas)})
+            del searched  # compared only; freed before the records are built
 
         try:
             oracle = routes.closure_oracle(spec, max_hol_order=oracle_limit)

@@ -30,15 +30,6 @@ from .arith import DivisibilityProfile, divisibility_profile, is_prime
 P2Q_TYPES = (1, 2, 3, 4)
 
 
-def _aut_sizes(p: int, q: int) -> dict[int, int]:
-    return {
-        1: p * (p - 1) * (q - 1),
-        2: p * q * (q - 1),
-        3: q * (q - 1),
-        4: p * p * p * (p - 1),
-    }
-
-
 @dataclass(frozen=True)
 class CountTable:
     p: int

@@ -6,7 +6,10 @@
   against its formula.
 * ``gfe_search`` is a depth-first constraint search over partial gamma
   assignments: the functional equation itself is the propagation rule,
-  so nothing family-specific enters.
+  so nothing family-specific enters.  Since a solution makes (G, o) a
+  group, it branches on x only over the automorphisms alpha for which
+  y -> y^alpha x has no fixed point.  It runs while |G| x |Aut|, the size
+  of that candidate mask, is within ``GFE_SEARCH_BUDGET``.
 * ``closure_oracle`` reads gamma tables off the regular subgroups found
   by the holomorph closure search, a route that never touches the
   functional equation or the other two routes.
@@ -36,6 +39,7 @@ from .brace import (
     check_gfe,  # not called here; perfbench/tracing.py wraps it by name
     conjugate_gamma,
     dual_gamma,
+    gamma_from_array,
     gamma_from_regular,
     identity_gamma,
     lift_rgf,
@@ -43,12 +47,12 @@ from .brace import (
 )
 from .groups import GroupElement, GroupSpec, aut_group, make_group, psi_for_A
 
-GFE_SEARCH_MAX_GROUP = 200
-GFE_SEARCH_MAX_AUT = 1000
+# |G| x |Aut|, the cells of the search's candidate mask for one element
+GFE_SEARCH_BUDGET = 200_000
 
 
 class SearchTooLargeError(RuntimeError):
-    """The group exceeds the constraint-search size gates."""
+    """|G| x |Aut| exceeds the constraint search's budget."""
 
 
 class StructuredCountMismatchError(RuntimeError):
@@ -332,9 +336,47 @@ def structured_enumerate(spec: GroupSpec) -> EnumerationResult:
 # -- route 2: functional-equation constraint search ---------------------------
 
 
-def gfe_search(spec: GroupSpec,
-               max_group_order: int = GFE_SEARCH_MAX_GROUP,
-               max_aut_order: int = GFE_SEARCH_MAX_AUT) -> EnumerationResult:
+def _propagate(mt: np.ndarray, aperm: np.ndarray, comp: np.ndarray,
+               gamma: np.ndarray, fresh: list[int]) -> bool:
+    """Close a partial assignment under the functional equation, in place.
+
+    Every pair (g, h) with g or h freshly assigned forces
+    gamma[g^gamma(h) h] = gamma(g) gamma(h); returns False on a conflict.
+    Each round visits every such pair once: (fresh, assigned), then
+    (assigned earlier, fresh).
+    """
+    fr = np.asarray(fresh, dtype=np.int64)
+    while fr.size:
+        assigned = np.flatnonzero(gamma >= 0)
+        is_fresh = np.zeros(gamma.size, dtype=bool)
+        is_fresh[fr] = True
+        collected: list[np.ndarray] = []
+        for gs, hs in ((fr, assigned), (assigned[~is_fresh[assigned]], fr)):
+            gamma_h = gamma[hs]
+            targets = mt[aperm[gamma_h[None, :], gs[:, None]], hs[None, :]].ravel()
+            values = comp[gamma[gs][:, None], gamma_h[None, :]].ravel()
+            current = gamma[targets]
+            if ((current >= 0) & (current != values)).any():
+                return False
+            unset = current < 0
+            if unset.any():
+                targets, values = targets[unset], values[unset]
+                gamma[targets] = values
+                if not (gamma[targets] == values).all():
+                    return False
+                collected.append(targets)
+        if not collected:
+            return True
+        fr = np.unique(np.concatenate(collected))
+    return True
+
+
+def _candidates(mt: np.ndarray, aperm: np.ndarray, x: int) -> np.ndarray:
+    """Automorphisms alpha for which y -> y^alpha x moves every y."""
+    return np.flatnonzero((mt[aperm, x] != np.arange(len(mt))).all(axis=1))
+
+
+def gfe_search(spec: GroupSpec, budget: int = GFE_SEARCH_BUDGET) -> EnumerationResult:
     """Depth-first search for every gamma table, with forced propagation.
 
     Partial assignments propagate through the functional equation (two
@@ -342,57 +384,45 @@ def gfe_search(spec: GroupSpec,
     branching runs over the least unassigned element with automorphism
     candidates in canonical order, so the output order is deterministic.
     Propagation has checked every pair of a full assignment, so leaves
-    are not re-checked.  The size gates are defaults and may be raised
-    by the caller.
+    are not re-checked.
+
+    A solution makes (G, o) a group with y o x = y^gamma(x) x, and in a
+    group y o x = y forces x = 1.  So for x != 1, gamma(x) = alpha only if
+    y -> y^alpha x has no fixed point, and branching on x runs over those
+    alpha alone; the mask is computed once per branching element, from
+    the multiplication table and the automorphism permutations.  That
+    mask has |G| x |Aut| cells, which must not exceed ``budget``.
     """
     ag = aut_group(spec)
-    if spec.n > max_group_order or ag.size > max_aut_order:
+    if spec.n * ag.size > budget:
         raise SearchTooLargeError(
-            f"search-too-large: |G| = {spec.n}, |Aut| = {ag.size} exceed the "
-            f"gates ({max_group_order}, {max_aut_order})"
+            f"search-too-large: |G| x |Aut| = {spec.n} x {ag.size} = "
+            f"{spec.n * ag.size} exceeds the budget {budget}"
         )
     mt = spec.mul_table
     aperm = ag.aperm
     comp = ag.comp
-
-    def propagate(gamma: np.ndarray, fresh: list[int]) -> bool:
-        while fresh:
-            assigned = np.flatnonzero(gamma >= 0)
-            fr = np.asarray(fresh, dtype=np.int64)
-            collected: list[np.ndarray] = []
-            for gs, hs in ((fr, assigned), (assigned, fr)):
-                targets = mt[aperm[gamma[hs][None, :], gs[:, None]], hs[None, :]].ravel()
-                values = comp[gamma[gs][:, None], gamma[hs][None, :]].ravel()
-                current = gamma[targets]
-                if ((current >= 0) & (current != values)).any():
-                    return False
-                new_mask = current < 0
-                if new_mask.any():
-                    gamma[targets[new_mask]] = values[new_mask]
-                    if not (gamma[targets] == values).all():
-                        return False
-                    collected.append(np.unique(targets[new_mask]))
-            fresh = np.concatenate(collected).tolist() if collected else []
-        return True
-
+    candidates: dict[int, np.ndarray] = {}
     found: dict[tuple[int, ...], GammaFunction] = {}
 
     def dfs(gamma: np.ndarray) -> None:
         unassigned = np.flatnonzero(gamma < 0)
         if unassigned.size == 0:
-            gm = GammaFunction(spec, tuple(int(x) for x in gamma))
+            gm = gamma_from_array(spec, gamma)
             found[gm.key] = gm
             return
         x = int(unassigned[0])
-        for candidate in range(ag.size):
+        if x not in candidates:
+            candidates[x] = _candidates(mt, aperm, x)
+        for candidate in candidates[x].tolist():
             branch = gamma.copy()
             branch[x] = candidate
-            if propagate(branch, [x]):
+            if _propagate(mt, aperm, comp, branch, [x]):
                 dfs(branch)
 
     root = np.full(spec.n, -1, dtype=np.int32)
     root[spec.identity_idx] = ag.identity_idx
-    if not propagate(root, [spec.identity_idx]):
+    if not _propagate(mt, aperm, comp, root, [spec.identity_idx]):
         raise AssertionError("the trivial seed assignment cannot conflict")
     dfs(root)
     return EnumerationResult(spec, "gfe-search", found)

@@ -314,6 +314,7 @@ class AutGroup:
         self._iota_map: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._generators: list[int] | None = None
+        self._ints: list[int] | None = None
 
     @staticmethod
     def _ranks(images: np.ndarray, n: int) -> np.ndarray:
@@ -362,6 +363,14 @@ class AutGroup:
                 ).T
             self._comp = comp
         return self._comp
+
+    @property
+    def ints(self) -> list[int]:
+        """list(range(size)), built once: gamma tables whose entries come
+        from it share one int object per automorphism."""
+        if self._ints is None:
+            self._ints = list(range(self.size))
+        return self._ints
 
     @property
     def ainv(self) -> np.ndarray:

@@ -75,6 +75,16 @@ class TestEnumerate:
         assert code == 3
         assert "oracle-too-large" in err
 
+    def test_search_gate_exit_code(self, capsys):
+        # |G| x |Aut| = 98 x 2058 is over the search budget
+        code, out, err = run(capsys, "enumerate", "--p", "7", "--q", "2",
+                             "--type", "4", "--method", "search")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: search-too-large: ")
+        assert "201684" in err and "200000" in err
+        assert "Traceback" not in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "braces.jsonl"
         code, out, _ = run(capsys, "enumerate", "--p", "3", "--q", "2",
@@ -191,13 +201,13 @@ class TestVerify:
         assert "conjugation left the enumerated set" in check["detail"]
 
     @pytest.mark.slow
-    def test_square_division_pair_passes_with_gate_skips(self, capsys):
+    def test_square_division_pair_searches_every_group(self, capsys):
         code, out, _ = run(capsys, "verify", "--p", "3", "--q", "19")
         assert code == 0
         report = json.loads(out)
         statuses = {c["name"]: c["status"] for c in report["checks"]}
         assert statuses["type3/closure-oracle-agrees"] == "skipped"
-        assert statuses["type2/gfe-search-agrees"] == "skipped"
+        assert statuses["type2/gfe-search-agrees"] == "pass"
         assert statuses["type3/gfe-search-agrees"] == "pass"
 
     @pytest.mark.slow

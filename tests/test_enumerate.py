@@ -6,7 +6,8 @@ import pytest
 from p2qbrace import brace, holomorph
 from p2qbrace import enumerate as routes
 from p2qbrace.brace import dual_gamma
-from p2qbrace.groups import make_group
+from p2qbrace.groups import aut_group, make_group
+from reference import search_candidates
 
 
 def orbit_shape(result):
@@ -80,7 +81,7 @@ class TestStructured:
     def test_type1_at_independent_primes(self, enum_cache):
         result = enum_cache("P2Q-Type1", 5, 11)
         assert result.counts_by_type() == {"Type1": 5, "Type2": 20}
-        searched = enum_cache("P2Q-Type1", 5, 11, "search", max_group_order=300)
+        searched = enum_cache("P2Q-Type1", 5, 11, "search")
         assert searched.keys() == result.keys()
 
     @pytest.mark.slow
@@ -97,7 +98,7 @@ class TestStructured:
 
     @pytest.mark.slow
     def test_type2_within_default_search_gates(self, enum_cache):
-        # (3,13) keeps |G| and |Aut| under the default gates, so the
+        # (3,13) keeps |G| x |Aut| under the default budget, so the
         # constraint search needs no overrides here
         base = enum_cache("P2Q-Type2", 3, 13)
         assert base.counts_by_type() == {"Type1": 78, "Type2": 84}
@@ -128,15 +129,64 @@ class TestGfeSearch:
         assert result.counts_by_type() == {"Type1": 5}
 
     def test_size_gate(self):
-        with pytest.raises(routes.SearchTooLargeError):
-            routes.gfe_search(make_group("P2Q-Type2", 3, 19))
+        # |G| x |Aut| = 98 x 2058 = 201,684, just over the budget
+        with pytest.raises(routes.SearchTooLargeError, match="^search-too-large: .*201684"):
+            routes.gfe_search(make_group("P2Q-Type4", 7, 2))
 
     def test_gate_is_overridable(self):
         # covered at full scale by the acceptance suite; here just the
-        # signature contract
+        # signature contract, at |G| x |Aut| = 18 x 6
         spec = make_group("P2Q-Type1", 3, 2)
-        result = routes.gfe_search(spec, max_group_order=50, max_aut_order=50)
+        result = routes.gfe_search(spec, budget=108)
         assert len(result.braces) == 4
+        with pytest.raises(routes.SearchTooLargeError):
+            routes.gfe_search(spec, budget=107)
+
+    @pytest.mark.parametrize("family,p,q", [
+        ("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7), ("PQ-Metacyclic", 7, 3),
+    ])
+    def test_candidate_filter_is_sound(self, enum_cache, family, p, q):
+        # the filter drops exactly the automorphisms alpha for which
+        # y -> y^alpha x fixes a point, and every found gamma(x) survives it
+        spec = make_group(family, p, q)
+        aperm = aut_group(spec).aperm
+        nonidentity = [x for x in range(spec.n) if x != spec.identity_idx]
+        cands = {x: search_candidates(spec, x) for x in nonidentity}
+        for x in nonidentity:
+            assert routes._candidates(spec.mul_table, aperm, x).tolist() == sorted(cands[x])
+        searched = enum_cache(family, p, q, method="search")
+        assert searched.gammas
+        for key in searched.keys():
+            assert all(key[x] in cands[x] for x in nonidentity)
+
+    def test_keys_share_the_aut_group_ints(self, enum_cache):
+        # |Aut| = 342, so most entries are past the interpreter's small-int
+        # cache; searched, dual and conjugated tables all reuse AutGroup.ints
+        spec = make_group("P2Q-Type3", 3, 19)
+        ints = aut_group(spec).ints
+        searched = enum_cache("P2Q-Type3", 3, 19, method="search")
+        gm = searched.gammas[max(searched.gammas)]
+        built = [dual_gamma(gm).key, brace.conjugate_gamma(gm, 1).key]
+        assert max(map(max, built)) > 256
+        for key in [*searched.keys(), *built]:
+            assert all(v is ints[v] for v in key)
+
+    def test_pinned_propagation_and_node_counts(self, monkeypatch):
+        # one _propagate call per tried branch plus the root; a call that
+        # succeeds opens one DFS node
+        calls = Counter()
+        propagate = routes._propagate
+
+        def counting(*args):
+            ok = propagate(*args)
+            calls["propagations"] += 1
+            calls["nodes"] += ok
+            return ok
+
+        monkeypatch.setattr(routes, "_propagate", counting)
+        result = routes.gfe_search(make_group("P2Q-Type2", 3, 7))
+        assert len(result.gammas) == 90
+        assert calls == Counter(propagations=650, nodes=96)
 
 
 class TestClosureOracle:
