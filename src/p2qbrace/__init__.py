@@ -8,7 +8,7 @@ routes, and checks the results against the closed-form count tables.
 
 from .arith import DivisibilityProfile, divisibility_profile
 from .brace import GammaFunction, SkewBraceRecord, brace_from_gamma, check_gfe
-from .counts import CountTable, PQCountTable, count_table, pq_tables
+from .counts import CountTable, count_table, pq_tables
 from .enumerate import (
     EnumerationResult,
     aut_orbits,
@@ -30,7 +30,6 @@ __all__ = [
     "brace_from_gamma",
     "check_gfe",
     "CountTable",
-    "PQCountTable",
     "count_table",
     "pq_tables",
     "EnumerationResult",

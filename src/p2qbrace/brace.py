@@ -29,7 +29,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .groups import GroupSpec, GroupElement, aut_group, classify_iso_type
-from .holomorph import HolElement
 
 
 class GfeError(RuntimeError):
@@ -86,13 +85,6 @@ def identity_gamma(spec: GroupSpec) -> GammaFunction:
     return GammaFunction(spec, (ag.identity_idx,) * spec.n)
 
 
-def inversion_gamma(spec: GroupSpec) -> GammaFunction:
-    """The gamma function of the left-regular image: y -> iota(y^-1)."""
-    ag = aut_group(spec)
-    table = ag.iota_map[spec.inv_table]
-    return gamma_from_array(spec, table)
-
-
 def find_gfe_violation(
     gamma: GammaFunction, circ: Optional[np.ndarray] = None
 ) -> Optional[tuple[int, int]]:
@@ -114,23 +106,6 @@ def find_gfe_violation(
 
 def check_gfe(gamma: GammaFunction) -> bool:
     return find_gfe_violation(gamma) is None
-
-
-def circle(gamma: GammaFunction, g: GroupElement, h: GroupElement) -> GroupElement:
-    """g o h = g^gamma(h) * h."""
-    spec = gamma.spec
-    ag = aut_group(spec)
-    gi, hi = spec.idx(g), spec.idx(h)
-    return spec.el(int(spec.mul_table[ag.aperm[gamma.table[hi], gi], hi]))
-
-
-def circle_inverse(gamma: GammaFunction, a: GroupElement) -> GroupElement:
-    """Inverse of a in (G, o), via the closed form a^(-gamma(a)^-1)."""
-    spec = gamma.spec
-    ag = aut_group(spec)
-    ai = spec.idx(a)
-    inv_aut = int(ag.ainv[gamma.table[ai]])
-    return spec.el(int(ag.aperm[inv_aut, spec.inv_table[ai]]))
 
 
 def circle_table(gamma: GammaFunction) -> np.ndarray:
@@ -258,25 +233,22 @@ def _check_kernel(gamma: GammaFunction, circ: np.ndarray, ker: frozenset[int]) -
         raise GfeError("kernel is not normal in (G, o)")
 
 
-def nu_subgroup(gamma: GammaFunction) -> set[HolElement]:
-    """The regular subgroup {(gamma(g), g) : g in G} of the holomorph."""
-    return {HolElement(int(a), g) for g, a in enumerate(gamma.table)}
+def gamma_from_regular(spec: GroupSpec, members: np.ndarray) -> GammaFunction:
+    """Read the gamma table off a regular subgroup of the holomorph.
 
-
-def gamma_from_regular(spec: GroupSpec, members: Iterable[HolElement]) -> GammaFunction:
-    """Read the gamma table off a regular subgroup.
-
-    Each member (alpha, g) sends the identity to g, and regularity makes
-    g -> alpha a well-defined total map.
+    ``members`` holds the subgroup's flat indices k = alpha * |G| + g, as
+    ``holomorph.closure_search_regular`` returns them.  The member
+    (alpha, g) sends the identity to g = k mod |G|, and regularity makes
+    g -> alpha = k div |G| a well-defined total map.
     """
-    table = [-1] * spec.n
-    for m in members:
-        if table[m.g] != -1:
-            raise ValueError("subgroup is not regular: repeated identity image")
-        table[m.g] = m.alpha
-    if any(a == -1 for a in table):
+    alpha, g = np.divmod(np.asarray(members, dtype=np.int64), spec.n)
+    if np.unique(g).size != g.size:
+        raise ValueError("subgroup is not regular: repeated identity image")
+    if g.size != spec.n:
         raise ValueError("subgroup is not regular: misses identity images")
-    return GammaFunction(spec, tuple(table))
+    table = np.empty(spec.n, dtype=np.int64)
+    table[g] = alpha
+    return gamma_from_array(spec, table)
 
 
 def dual_gamma(gamma: GammaFunction) -> GammaFunction:
@@ -309,16 +281,6 @@ def conjugate_gamma(gamma: GammaFunction, beta: int) -> GammaFunction:
     return gamma_from_array(spec, table)
 
 
-def is_morphism(gamma: GammaFunction) -> bool:
-    """True when gamma(x y) = gamma(x) gamma(y) for all pairs."""
-    spec = gamma.spec
-    ag = aut_group(spec)
-    gt = gamma.arr()
-    lhs = gt[spec.mul_table]
-    rhs = ag.comp[gt[:, None], gt[None, :]]
-    return bool(np.array_equal(lhs, rhs))
-
-
 # -- relative gamma functions and liftings -----------------------------------
 
 
@@ -336,18 +298,6 @@ class RGF:
 
     def domain_set(self) -> frozenset[int]:
         return frozenset(self.domain)
-
-
-def rgf_is_morphism(rgf: RGF) -> bool:
-    spec = rgf.spec
-    ag = aut_group(spec)
-    dom = rgf.domain
-    for x in dom:
-        for y in dom:
-            xy = int(spec.mul_table[x, y])
-            if rgf.values[xy] != int(ag.comp[rgf.values[x], rgf.values[y]]):
-                return False
-    return True
 
 
 def _check_rgf_gfe(rgf: RGF) -> None:

@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import arith, counts, holomorph
+from . import counts, holomorph
 from . import enumerate as routes
 from .groups import (
     AutTooLargeError,
@@ -78,20 +78,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_tables(args) -> int:
-    table = counts.count_table(args.p, args.q)
+    """``tables`` and ``pq``: the closed-form counts of order p^2 q or pq."""
+    build = counts.count_table if args.command == "tables" else counts.pq_tables
+    table = build(args.p, args.q)
     if args.format == "csv":
         sys.stdout.write(counts.table_csv(table))
     else:
         sys.stdout.write(counts.table_json(table) + "\n")
-    return EXIT_OK
-
-
-def _cmd_pq(args) -> int:
-    table = counts.pq_tables(args.p, args.q)
-    if args.format == "csv":
-        sys.stdout.write(counts.pq_table_csv(table))
-    else:
-        sys.stdout.write(counts.pq_table_json(table) + "\n")
     return EXIT_OK
 
 
@@ -152,7 +145,6 @@ def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORD
     """
     if with_pq and p <= q:
         raise ValueError(f"--pq needs p > q, got ({p}, {q})")
-    profile = arith.divisibility_profile(p, q)
     table = counts.count_table(p, q)
     checks: list[dict] = []
 
@@ -163,7 +155,7 @@ def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORD
     def skip(name: str, reason: str) -> None:
         checks.append({"name": name, "status": "skipped", "reason": reason})
 
-    specs = {g_type: make_group(f"P2Q-Type{g_type}", p, q) for g_type in profile.g_types}
+    specs = {g_type: make_group(f"P2Q-Type{g_type}", p, q) for g_type in table.types}
     for spec in specs.values():
         check_aut_gate(spec)  # before any route runs
     computed_aut_sizes: dict[int, int] = {}
@@ -171,7 +163,7 @@ def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORD
         computed_aut_sizes[g_type] = aut_group(spec).size
         base = routes.structured_enumerate(spec)
         got = {_TYPE_OF_CIRCLE[k]: v for k, v in base.counts_by_type().items()}
-        want = {gt: table.e_prime_at(gt, g_type) for gt in profile.g_types
+        want = {gt: table.e_prime_at(gt, g_type) for gt in table.types
                 if table.e_prime_at(gt, g_type)}
         check(f"type{g_type}/structured-vs-e-prime", got == want,
               {"got": got, "want": want})
@@ -199,19 +191,19 @@ def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORD
             check(f"type{g_type}/orbits-vs-class-table", False, str(exc))
             continue
         check(f"type{g_type}/orbits-vs-class-table", *_orbits_vs_classes(
-            base, ((f"Type{gt}", table.classes_at(gt, g_type)) for gt in profile.g_types)))
+            base, ((f"Type{gt}", table.classes_at(gt, g_type)) for gt in table.types)))
 
     scaling_ok = all(
         table.e_at(gt, g) * computed_aut_sizes[g]
         == computed_aut_sizes[gt] * table.e_prime_at(gt, g)
-        for gt in profile.g_types
-        for g in profile.g_types
+        for gt in table.types
+        for g in table.types
     )
     check("scaling-identity-computed-aut", scaling_ok,
           {"aut_sizes": computed_aut_sizes})
     totals_ok = all(
-        table.total_for(gt) == sum(table.e_at(gt, g) for g in profile.g_types)
-        for gt in profile.g_types
+        table.total_for(gt) == sum(table.e_at(gt, g) for g in table.types)
+        for gt in table.types
     )
     check("totals-row-sums", totals_ok)
 
@@ -228,23 +220,19 @@ def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORD
             got = result.counts_by_type()
             expected = {
                 gt: pq_table.e_prime_at(gt, family)
-                for gt in counts.PQ_TYPES
+                for gt in pq_table.types
                 if pq_table.e_prime_at(gt, family)
             }
             check(f"pq/{family}/counts-vs-e-prime", got == expected,
                   {"got": got, "want": expected})
             check(f"pq/{family}/orbits-vs-class-table", *_orbits_vs_classes(
-                result, ((gt, pq_table.classes_at(gt, family)) for gt in counts.PQ_TYPES)))
+                result, ((gt, pq_table.classes_at(gt, family)) for gt in pq_table.types)))
 
     ok = all(c["status"] != "fail" for c in checks)
     return {
         "p": p,
         "q": q,
-        "profile": {
-            "p_vs_q1": profile.p_vs_q1,
-            "q_divides_p1": profile.q_divides_p1,
-            "g_types": list(profile.g_types),
-        },
+        "profile": table.header["profile"],
         "checks": checks,
         "ok": ok,
     }
@@ -264,7 +252,7 @@ def main(argv=None) -> int:
         "tables": _cmd_tables,
         "enumerate": _cmd_enumerate,
         "verify": _cmd_verify,
-        "pq": _cmd_pq,
+        "pq": _cmd_tables,
         "classify-cayley": _cmd_classify,
     }[args.command]
     try:

@@ -18,35 +18,44 @@ not exist for the given (p, q), and any type with non-cyclic Sylow
 p-subgroup, count zero.  Everything is evaluated fresh from the
 formulas; there is no lookup data to drift out of date.
 
-The order-pq analogues live in ``pq_tables``.
+``pq_tables`` gives Byott's order-pq analogues as the same ``CountTable``,
+labelled by family name and without totals, so one pair of renderers
+prints either order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arith import DivisibilityProfile, divisibility_profile, is_prime
-
-P2Q_TYPES = (1, 2, 3, 4)
 
 
 @dataclass(frozen=True)
 class CountTable:
+    """Counts keyed by (circle type, group type) for one order.
+
+    ``types`` labels the rows and columns in print order: the family
+    numbers for p^2 q, the family names for pq.  ``header`` holds the
+    fields the JSON rendering prints between ``q`` and the rows, and
+    ``totals`` the row totals, which only order p^2 q publishes.
+    """
+
     p: int
     q: int
-    profile: DivisibilityProfile
-    e_prime: dict[tuple[int, int], int]
-    e: dict[tuple[int, int], int]
-    classes: dict[tuple[int, int], tuple[tuple[int, int], ...]]
-    totals: dict[int, int]
+    types: tuple
+    header: dict[str, object]
+    e_prime: dict[tuple, int]
+    e: dict[tuple, int]
+    classes: dict[tuple, tuple[tuple[int, int], ...]]
+    totals: dict[int, int] = field(default_factory=dict)
 
-    def e_prime_at(self, gamma_type: int, g_type: int) -> int:
+    def e_prime_at(self, gamma_type, g_type) -> int:
         return self.e_prime.get((gamma_type, g_type), 0)
 
-    def e_at(self, gamma_type: int, g_type: int) -> int:
+    def e_at(self, gamma_type, g_type) -> int:
         return self.e.get((gamma_type, g_type), 0)
 
-    def classes_at(self, gamma_type: int, g_type: int) -> tuple[tuple[int, int], ...]:
+    def classes_at(self, gamma_type, g_type) -> tuple[tuple[int, int], ...]:
         return self.classes.get((gamma_type, g_type), ())
 
     def total_for(self, gamma_type: int) -> int:
@@ -140,7 +149,10 @@ def count_table(p: int, q: int) -> CountTable:
             e[(gt, g)] = _e_cell(p, q, gt, g)
             classes[(gt, g)] = _class_cell(p, q, gt, g)
     totals = {gt: _total_cell(p, q, gt, profile) for gt in types}
-    return CountTable(p=p, q=q, profile=profile, e_prime=e_prime, e=e,
+    header = {"profile": {"p_vs_q1": profile.p_vs_q1,
+                          "q_divides_p1": profile.q_divides_p1,
+                          "g_types": list(types)}}
+    return CountTable(p=p, q=q, types=types, header=header, e_prime=e_prime, e=e,
                       classes=classes, totals=totals)
 
 
@@ -153,26 +165,7 @@ def totals(p: int, q: int, gamma_type: int) -> int:
 PQ_TYPES = ("PQ-Cyclic", "PQ-Metacyclic")
 
 
-@dataclass(frozen=True)
-class PQCountTable:
-    p: int
-    q: int
-    metacyclic_exists: bool
-    e_prime: dict[tuple[str, str], int]
-    e: dict[tuple[str, str], int]
-    classes: dict[tuple[str, str], tuple[tuple[int, int], ...]]
-
-    def e_prime_at(self, gamma_type: str, g_type: str) -> int:
-        return self.e_prime.get((gamma_type, g_type), 0)
-
-    def e_at(self, gamma_type: str, g_type: str) -> int:
-        return self.e.get((gamma_type, g_type), 0)
-
-    def classes_at(self, gamma_type: str, g_type: str) -> tuple[tuple[int, int], ...]:
-        return self.classes.get((gamma_type, g_type), ())
-
-
-def pq_tables(p: int, q: int) -> PQCountTable:
+def pq_tables(p: int, q: int) -> CountTable:
     """Counts for the two groups of order pq, with p > q."""
     if not (is_prime(p) and is_prime(q)):
         raise ValueError(f"p={p}, q={q} must both be prime")
@@ -191,8 +184,9 @@ def pq_tables(p: int, q: int) -> PQCountTable:
             (M, C): ((1, q - 1),),
             (M, M): tuple(x for x in ((2, 1), (2 * (q - 2), p)) if x[0]),
         })
-    return PQCountTable(p=p, q=q, metacyclic_exists=meta,
-                        e_prime=e_prime, e=e, classes=classes)
+    return CountTable(p=p, q=q, types=PQ_TYPES if meta else PQ_TYPES[:1],
+                      header={"metacyclic_exists": meta},
+                      e_prime=e_prime, e=e, classes=classes)
 
 
 # -- renderings ---------------------------------------------------------------
@@ -205,18 +199,19 @@ def _classes_str(pairs: tuple[tuple[int, int], ...]) -> str:
 
 
 def table_csv(table: CountTable) -> str:
-    """Fixed-header CSV of the per-pair counts, then a totals block."""
+    """Fixed-header CSV of the per-pair counts, then the totals block if any."""
     lines = [CSV_HEADER]
-    for gt in table.profile.g_types:
-        for g in table.profile.g_types:
+    for gt in table.types:
+        for g in table.types:
             lines.append(
                 f"{gt},{g},{table.e_prime_at(gt, g)},{table.e_at(gt, g)},"
                 f"{_classes_str(table.classes_at(gt, g))}"
             )
-    lines.append("")
-    lines.append("gamma_type,total")
-    for gt in table.profile.g_types:
-        lines.append(f"{gt},{table.total_for(gt)}")
+    if table.totals:
+        lines.append("")
+        lines.append("gamma_type,total")
+        for gt in table.types:
+            lines.append(f"{gt},{table.total_for(gt)}")
     return "\n".join(lines) + "\n"
 
 
@@ -224,8 +219,8 @@ def table_json(table: CountTable) -> str:
     import json
 
     rows = []
-    for gt in table.profile.g_types:
-        for g in table.profile.g_types:
+    for gt in table.types:
+        for g in table.types:
             rows.append({
                 "gamma_type": gt,
                 "g_type": g,
@@ -233,48 +228,7 @@ def table_json(table: CountTable) -> str:
                 "e": table.e_at(gt, g),
                 "classes": [f"{c}x{l}" for c, l in table.classes_at(gt, g)],
             })
-    return json.dumps({
-        "p": table.p,
-        "q": table.q,
-        "profile": {
-            "p_vs_q1": table.profile.p_vs_q1,
-            "q_divides_p1": table.profile.q_divides_p1,
-            "g_types": list(table.profile.g_types),
-        },
-        "table": rows,
-        "totals": {str(gt): table.total_for(gt) for gt in table.profile.g_types},
-    }, indent=2)
-
-
-def pq_table_csv(table: PQCountTable) -> str:
-    types = PQ_TYPES if table.metacyclic_exists else PQ_TYPES[:1]
-    lines = [CSV_HEADER]
-    for gt in types:
-        for g in types:
-            lines.append(
-                f"{gt},{g},{table.e_prime_at(gt, g)},{table.e_at(gt, g)},"
-                f"{_classes_str(table.classes_at(gt, g))}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def pq_table_json(table: PQCountTable) -> str:
-    import json
-
-    types = PQ_TYPES if table.metacyclic_exists else PQ_TYPES[:1]
-    rows = []
-    for gt in types:
-        for g in types:
-            rows.append({
-                "gamma_type": gt,
-                "g_type": g,
-                "e_prime": table.e_prime_at(gt, g),
-                "e": table.e_at(gt, g),
-                "classes": [f"{c}x{l}" for c, l in table.classes_at(gt, g)],
-            })
-    return json.dumps({
-        "p": table.p,
-        "q": table.q,
-        "metacyclic_exists": table.metacyclic_exists,
-        "table": rows,
-    }, indent=2)
+    out = {"p": table.p, "q": table.q, **table.header, "table": rows}
+    if table.totals:
+        out["totals"] = {str(gt): table.total_for(gt) for gt in table.types}
+    return json.dumps(out, indent=2)

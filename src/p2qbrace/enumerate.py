@@ -439,8 +439,8 @@ def closure_oracle(spec: GroupSpec,
     caller's job (``pq_enumerate`` and ``verify``).
     """
     gammas: dict[tuple[int, ...], GammaFunction] = {}
-    for cand in holomorph.closure_search_regular(spec, max_hol_order=max_hol_order):
-        gm = gamma_from_regular(spec, cand.members)
+    for members in holomorph.closure_search_regular(spec, max_hol_order=max_hol_order):
+        gm = gamma_from_regular(spec, members)
         gammas[gm.key] = gm
     return EnumerationResult(spec, "closure-oracle", gammas)
 

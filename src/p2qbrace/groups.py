@@ -722,11 +722,6 @@ def _name_fingerprint(fp: Fingerprint, is_p2q: bool) -> str:
 # -- Cayley table JSON interchange -------------------------------------------
 
 
-def cayley_to_json(table: np.ndarray) -> str:
-    table = np.asarray(table)
-    return json.dumps({"n": int(table.shape[0]), "table": table.tolist()})
-
-
 def cayley_from_json(text: str) -> np.ndarray:
     try:
         data = json.loads(text)

@@ -3,8 +3,8 @@
 A holomorph element is a pair (alpha, g) acting by x -> x^alpha * g.
 The product law is (alpha, g)(beta, h) = (alpha beta, g^beta * h), and in
 particular the image of the group identity under (alpha, g) is g, which
-makes regularity checks cheap.  Internally elements are flattened to the
-single index alpha * n + g so that searches can run on numpy arrays.
+makes regularity checks cheap.  Elements are flattened to the single
+index alpha * n + g so that searches can run on numpy arrays.
 
 ``closure_search_regular`` is the independent oracle of this package: it
 enumerates every regular subgroup of the holomorph by generator-pair
@@ -18,11 +18,15 @@ Stab(r) = {beta : r^beta = r}, because <r, s^beta> = <r, s>^beta for beta
 in Stab(r).  A pair inside an already found subgroup generates nothing
 new, so each r keeps a mask of the members of the found subgroups
 through r and skips the second generators it covers.
+
+The search returns each regular subgroup as the sorted array of its flat
+member indices.  A member (alpha, g) sends the identity to g, so that
+array already is the gamma table g -> alpha of the matching skew brace
+(``brace.gamma_from_regular``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -42,12 +46,6 @@ class HolElement(NamedTuple):
     g: int      # element index
 
 
-@dataclass(frozen=True)
-class PermSubgroupCandidate:
-    members: frozenset[HolElement]
-    canonical_key: tuple[tuple[int, int], ...]
-
-
 class Holomorph:
     """Cached action/composition tables for Hol(G) over one GroupSpec."""
 
@@ -60,10 +58,6 @@ class Holomorph:
 
     def flatten(self, h: HolElement) -> int:
         return h.alpha * self.n + h.g
-
-    def unflatten(self, k: int) -> HolElement:
-        alpha, g = divmod(int(k), self.n)
-        return HolElement(alpha, g)
 
     def mul(self, k1, k2):
         """Flat-index product, vectorized over numpy arrays."""
@@ -165,8 +159,12 @@ def _aut_orbit_of_subgroup(H: Holomorph, members: np.ndarray) -> list[np.ndarray
 def closure_search_regular(
     spec: GroupSpec,
     max_hol_order: int = DEFAULT_MAX_HOL_ORDER,
-) -> list[PermSubgroupCandidate]:
+) -> list[np.ndarray]:
     """Every regular subgroup of Hol(G), by generator-closure search.
+
+    Each subgroup is returned as the sorted array of its flat member
+    indices alpha * |G| + g, and the list is in increasing order of
+    those arrays read as tuples.
 
     Non-identity members of a regular subgroup are fixed-point-free, so
     candidates are prefiltered to the identity plus the fixed-point-free
@@ -211,9 +209,4 @@ def closure_search_regular(
                 if r in img:
                     covered[img] = True
 
-    out = []
-    for key in sorted(found):
-        members = frozenset(H.unflatten(k) for k in found[key])
-        canonical = tuple(sorted((m.alpha, m.g) for m in members))
-        out.append(PermSubgroupCandidate(members=members, canonical_key=canonical))
-    return out
+    return [found[key] for key in sorted(found)]

@@ -4,13 +4,18 @@ The translations, the inversion conjugation and the regularity check give
 the tests independent ways to name regular subgroups, and
 ``brute_force_regular`` is the closure search with no pruning at all,
 which the tests compare ``closure_search_regular`` against.
-``search_candidates`` is the search's candidate filter written as a plain
-loop.  ``es_table`` and ``fs`` invert the partial geometric sums of
-``arith.es``.
+``subgroup_view`` turns the flat member indices that search returns into
+holomorph elements and their sorted pair key.  ``search_candidates`` is
+the search's candidate filter written as a plain loop.  ``es_table`` and
+``fs`` invert the partial geometric sums of ``arith.es``.  The pointwise
+circle operation and its closed-form inverse, the morphism tests, the
+inversion gamma function and ``nu_subgroup`` give the tests independent
+views of one gamma function.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -18,6 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from p2qbrace import arith
+from p2qbrace.brace import RGF, GammaFunction, gamma_from_array
 from p2qbrace.groups import GroupElement, GroupSpec, aut_group
 from p2qbrace.holomorph import HolElement, Holomorph, holo
 
@@ -100,6 +106,19 @@ def act(H: Holomorph, k, x):
     return H.spec.mul_table[H.aut.aperm[a, x], g]
 
 
+def unflatten(H: Holomorph, k: int) -> HolElement:
+    alpha, g = divmod(int(k), H.n)
+    return HolElement(alpha, g)
+
+
+def subgroup_view(spec: GroupSpec, flat
+                  ) -> tuple[frozenset[HolElement], tuple[tuple[int, int], ...]]:
+    """The members of a subgroup given by flat indices, as holomorph
+    elements, and its key: the (alpha, g) pairs in the array's order."""
+    key = tuple(divmod(int(k), spec.n) for k in flat)
+    return frozenset(HolElement(*pair) for pair in key), key
+
+
 def rho(spec: GroupSpec, g: GroupElement) -> HolElement:
     """Right translation x -> x g."""
     h = holo(spec)
@@ -154,6 +173,62 @@ def brute_force_regular(spec: GroupSpec) -> set[tuple[tuple[int, int], ...]]:
                 if new.size == members.size:
                     break
                 members = new
-            if members.size == spec.n and is_regular(spec, [H.unflatten(k) for k in members]):
+            if members.size == spec.n and is_regular(spec, [unflatten(H, k) for k in members]):
                 keys.add(tuple(divmod(int(k), spec.n) for k in members))
     return keys
+
+
+def inversion_gamma(spec: GroupSpec) -> GammaFunction:
+    """The gamma function of the left-regular image: y -> iota(y^-1)."""
+    ag = aut_group(spec)
+    table = ag.iota_map[spec.inv_table]
+    return gamma_from_array(spec, table)
+
+
+def circle(gamma: GammaFunction, g: GroupElement, h: GroupElement) -> GroupElement:
+    """g o h = g^gamma(h) * h."""
+    spec = gamma.spec
+    ag = aut_group(spec)
+    gi, hi = spec.idx(g), spec.idx(h)
+    return spec.el(int(spec.mul_table[ag.aperm[gamma.table[hi], gi], hi]))
+
+
+def circle_inverse(gamma: GammaFunction, a: GroupElement) -> GroupElement:
+    """Inverse of a in (G, o), via the closed form a^(-gamma(a)^-1)."""
+    spec = gamma.spec
+    ag = aut_group(spec)
+    ai = spec.idx(a)
+    inv_aut = int(ag.ainv[gamma.table[ai]])
+    return spec.el(int(ag.aperm[inv_aut, spec.inv_table[ai]]))
+
+
+def nu_subgroup(gamma: GammaFunction) -> set[HolElement]:
+    """The regular subgroup {(gamma(g), g) : g in G} of the holomorph."""
+    return {HolElement(int(a), g) for g, a in enumerate(gamma.table)}
+
+
+def is_morphism(gamma: GammaFunction) -> bool:
+    """True when gamma(x y) = gamma(x) gamma(y) for all pairs."""
+    spec = gamma.spec
+    ag = aut_group(spec)
+    gt = gamma.arr()
+    lhs = gt[spec.mul_table]
+    rhs = ag.comp[gt[:, None], gt[None, :]]
+    return bool(np.array_equal(lhs, rhs))
+
+
+def rgf_is_morphism(rgf: RGF) -> bool:
+    spec = rgf.spec
+    ag = aut_group(spec)
+    dom = rgf.domain
+    for x in dom:
+        for y in dom:
+            xy = int(spec.mul_table[x, y])
+            if rgf.values[xy] != int(ag.comp[rgf.values[x], rgf.values[y]]):
+                return False
+    return True
+
+
+def cayley_to_json(table: np.ndarray) -> str:
+    table = np.asarray(table)
+    return json.dumps({"n": int(table.shape[0]), "table": table.tolist()})

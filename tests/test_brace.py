@@ -6,23 +6,30 @@ from p2qbrace.brace import (
     GammaFunction,
     brace_from_gamma,
     check_gfe,
-    circle,
-    circle_inverse,
     circle_table,
     conjugate_gamma,
     dual_gamma,
     find_gfe_violation,
     gamma_from_regular,
     identity_gamma,
-    inversion_gamma,
-    is_morphism,
     lift_rgf,
-    nu_subgroup,
     rgf_from_generator,
 )
 from p2qbrace.groups import GroupElement as E
 from p2qbrace.groups import aut_group, make_group
-from reference import conjugate_by_inv, is_regular, lambda_rep, rho
+from p2qbrace.holomorph import holo
+from reference import (
+    circle,
+    circle_inverse,
+    conjugate_by_inv,
+    inversion_gamma,
+    is_morphism,
+    is_regular,
+    lambda_rep,
+    nu_subgroup,
+    rgf_is_morphism,
+    rho,
+)
 
 
 def iota_idx(spec, el):
@@ -166,9 +173,23 @@ class TestNuSubgroup:
     def test_round_trip_through_regular_subgroup(self, enum_cache):
         result = enum_cache("P2Q-Type4", 3, 2)
         spec = result.spec
+        H = holo(spec)
         for rec in result.braces:
-            back = gamma_from_regular(spec, nu_subgroup(rec.gamma))
+            flat = [H.flatten(m) for m in nu_subgroup(rec.gamma)]
+            back = gamma_from_regular(spec, flat)
             assert back.table == rec.gamma.table
+
+    def test_non_regular_flat_arrays_are_rejected(self):
+        spec = make_group("P2Q-Type4", 3, 2)
+        ident = aut_group(spec).identity_idx
+        flat = ident * spec.n + np.arange(spec.n)  # the right translations
+        assert gamma_from_regular(spec, flat).table == (ident,) * spec.n
+        repeated = flat.copy()
+        repeated[1] = flat[0]  # two members send the identity to the identity
+        with pytest.raises(ValueError, match="not regular: repeated identity image"):
+            gamma_from_regular(spec, repeated)
+        with pytest.raises(ValueError, match="not regular: misses identity images"):
+            gamma_from_regular(spec, flat[:-1])
 
 
 class TestDuality:
@@ -301,8 +322,6 @@ class TestRgf:
     def test_order_p_images_give_morphisms(self):
         # when the generator image has order exactly p, the resulting
         # map on the cyclic subgroup is multiplicative
-        from p2qbrace.brace import rgf_is_morphism
-
         for family, p, q, order in [("P2Q-Type4", 3, 2, 9), ("P2Q-Type2", 3, 7, 9)]:
             spec = make_group(family, p, q)
             ag = aut_group(spec)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from p2qbrace import cli, groups
+from p2qbrace import cli, counts, groups
 from p2qbrace import enumerate as routes
+from reference import cayley_to_json
 
 
 def run(capsys, *argv):
@@ -270,6 +271,12 @@ class TestPq:
         assert code == 0
         assert "PQ-Cyclic,PQ-Metacyclic,6,2,2x3" in out
 
+    def test_json_is_the_shared_rendering(self, capsys):
+        code, out, err = run(capsys, "pq", "--p", "7", "--q", "3", "--format", "json")
+        assert code == 0
+        assert err == ""
+        assert out == counts.table_json(counts.pq_tables(7, 3)) + "\n"
+
     def test_needs_p_larger(self, capsys):
         code, _, _ = run(capsys, "pq", "--p", "3", "--q", "7")
         assert code == 2
@@ -288,14 +295,14 @@ class TestClassifyCayley:
     def test_dihedral_like(self, capsys, tmp_path):
         spec = groups.make_group("P2Q-Type4", 3, 2)
         path = tmp_path / "d9.json"
-        path.write_text(groups.cayley_to_json(spec.mul_table))
+        path.write_text(cayley_to_json(spec.mul_table))
         code, out, _ = run(capsys, "classify-cayley", "--in", str(path))
         assert code == 0 and out.strip() == "Type4"
 
     def test_cyclic_pq_order(self, capsys, tmp_path):
         spec = groups.make_group("PQ-Cyclic", 3, 2)
         path = tmp_path / "c6.json"
-        path.write_text(groups.cayley_to_json(spec.mul_table))
+        path.write_text(cayley_to_json(spec.mul_table))
         code, out, _ = run(capsys, "classify-cayley", "--in", str(path))
         assert code == 0 and out.strip() == "PQ-Cyclic"
 
@@ -303,7 +310,7 @@ class TestClassifyCayley:
         from test_groups import _direct_product_table
 
         path = tmp_path / "ab.json"
-        path.write_text(groups.cayley_to_json(_direct_product_table([3, 3, 2])))
+        path.write_text(cayley_to_json(_direct_product_table([3, 3, 2])))
         code, out, _ = run(capsys, "classify-cayley", "--in", str(path))
         assert code == 0
         assert out.startswith("Other ")
@@ -319,7 +326,7 @@ class TestClassifyCayley:
             [5, 4, 1, 0, 2, 3],
         ])
         path = tmp_path / "bad.json"
-        path.write_text(groups.cayley_to_json(table))
+        path.write_text(cayley_to_json(table))
         code, _, err = run(capsys, "classify-cayley", "--in", str(path))
         assert code == 2
 

@@ -79,9 +79,9 @@ class TestTotals:
     def test_totals_are_row_sums(self):
         for p, q in DESK_PAIRS:
             table = counts.count_table(p, q)
-            for gt in table.profile.g_types:
+            for gt in table.types:
                 assert table.total_for(gt) == sum(
-                    table.e_at(gt, g) for g in table.profile.g_types
+                    table.e_at(gt, g) for g in table.types
                 )
 
     def test_out_of_scope_zero(self):
@@ -97,7 +97,7 @@ class TestPqTables:
         assert t73.e_at("PQ-Metacyclic", "PQ-Cyclic") == 7
         assert t73.e_prime_at("PQ-Cyclic", "PQ-Metacyclic") == 14
         t53 = counts.pq_tables(5, 3)
-        assert not t53.metacyclic_exists
+        assert t53.types == ("PQ-Cyclic",)
         assert t53.e_prime_at("PQ-Cyclic", "PQ-Cyclic") == 1
         assert t53.e_prime_at("PQ-Cyclic", "PQ-Metacyclic") == 0
 
@@ -139,8 +139,30 @@ class TestRenderings:
         assert {row["g_type"] for row in data["table"]} == {1, 4}
 
     def test_pq_csv(self):
-        text = counts.pq_table_csv(counts.pq_tables(3, 2))
+        text = counts.table_csv(counts.pq_tables(3, 2))
         assert "PQ-Metacyclic,PQ-Metacyclic,2,2,2x1" in text.splitlines()
+
+    def test_pq_json_fields_in_order_without_totals(self):
+        import json
+
+        data = json.loads(counts.table_json(counts.pq_tables(7, 3)))
+        assert list(data) == ["p", "q", "metacyclic_exists", "table"]
+        assert data["metacyclic_exists"] is True
+
+    def test_pq_without_metacyclic_renders_one_row(self):
+        import json
+
+        table = counts.pq_tables(5, 3)
+        assert counts.table_csv(table).splitlines() == [
+            "gamma_type,g_type,e_prime,e,classes",
+            "PQ-Cyclic,PQ-Cyclic,1,1,1x1",
+        ]
+        data = json.loads(counts.table_json(table))
+        assert data["metacyclic_exists"] is False
+        assert data["table"] == [{
+            "gamma_type": "PQ-Cyclic", "g_type": "PQ-Cyclic",
+            "e_prime": 1, "e": 1, "classes": ["1x1"],
+        }]
 
     def test_renderings_are_deterministic(self):
         a = counts.table_csv(counts.count_table(3, 19))

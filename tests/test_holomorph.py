@@ -13,6 +13,8 @@ from reference import (
     is_regular,
     lambda_rep,
     rho,
+    subgroup_view,
+    unflatten,
 )
 
 
@@ -107,15 +109,15 @@ class TestConjugateByInv:
         H = holo(spec)
         rng = np.random.RandomState(5)
         for k in rng.randint(0, H.size, 25):
-            h = H.unflatten(int(k))
+            h = unflatten(H, k)
             assert conjugate_by_inv(spec, conjugate_by_inv(spec, h)) == h
 
     def test_preserves_regularity(self):
         spec = make_group("P2Q-Type4", 3, 2)
-        subs = closure_search_regular(spec)
-        keys = {cand.canonical_key for cand in subs}
-        for cand in subs:
-            image = frozenset(conjugate_by_inv(spec, m) for m in cand.members)
+        subs = [subgroup_view(spec, flat) for flat in closure_search_regular(spec)]
+        keys = {key for _members, key in subs}
+        for members, _key in subs:
+            image = frozenset(conjugate_by_inv(spec, m) for m in members)
             assert is_regular(spec, image)
             assert tuple(sorted((m.alpha, m.g) for m in image)) in keys
 
@@ -139,33 +141,33 @@ class TestIsRegular:
 class TestClosureSearch:
     def test_cyclic_pq_holomorph(self):
         spec = make_group("PQ-Cyclic", 3, 2)
-        subs = closure_search_regular(spec)
+        subs = [subgroup_view(spec, flat)[0] for flat in closure_search_regular(spec)]
         assert len(subs) == 2
-        types = sorted(abstract_type_of(spec, c.members) for c in subs)
+        types = sorted(abstract_type_of(spec, members) for members in subs)
         assert types == ["PQ-Cyclic", "PQ-Metacyclic"]
 
     def test_metacyclic_pq_holomorph(self):
         spec = make_group("PQ-Metacyclic", 3, 2)
-        subs = closure_search_regular(spec)
+        subs = [subgroup_view(spec, flat)[0] for flat in closure_search_regular(spec)]
         assert len(subs) == 8
-        types = [abstract_type_of(spec, c.members) for c in subs]
+        types = [abstract_type_of(spec, members) for members in subs]
         assert types.count("PQ-Cyclic") == 6
         assert types.count("PQ-Metacyclic") == 2
 
     def test_cyclic_p2q_holomorph(self):
         spec = make_group("P2Q-Type1", 3, 2)
-        subs = closure_search_regular(spec)
+        subs = [subgroup_view(spec, flat)[0] for flat in closure_search_regular(spec)]
         assert len(subs) == 4
-        types = [abstract_type_of(spec, c.members) for c in subs]
+        types = [abstract_type_of(spec, members) for members in subs]
         assert types.count("Type1") == 3 and types.count("Type4") == 1
 
     def test_all_candidates_regular_with_stable_keys(self):
         spec = make_group("PQ-Metacyclic", 7, 3)
-        subs = closure_search_regular(spec)
+        subs = [subgroup_view(spec, flat) for flat in closure_search_regular(spec)]
         assert len(subs) == 30
-        for cand in subs:
-            assert is_regular(spec, cand.members)
-            assert cand.canonical_key == tuple(sorted((m.alpha, m.g) for m in cand.members))
+        for members, key in subs:
+            assert is_regular(spec, members)
+            assert key == tuple(sorted((m.alpha, m.g) for m in members))
 
     def test_size_gate(self):
         spec = make_group("P2Q-Type2", 3, 7)  # |Hol| = 7938
@@ -189,7 +191,7 @@ class TestClosurePruning:
     ])
     def test_same_subgroups_as_every_pair_closed(self, family, p, q):
         spec = make_group(family, p, q)
-        keys = {cand.canonical_key for cand in closure_search_regular(spec)}
+        keys = {subgroup_view(spec, flat)[1] for flat in closure_search_regular(spec)}
         assert keys == brute_force_regular(spec)
 
     @pytest.mark.parametrize("family,p,q,attempts", [
