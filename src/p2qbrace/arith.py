@@ -61,14 +61,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def mod_pow(base: int, exp: int, m: int) -> int:
-    """base**exp reduced into [0, m)."""
-    _check_modulus(m)
-    if exp < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exp}")
-    return pow(base, exp, m)
-
-
 def mult_order(x: int, m: int) -> int:
     """Least d >= 1 with x**d = 1 (mod m).  Requires gcd(x, m) = 1."""
     _check_modulus(m)

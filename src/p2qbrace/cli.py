@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -110,7 +111,7 @@ def _cmd_classify(args) -> int:
     table = cayley_from_json(args.infile.read_text())
     result = classify_iso_type(table)
     if result.iso_type == "Other":
-        sys.stdout.write("Other " + json.dumps(result.fingerprint.as_dict()) + "\n")
+        sys.stdout.write("Other " + json.dumps(dataclasses.asdict(result.fingerprint)) + "\n")
     else:
         sys.stdout.write(result.iso_type + "\n")
     return EXIT_OK

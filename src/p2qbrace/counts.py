@@ -156,10 +156,6 @@ def count_table(p: int, q: int) -> CountTable:
                       classes=classes, totals=totals)
 
 
-def totals(p: int, q: int, gamma_type: int) -> int:
-    return count_table(p, q).total_for(gamma_type)
-
-
 # -- the order pq analogue ----------------------------------------------------
 
 PQ_TYPES = ("PQ-Cyclic", "PQ-Metacyclic")

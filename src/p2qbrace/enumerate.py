@@ -45,7 +45,7 @@ from .brace import (
     lift_rgf,
     rgf_from_generator,
 )
-from .groups import GroupElement, GroupSpec, aut_group, make_group, psi_for_A
+from .groups import GroupElement, GroupSpec, aut_group, make_group, powers, psi_for_A
 
 # |G| x |Aut|, the cells of the search's candidate mask for one element
 GFE_SEARCH_BUDGET = 200_000
@@ -210,12 +210,7 @@ def _structured_type23(spec: GroupSpec) -> dict[tuple[int, ...], GammaFunction]:
 
     if spec.family == "P2Q-Type2":
         psi_idx = psi_for_A(spec, GroupElement(1, 0))
-        psi_powers = {psi_idx}
-        cur = psi_idx
-        for _ in range(p - 1):
-            cur = int(ag.comp[cur, psi_idx])
-            psi_powers.add(cur)
-        psi_powers.discard(ag.identity_idx)
+        psi_powers = set(powers(ag.comp, psi_idx, p, ag.identity_idx)[1:].tolist())
         built = 0
         for xi in psi_powers:
             gm = lift_rgf(spec, rgf_from_generator(spec, GroupElement(1, 0), xi), B)
@@ -254,7 +249,9 @@ def _structured_type23(spec: GroupSpec) -> dict[tuple[int, ...], GammaFunction]:
 def _structured_type4(spec: GroupSpec) -> dict[tuple[int, ...], GammaFunction]:
     p, q = spec.p, spec.q
     ag = aut_group(spec)
-    B = spec.cyclic_subgroup(spec.idx(GroupElement(0, 1)))
+    one = ag.identity_idx
+    b_idx = spec.idx(GroupElement(0, 1))
+    B = spec.cyclic_subgroup(b_idx)
     sylows = spec.sylow_subgroups(q)
     _expect("type4/sylow-count", len(sylows), p * p)
     gammas: dict[tuple[int, ...], GammaFunction] = {identity_gamma(spec).key: identity_gamma(spec)}
@@ -264,44 +261,26 @@ def _structured_type4(spec: GroupSpec) -> dict[tuple[int, ...], GammaFunction]:
     built = 0
     for gen_idx, _members in sylows:
         a_gen = spec.el(gen_idx)
-        iota_a = int(ag.iota_map[gen_idx])
-        cur = iota_a
-        for _m in range(1, q):
-            gm = lift_rgf(spec, rgf_from_generator(spec, a_gen, cur), B)
+        for eta in powers(ag.comp, ag.iota_map[gen_idx], q, one)[1:].tolist():
+            gm = lift_rgf(spec, rgf_from_generator(spec, a_gen, eta), B)
             gammas[gm.key] = gm
             built += 1
-            cur = int(ag.comp[cur, iota_a])
     _expect("type4/kernel-p2", built, p * p * (q - 1))
 
     # kernel of order p: gamma(a^i b^j) = iota(a^-i) psi^(t j) for the
     # complement-fixing power automorphism psi
     built = 0
     mt = spec.mul_table
+    b_pows = powers(mt, b_idx, p * p, 0)
     for gen_idx, _members in sylows:
-        a_gen = spec.el(gen_idx)
-        psi_idx = psi_for_A(spec, a_gen)
-        iota_inv_a = int(ag.ainv[ag.iota_map[gen_idx]])
-        a_pows = [spec.identity_idx]
-        for _ in range(q - 1):
-            a_pows.append(int(mt[a_pows[-1], gen_idx]))
-        b_idx = spec.idx(GroupElement(0, 1))
-        b_pows = [spec.identity_idx]
-        for _ in range(p * p - 1):
-            b_pows.append(int(mt[b_pows[-1], b_idx]))
-        for t in range(1, p):
-            table = [-1] * spec.n
-            iota_cur = ag.identity_idx
-            for i in range(q):
-                psi_cur = ag.identity_idx
-                psi_step = psi_idx
-                for _ in range(t - 1):
-                    psi_step = int(ag.comp[psi_step, psi_idx])
-                for j in range(p * p):
-                    g = int(mt[a_pows[i], b_pows[j]])
-                    table[g] = int(ag.comp[iota_cur, psi_cur])
-                    psi_cur = int(ag.comp[psi_cur, psi_step])
-                iota_cur = int(ag.comp[iota_cur, iota_inv_a])
-            gm = GammaFunction(spec, tuple(table))
+        psi_pows = powers(ag.comp, psi_for_A(spec, spec.el(gen_idx)), p, one)
+        iota_pows = powers(ag.comp, ag.ainv[ag.iota_map[gen_idx]], q, one)
+        # <a> <b> = G, so these cells cover every element once
+        cells = mt[powers(mt, gen_idx, q, 0)[:, None], b_pows[None, :]]
+        for psi_t in psi_pows[1:]:
+            table = np.empty(spec.n, dtype=np.int32)
+            table[cells] = ag.comp[iota_pows[:, None], powers(ag.comp, psi_t, p * p, one)]
+            gm = gamma_from_array(spec, table)
             gammas[gm.key] = gm
             built += 1
     _expect("type4/kernel-p", built, p * p * (p - 1))

@@ -21,8 +21,16 @@ Families and their presentations:
 
 Automorphism groups are found by exhaustive generator-image search and
 validated against the known closed-form sizes; they are never assumed.
-Aut(G) is stored as one sorted matrix of permutation rows, and an
-automorphism is a row index into it.
+The search is vectorised over the Cayley table: every pair of candidate
+images is filtered by the defining relation at once, and the survivors
+become permutation rows by one gather.  Pairs are enumerated in (image
+of a, image of b) order, so Aut(G) comes out as one sorted matrix of
+permutation rows, and an automorphism is a row index into it.
+
+Every power table, of an element or of an automorphism, comes from
+``powers``, which gathers through ``mul_table`` or ``AutGroup.comp``.
+The scalar law on ``GroupElement`` pairs (``GroupSpec.mul``, ``power``,
+``inv_elem``, ``elem_order``) is kept only as the tests' reference.
 """
 
 from __future__ import annotations
@@ -59,6 +67,26 @@ AUT_TABLE_MAX_BYTES = 1 << 28
 
 # entries of ``comp`` built per column block, which bounds the temporaries
 _COMP_BLOCK_ENTRIES = 1 << 16
+
+
+def powers(table: np.ndarray, x, k: int, one: int) -> np.ndarray:
+    """x^0, ..., x^(k-1) along a new last axis, for a scalar x or each x
+    of an array.
+
+    ``table`` is a group law on indices with identity ``one``:
+    ``mul_table`` with one = 0, or ``AutGroup.comp`` with one =
+    ``identity_idx``.  Each gather doubles the powers known so far.
+    """
+    x = np.asarray(x)
+    out = np.empty(x.shape + (k,), dtype=table.dtype)
+    out[..., :1] = one
+    m = 1
+    while m < k:
+        step = table[out[..., m - 1], x][..., None]  # x^m
+        w = min(m, k - m)
+        out[..., m:m + w] = table[out[..., :w], step]
+        m += w
+    return out
 
 
 class GroupElement(NamedTuple):
@@ -108,7 +136,7 @@ class GroupSpec:
     def identity_idx(self) -> int:
         return 0
 
-    # -- group law ---------------------------------------------------------
+    # -- scalar group law: the tests' reference; no route calls it --------
 
     def mul(self, x: GroupElement, y: GroupElement) -> GroupElement:
         v1, u1 = x
@@ -165,9 +193,7 @@ class GroupSpec:
     @property
     def orders(self) -> np.ndarray:
         if self._orders is None:
-            self._orders = np.array(
-                [self.elem_order(x) for x in self.elements()], dtype=np.int32
-            )
+            self._orders = _element_orders(self.mul_table, 0)
         return self._orders
 
     def elements_of_order(self, k: int) -> list[int]:
@@ -175,13 +201,8 @@ class GroupSpec:
 
     def cyclic_subgroup(self, gen_idx: int) -> tuple[int, ...]:
         """Element indices of <gen>, sorted."""
-        mt = self.mul_table
-        seen = {0}
-        cur = gen_idx
-        while cur != 0:
-            seen.add(cur)
-            cur = int(mt[cur, gen_idx])
-        return tuple(sorted(seen))
+        members = powers(self.mul_table, gen_idx, int(self.orders[gen_idx]), 0)
+        return tuple(sorted(members.tolist()))
 
     def sylow_subgroups(self, order: int) -> list[tuple[int, tuple[int, ...]]]:
         """All cyclic subgroups of the given prime-power order.
@@ -433,20 +454,21 @@ class AutGroup:
         return self._generators
 
 
-def _build_perm(spec: GroupSpec, img_a: GroupElement, img_b: GroupElement) -> np.ndarray:
-    """Permutation of element indices induced by a^v b^u -> img_a^v img_b^u."""
-    apow = np.empty(spec.c_mod, dtype=np.int32)
-    bpow = np.empty(spec.n_mod, dtype=np.int32)
-    acc = spec.identity
-    for v in range(spec.c_mod):
-        apow[v] = spec.idx(acc)
-        acc = spec.mul(acc, img_a)
-    acc = spec.identity
-    for u in range(spec.n_mod):
-        bpow[u] = spec.idx(acc)
-        acc = spec.mul(acc, img_b)
-    mt = spec.mul_table
-    return mt[apow[:, None], bpow[None, :]].reshape(spec.n).astype(np.int32)
+def _candidate_perms(spec: GroupSpec) -> np.ndarray:
+    """Rows a^v b^u -> x^v y^u for every pair of images (x, y) with
+    ord(x) = ord(a), ord(y) = ord(b) and x^-1 y x = y^t, in (x, y) order.
+
+    Each such pair defines an endomorphism of G; the caller keeps the
+    bijective rows.
+    """
+    mt, inv = spec.mul_table, spec.inv_table
+    xs = np.flatnonzero(spec.orders == spec.c_mod)
+    ys = np.flatnonzero(spec.orders == spec.n_mod)
+    xpow = powers(mt, xs, spec.c_mod, 0)
+    ypow = powers(mt, ys, spec.n_mod, 0)
+    related = mt[mt[inv[xs][:, None], ys], xs[:, None]] == ypow[:, spec.t % spec.n_mod]
+    ix, iy = np.nonzero(related)
+    return mt[xpow[ix][:, :, None], ypow[iy][:, None, :]].reshape(ix.size, spec.n)
 
 
 def check_aut_gate(spec: GroupSpec) -> None:
@@ -470,12 +492,16 @@ def check_aut_gate(spec: GroupSpec) -> None:
 
 @lru_cache(maxsize=None)
 def aut_group(spec: GroupSpec) -> AutGroup:
-    """Compute Aut(G) by exhaustive generator-image search.
+    """Compute Aut(G) by exhaustive generator-image search, vectorised.
 
-    Candidate images preserve generator orders and the defining relation
-    a^-1 b a = b^t; each surviving pair is expanded to a full permutation
-    and kept only if bijective.  The result size is checked against the
-    closed-form count for the family and a mismatch is a hard error.
+    The candidate images of a and b are the elements of their orders.
+    All pairs are filtered at once by the defining relation
+    a^-1 b a = b^t, each surviving pair is expanded to a full permutation
+    by one gather through the multiplication table, and only bijective
+    rows are kept.  The pairs are enumerated in (image of a, image of b)
+    order, so the rows come out sorted without a sort.  The result size
+    is checked against the closed-form count for the family and a
+    mismatch is a hard error.
 
     Every permutation is then proved a homomorphism, once for the whole
     group: alpha(x g) = alpha(x) alpha(g) for all x and both generators g
@@ -486,31 +512,18 @@ def aut_group(spec: GroupSpec) -> AutGroup:
     ``check_aut_gate`` runs before any search.
     """
     check_aut_gate(spec)
-    a_candidates = [spec.el(i) for i in spec.elements_of_order(spec.c_mod)]
-    b_candidates = [spec.el(i) for i in spec.elements_of_order(spec.n_mod)]
-    perms = []
-    for ia in a_candidates:
-        ia_inv = spec.inv_elem(ia)
-        for ib in b_candidates:
-            # relation check: img_a^-1 img_b img_a == img_b^t
-            conj = spec.mul(spec.mul(ia_inv, ib), ia)
-            if conj != spec.power(ib, spec.t):
-                continue
-            perm = _build_perm(spec, ia, ib)
-            seen = np.zeros(spec.n, dtype=bool)
-            seen[perm] = True
-            if seen.all():
-                perms.append(perm)
+    perms = _candidate_perms(spec)
+    seen = np.zeros(perms.shape, dtype=bool)
+    np.put_along_axis(seen, perms, True, axis=1)
+    aperm = perms[seen.all(axis=1)]
+    del perms, seen  # the homomorphism check below is the memory peak
     expected = _closed_form_aut_size(spec)
-    if len(perms) != expected:
+    if len(aperm) != expected:
         raise AutSizeMismatchError(
-            f"aut-size-mismatch: found {len(perms)} automorphisms of "
+            f"aut-size-mismatch: found {len(aperm)} automorphisms of "
             f"{spec.family} (p={spec.p}, q={spec.q}), expected {expected}"
         )
     gens = (spec.idx(GroupElement(1, 0)), spec.idx(GroupElement(0, 1)))
-    aperm = np.array(perms, dtype=np.int32)
-    # sort by the image of a, then of b
-    aperm = aperm[np.lexsort((aperm[:, gens[1]], aperm[:, gens[0]]))]
     mt = spec.mul_table
     for g in gens:
         bad = aperm[:, mt[:, g]] != mt[aperm, aperm[:, [g]]]
@@ -521,11 +534,6 @@ def aut_group(spec: GroupSpec) -> AutGroup:
                 f"(p={spec.p}, q={spec.q}) fails at (x, g) = ({x}, {g})"
             )
     return AutGroup(spec, aperm)
-
-
-def iota(spec: GroupSpec, g: GroupElement) -> int:
-    """Index in Aut(G) of the inner automorphism x -> g^-1 x g."""
-    return int(aut_group(spec).iota_map[spec.idx(g)])
 
 
 def psi_for_A(spec: GroupSpec, a_gen: GroupElement) -> int:
@@ -540,13 +548,13 @@ def psi_for_A(spec: GroupSpec, a_gen: GroupElement) -> int:
     b_idx = spec.idx(GroupElement(0, 1))
     a_idx = spec.idx(a_gen)
     if spec.family == "P2Q-Type4":
-        if spec.elem_order(a_gen) != spec.q:
+        if spec.orders[a_idx] != spec.q:
             raise ValueError("a_gen must generate a Sylow q-subgroup (order q)")
         want_a, want_b = a_idx, spec.idx(GroupElement(0, (1 + p) % spec.n_mod))
     elif spec.family == "P2Q-Type2":
-        if spec.elem_order(a_gen) != p * p:
+        if spec.orders[a_idx] != p * p:
             raise ValueError("a_gen must generate a Sylow p-subgroup (order p^2)")
-        want_a, want_b = spec.idx(spec.power(a_gen, 1 + p)), b_idx
+        want_a, want_b = int(powers(spec.mul_table, a_idx, p + 2, 0)[p + 1]), b_idx
     else:
         raise ValueError(f"psi_for_A applies to P2Q-Type2/P2Q-Type4, not {spec.family}")
     matches = np.flatnonzero(
@@ -573,19 +581,6 @@ class Fingerprint:
     center_size: int
     sylow_p_normal: bool
     sylow_q_normal: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "q": self.q,
-            "abelian": self.abelian,
-            "cyclic": self.cyclic,
-            "has_p2_element": self.has_p2_element,
-            "center_size": self.center_size,
-            "sylow_p_normal": self.sylow_p_normal,
-            "sylow_q_normal": self.sylow_q_normal,
-        }
 
 
 @dataclass(frozen=True)
@@ -659,7 +654,7 @@ def classify_iso_type(table, assume_group: bool = False) -> IsoResult:
     has_p2 = bool((orders == p * p).any()) if is_p2q else True
     center_size = int((table == table.T).all(axis=1).sum())
     p_part = p * p if is_p2q else p
-    num_p_elements = int(np.isin(orders, [d for d in _divisors(p_part)]).sum())
+    num_p_elements = int((p_part % orders == 0).sum())
     num_q_elements = int(((orders == 1) | (orders == q)).sum())
     sylow_p_normal = num_p_elements == p_part
     sylow_q_normal = num_q_elements == q
@@ -678,10 +673,6 @@ def _find_identity_fast(table: np.ndarray) -> int:
         if np.array_equal(table[e], rng):
             return e
     raise ValueError("table has no identity")
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _element_orders(table: np.ndarray, ident: int) -> np.ndarray:

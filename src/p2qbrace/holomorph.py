@@ -54,10 +54,7 @@ class Holomorph:
         self.aut = aut_group(spec)
         self.n = spec.n
         self.size = self.aut.size * spec.n
-        self.identity = self.flatten(HolElement(self.aut.identity_idx, 0))
-
-    def flatten(self, h: HolElement) -> int:
-        return h.alpha * self.n + h.g
+        self.identity = self.aut.identity_idx * self.n
 
     def mul(self, k1, k2):
         """Flat-index product, vectorized over numpy arrays."""

@@ -10,7 +10,10 @@ the search's candidate filter written as a plain loop.  ``es_table`` and
 ``fs`` invert the partial geometric sums of ``arith.es``.  The pointwise
 circle operation and its closed-form inverse, the morphism tests, the
 inversion gamma function and ``nu_subgroup`` give the tests independent
-views of one gamma function.
+views of one gamma function.  ``scalar_aut_perms`` is the automorphism
+search written with the scalar group law, one generator-image pair at a
+time, and ``check_rgf_gfe`` checks the functional equation of a relative
+gamma function pair by pair.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from typing import Iterable
 
 import numpy as np
 
-from p2qbrace import arith
-from p2qbrace.brace import RGF, GammaFunction, gamma_from_array
+from p2qbrace import arith, counts
+from p2qbrace.brace import RGF, GammaFunction, GfeError, gamma_from_array
 from p2qbrace.groups import GroupElement, GroupSpec, aut_group
 from p2qbrace.holomorph import HolElement, Holomorph, holo
 
@@ -79,6 +82,67 @@ def fs(r: int, s: int, m: int) -> int:
     return es_table(s, m).inverse(r)
 
 
+def mod_pow(base: int, exp: int, m: int) -> int:
+    """base**exp reduced into [0, m)."""
+    arith._check_modulus(m)
+    if exp < 0:
+        raise ValueError(f"exponent must be nonnegative, got {exp}")
+    return pow(base, exp, m)
+
+
+def totals(p: int, q: int, gamma_type: int) -> int:
+    return counts.count_table(p, q).total_for(gamma_type)
+
+
+def iota(spec: GroupSpec, g: GroupElement) -> int:
+    """Index in Aut(G) of the inner automorphism x -> g^-1 x g."""
+    return int(aut_group(spec).iota_map[spec.idx(g)])
+
+
+def scalar_aut_perms(spec: GroupSpec) -> np.ndarray:
+    """Aut(G) as sorted permutation rows, found with the scalar group law:
+    each pair of images of the generators' orders that satisfies the
+    defining relation is expanded element by element and kept when
+    bijective; rows are sorted by the image of a, then of b."""
+    def power_list(x, k):
+        out = [spec.identity]
+        for _ in range(k - 1):
+            out.append(spec.mul(out[-1], x))
+        return out
+
+    a_pows = [power_list(x, spec.c_mod) for x in spec.elements()
+              if spec.elem_order(x) == spec.c_mod]
+    b_pows = [power_list(y, spec.n_mod) for y in spec.elements()
+              if spec.elem_order(y) == spec.n_mod]
+    perms = []
+    for apow in a_pows:
+        ia, ia_inv = apow[1], spec.inv_elem(apow[1])
+        for bpow in b_pows:
+            ib = bpow[1]
+            if spec.mul(spec.mul(ia_inv, ib), ia) != spec.power(ib, spec.t):
+                continue
+            perm = [spec.idx(spec.mul(x, y)) for x in apow for y in bpow]
+            if len(set(perm)) == spec.n:
+                perms.append(perm)
+    aperm = np.array(perms, dtype=np.int32).reshape(len(perms), spec.n)
+    ga, gb = spec.idx(GroupElement(1, 0)), spec.idx(GroupElement(0, 1))
+    return aperm[np.lexsort((aperm[:, gb], aperm[:, ga]))]
+
+
+def check_rgf_gfe(rgf: RGF) -> None:
+    """Raise GfeError unless the relative gamma function's domain is
+    closed under the circle operation and satisfies the equation."""
+    spec = rgf.spec
+    ag = aut_group(spec)
+    for g in rgf.domain:
+        for h in rgf.domain:
+            tgt = int(spec.mul_table[ag.aperm[rgf.values[h], g], h])
+            if tgt not in rgf.values:
+                raise GfeError("domain is not closed under the circle operation")
+            if rgf.values[tgt] != int(ag.comp[rgf.values[g], rgf.values[h]]):
+                raise GfeError(f"relative GFE fails at pair ({g}, {h})")
+
+
 def search_candidates(spec: GroupSpec, x: int) -> set[int]:
     """Automorphisms alpha with y^alpha x != y for every y: the values
     gamma(x) can take when x is not the identity."""
@@ -104,6 +168,10 @@ def act(H: Holomorph, k, x):
     """Image of element index x under the permutation k."""
     a, g = np.divmod(k, H.n)
     return H.spec.mul_table[H.aut.aperm[a, x], g]
+
+
+def flatten(H: Holomorph, h: HolElement) -> int:
+    return h.alpha * H.n + h.g
 
 
 def unflatten(H: Holomorph, k: int) -> HolElement:
@@ -148,7 +216,7 @@ def is_regular(spec: GroupSpec, members: Iterable[HolElement]) -> bool:
     """Transitive with trivial stabilizers: |G| elements, closed under the
     product, and their images of the identity cover G exactly once."""
     H = holo(spec)
-    mem = {H.flatten(m if isinstance(m, HolElement) else HolElement(*m)) for m in members}
+    mem = {flatten(H, m if isinstance(m, HolElement) else HolElement(*m)) for m in members}
     if len(mem) != spec.n:
         return False
     targets = {k % spec.n for k in mem}

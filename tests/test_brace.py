@@ -19,9 +19,11 @@ from p2qbrace.groups import GroupElement as E
 from p2qbrace.groups import aut_group, make_group
 from p2qbrace.holomorph import holo
 from reference import (
+    check_rgf_gfe,
     circle,
     circle_inverse,
     conjugate_by_inv,
+    flatten,
     inversion_gamma,
     is_morphism,
     is_regular,
@@ -175,7 +177,7 @@ class TestNuSubgroup:
         spec = result.spec
         H = holo(spec)
         for rec in result.braces:
-            flat = [H.flatten(m) for m in nu_subgroup(rec.gamma)]
+            flat = [flatten(H, m) for m in nu_subgroup(rec.gamma)]
             back = gamma_from_regular(spec, flat)
             assert back.table == rec.gamma.table
 
@@ -333,6 +335,38 @@ class TestRgf:
                 if int(ag.aperm[eta, gen_idx]) not in members:
                     continue
                 assert rgf_is_morphism(rgf_from_generator(spec, gen, eta))
+
+    @pytest.mark.parametrize(
+        "family,p,q", [("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7), ("P2Q-Type3", 3, 19)]
+    )
+    def test_every_structured_rgf_satisfies_the_relative_equation(
+        self, monkeypatch, family, p, q
+    ):
+        # construction does not re-check the relative equation; the
+        # reference does, on every RGF the structured route builds
+        from p2qbrace import enumerate as routes
+
+        build = routes.rgf_from_generator
+        checked = []
+
+        def checking(spec, a_gen, eta_idx):
+            rgf = build(spec, a_gen, eta_idx)
+            check_rgf_gfe(rgf)
+            checked.append(rgf)
+            return rgf
+
+        monkeypatch.setattr(routes, "rgf_from_generator", checking)
+        routes.structured_enumerate(make_group(family, p, q))
+        assert checked
+
+    def test_reference_rejects_a_broken_rgf(self):
+        spec = make_group("P2Q-Type4", 3, 2)
+        ag = aut_group(spec)
+        rgf = rgf_from_generator(spec, E(1, 0), int(ag.iota_map[spec.idx(E(1, 0))]))
+        other = next(k for k in range(ag.size) if k not in rgf.values.values())
+        bad = brace.RGF(spec, rgf.domain, {**rgf.values, rgf.domain[1]: other})
+        with pytest.raises(brace.GfeError):
+            check_rgf_gfe(bad)
 
 
 class TestLift:

@@ -315,6 +315,26 @@ class TestClassifyCayley:
         assert code == 0
         assert out.startswith("Other ")
         assert json.loads(out[6:])["abelian"] is True
+        assert out == (
+            'Other {"n": 18, "p": 3, "q": 2, "abelian": true, "cyclic": false, '
+            '"has_p2_element": false, "center_size": 18, "sylow_p_normal": true, '
+            '"sylow_q_normal": true}\n'
+        )
+
+    def test_other_line_with_non_normal_sylow(self, capsys, tmp_path):
+        # S3 x C2 has order 2^2 3 and three Sylow 2-subgroups
+        s3 = groups.make_group("PQ-Metacyclic", 3, 2).mul_table
+        c2 = np.array([[0, 1], [1, 0]])
+        path = tmp_path / "d6.json"
+        table = (s3[:, None, :, None] * 2 + c2[None, :, None, :]).reshape(12, 12)
+        path.write_text(cayley_to_json(table))
+        code, out, _ = run(capsys, "classify-cayley", "--in", str(path))
+        assert code == 0
+        assert out == (
+            'Other {"n": 12, "p": 2, "q": 3, "abelian": false, "cyclic": false, '
+            '"has_p2_element": false, "center_size": 2, "sylow_p_normal": false, '
+            '"sylow_q_normal": true}\n'
+        )
 
     def test_non_associative_table(self, capsys, tmp_path):
         table = np.array([

@@ -6,7 +6,7 @@ import pytest
 from p2qbrace import brace, holomorph
 from p2qbrace import enumerate as routes
 from p2qbrace.brace import dual_gamma
-from p2qbrace.groups import aut_group, make_group
+from p2qbrace.groups import GroupSpec, aut_group, make_group
 from reference import search_candidates
 
 
@@ -111,6 +111,20 @@ class TestStructured:
     def test_rejects_pq_families(self):
         with pytest.raises(ValueError):
             routes.structured_enumerate(make_group("PQ-Cyclic", 3, 2))
+
+    @pytest.mark.parametrize("family,p,q", [("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7)])
+    def test_no_route_calls_the_scalar_group_law(self, monkeypatch, family, p, q):
+        # the scalar law stays in GroupSpec only as the tests' reference
+        def scalar(*args):
+            raise AssertionError("the scalar group law was called")
+
+        for name in ("mul", "power", "inv_elem", "elem_order"):
+            monkeypatch.setattr(GroupSpec, name, scalar)
+        spec = make_group.__wrapped__(family, p, q)  # no cached tables
+        ag = aut_group.__wrapped__(spec)
+        assert ag.aperm.tobytes() == aut_group(spec).aperm.tobytes()
+        result = routes.structured_enumerate(spec)
+        assert len(result.braces) == len(result.gammas)
 
 
 class TestGfeSearch:

@@ -5,8 +5,8 @@ import pytest
 
 from p2qbrace import groups
 from p2qbrace.groups import GroupElement as E
-from p2qbrace.groups import aut_group, classify_iso_type, iota, make_group, psi_for_A
-from reference import cayley_to_json
+from p2qbrace.groups import aut_group, classify_iso_type, make_group, psi_for_A
+from reference import cayley_to_json, iota, scalar_aut_perms
 
 ALL_DESK_SPECS = [
     ("P2Q-Type1", 3, 2),
@@ -144,15 +144,18 @@ class TestAutGroup:
         # swap two images of the automorphism a -> ab, b -> b: still a
         # bijection, but two automorphisms agree on a subgroup, so a
         # permutation two points away from one is no automorphism
-        build = groups._build_perm
+        build = groups._candidate_perms
 
-        def tampered(spec, img_a, img_b):
-            perm = build(spec, img_a, img_b)
-            if (img_a, img_b) == (E(1, 1), E(0, 1)):
-                perm[[3, 4]] = perm[[4, 3]]
-            return perm
+        def tampered(spec):
+            perms = build(spec)
+            row = (perms[:, spec.idx(E(1, 0))] == spec.idx(E(1, 1))) & (
+                perms[:, spec.idx(E(0, 1))] == spec.idx(E(0, 1))
+            )
+            (k,) = np.flatnonzero(row)
+            perms[k, [3, 4]] = perms[k, [4, 3]]
+            return perms
 
-        monkeypatch.setattr(groups, "_build_perm", tampered)
+        monkeypatch.setattr(groups, "_candidate_perms", tampered)
         with pytest.raises(groups.AutSizeMismatchError, match="^aut-not-homomorphism:"):
             aut_group.__wrapped__(make_group("P2Q-Type4", 3, 2))
 
@@ -220,9 +223,53 @@ class TestAutGroup:
             raise AssertionError("the search ran")
 
         monkeypatch.setattr(groups, "AUT_TABLE_MAX_BYTES", need - 1)
-        monkeypatch.setattr(groups, "_build_perm", no_search)
+        monkeypatch.setattr(groups, "_candidate_perms", no_search)
         with pytest.raises(groups.AutTooLargeError, match="^aut-too-large:"):
             aut_group.__wrapped__(spec)
+
+    @pytest.mark.parametrize(
+        "family,p,q", ALL_DESK_SPECS + [("P2Q-Type4", 7, 3), ("P2Q-Type2", 5, 11)]
+    )
+    def test_aperm_matches_scalar_search(self, family, p, q):
+        # byte for byte, row order included
+        aperm = aut_group(make_group(family, p, q)).aperm
+        ref = scalar_aut_perms(make_group(family, p, q))
+        assert aperm.dtype == ref.dtype and aperm.shape == ref.shape
+        assert aperm.tobytes() == ref.tobytes()
+
+
+class TestPowers:
+    @pytest.mark.parametrize("family,p,q", [("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7)])
+    def test_element_powers_match_the_scalar_law(self, family, p, q):
+        spec = make_group(family, p, q)
+        k = spec.n + 1
+        table = groups.powers(spec.mul_table, np.arange(spec.n), k, 0)
+        assert table.shape == (spec.n, k)
+        for x in spec.elements():
+            want, acc = [], spec.identity
+            for _ in range(k):
+                want.append(spec.idx(acc))
+                acc = spec.mul(acc, x)
+            assert table[spec.idx(x)].tolist() == want
+            assert groups.powers(spec.mul_table, spec.idx(x), k, 0).tolist() == want
+
+    def test_automorphism_powers_match_composition(self):
+        ag = aut_group(make_group("P2Q-Type2", 3, 7))
+        one = ag.identity_idx
+        table = groups.powers(ag.comp, np.arange(ag.size), 20, one)
+        for k in range(ag.size):
+            want, cur = [], one
+            for _ in range(20):
+                want.append(cur)
+                cur = int(ag.comp[cur, k])
+            assert table[k].tolist() == want
+            assert groups.powers(ag.comp, k, 20, one).tolist() == want
+
+    def test_short_lengths(self):
+        mt = make_group("P2Q-Type4", 3, 2).mul_table
+        assert groups.powers(mt, 5, 1, 0).tolist() == [0]
+        assert groups.powers(mt, 5, 0, 0).shape == (0,)
+        assert groups.powers(mt, np.array([[1, 2]]), 2, 0).tolist() == [[[0, 1], [0, 2]]]
 
 
 class TestIota:

@@ -9,6 +9,7 @@ from reference import (
     act,
     brute_force_regular,
     conjugate_by_inv,
+    flatten,
     inv,
     is_regular,
     lambda_rep,
@@ -21,7 +22,7 @@ from reference import (
 def abstract_type_of(spec, members):
     """Isomorphism class of a regular subgroup, read off its own action."""
     H = holo(spec)
-    flat = {m.g: H.flatten(m) for m in members}
+    flat = {m.g: flatten(H, m) for m in members}
     n = spec.n
     table = np.empty((n, n), dtype=np.int32)
     for x in range(n):
@@ -69,7 +70,7 @@ class TestRhoLambda:
     def test_rho_identity(self):
         spec = make_group("P2Q-Type4", 3, 2)
         H = holo(spec)
-        assert H.flatten(rho(spec, spec.identity)) == H.identity
+        assert flatten(H, rho(spec, spec.identity)) == H.identity
 
     def test_rho_equals_lambda_on_abelian(self):
         spec = make_group("P2Q-Type1", 3, 7)
@@ -80,7 +81,7 @@ class TestRhoLambda:
         spec = make_group("P2Q-Type4", 3, 2)
         H = holo(spec)
         b = E(0, 1)
-        k = H.flatten(lambda_rep(spec, b))
+        k = flatten(H, lambda_rep(spec, b))
         for x in range(spec.n):
             assert act(H, k, x) == spec.mul_table[spec.idx(b), x]
 
@@ -89,8 +90,8 @@ class TestRhoLambda:
         H = holo(spec)
         for g in spec.elements():
             for h in spec.elements():
-                lhs = H.mul(H.flatten(rho(spec, g)), H.flatten(rho(spec, h)))
-                assert lhs == H.flatten(rho(spec, spec.mul(g, h)))
+                lhs = H.mul(flatten(H, rho(spec, g)), flatten(H, rho(spec, h)))
+                assert lhs == flatten(H, rho(spec, spec.mul(g, h)))
 
 
 class TestConjugateByInv:
@@ -99,7 +100,7 @@ class TestConjugateByInv:
         H = holo(spec)
         for g in spec.elements():
             image = conjugate_by_inv(spec, rho(spec, g))
-            k = H.flatten(image)
+            k = flatten(H, image)
             ginv = spec.inv_elem(g)
             for x in range(spec.n):
                 assert act(H, k, x) == spec.mul_table[spec.idx(ginv), x]
