@@ -340,39 +340,35 @@ def lift_rgf(spec: GroupSpec, rgf: RGF, complement: Iterable[int]) -> GammaFunct
     B is given by its member indices.  Requires the RGF to kill A
     intersect B and B to be invariant under every gamma'(a) iota(a);
     the resulting table gamma(a b) = gamma'(a) is then a gamma function
-    with kernel ker(gamma') * B.
+    with kernel ker(gamma') * B.  The table is one scatter of gamma'(a)
+    over the products a b; reading it back finds ambiguous and missed cells.
     """
     ag = aut_group(spec)
     comp_set = sorted(set(int(c) for c in complement))
-    dom_set = rgf.domain_set()
-    for x in dom_set.intersection(comp_set):
+    for x in rgf.domain_set().intersection(comp_set):
         if rgf.values[x] != ag.identity_idx:
             raise LiftPreconditionError(
                 "lift-precondition-failed: intersection of the factors is not "
                 "killed by the relative gamma function"
             )
-    comp_arr = np.fromiter(comp_set, dtype=np.int64)
-    for a in rgf.domain:
-        mover = int(ag.comp[rgf.values[a], ag.iota_map[a]])
-        if not np.isin(ag.aperm[mover, comp_arr], comp_arr).all():
-            raise LiftPreconditionError(
-                "lift-precondition-failed: complement is not invariant under "
-                "the twisted action of the subgroup"
-            )
-    table = [-1] * spec.n
-    mt = spec.mul_table
-    for a in rgf.domain:
-        val = rgf.values[a]
-        for b in comp_set:
-            g = int(mt[a, b])
-            if table[g] == -1:
-                table[g] = val
-            elif table[g] != val:
-                raise LiftPreconditionError(
-                    "lift-precondition-failed: factorization is ambiguous"
-                )
-    if any(v == -1 for v in table):
+    dom = np.array(rgf.domain, dtype=np.int64)
+    vals = np.array([rgf.values[a] for a in rgf.domain], dtype=np.int64)[:, None]
+    B = np.array(comp_set, dtype=np.int64)
+    movers = ag.comp[vals, ag.iota_map[dom][:, None]]
+    if not np.isin(ag.aperm[movers, B], B).all():
+        raise LiftPreconditionError(
+            "lift-precondition-failed: complement is not invariant under "
+            "the twisted action of the subgroup"
+        )
+    cells = spec.mul_table[dom[:, None], B[None, :]]
+    table = np.full(spec.n, -1, dtype=np.int64)
+    table[cells] = vals
+    if not (table[cells] == vals).all():
+        raise LiftPreconditionError(
+            "lift-precondition-failed: factorization is ambiguous"
+        )
+    if (table < 0).any():
         raise LiftPreconditionError(
             "lift-precondition-failed: the factors do not cover the group"
         )
-    return GammaFunction(spec, tuple(table))
+    return gamma_from_array(spec, table)

@@ -47,7 +47,7 @@ from .brace import (
 )
 from .groups import GroupElement, GroupSpec, aut_group, make_group, powers, psi_for_A
 
-# |G| x |Aut|, the cells of the search's candidate mask for one element
+# |G| x |Aut|, the cells of the search's candidate table
 GFE_SEARCH_BUDGET = 200_000
 
 
@@ -163,9 +163,7 @@ def _structured_type1(spec: GroupSpec) -> dict[tuple[int, ...], GammaFunction]:
 
     # every gamma with B in the kernel comes from a twist of the a-generator
     by_action: dict[int, int] = {}
-    for eta in range(ag.size):
-        if (p * p) % ag.order_of(eta) != 0:
-            continue
+    for eta in np.flatnonzero((p * p) % ag.orders == 0).tolist():
         gm = lift_rgf(spec, rgf_from_generator(spec, a_gen, eta), B)
         gammas[gm.key] = gm
         r = int(ag.aperm[eta, b_idx]) % spec.n_mod  # exponent of b^eta
@@ -180,24 +178,12 @@ def _structured_type1(spec: GroupSpec) -> dict[tuple[int, ...], GammaFunction]:
     # with q | p-1 there are also gammas killing A, one per order-q image
     if profile.q_divides_p1:
         built = 0
-        for theta in range(ag.size):
-            if ag.order_of(theta) != q:
-                continue
+        for theta in np.flatnonzero(ag.orders == q).tolist():
             gm = lift_rgf(spec, rgf_from_generator(spec, GroupElement(0, 1), theta), A)
             gammas[gm.key] = gm
             built += 1
         _expect("type1/a-kernel", built, q - 1)
     return gammas
-
-
-def _sylow_twists(spec: GroupSpec, a_gen_idx: int, orders: set[int]) -> list[int]:
-    """Automorphism indices of the given orders leaving <a_gen> invariant."""
-    ag = aut_group(spec)
-    members = set(spec.cyclic_subgroup(a_gen_idx))
-    return [
-        k for k in range(ag.size)
-        if ag.order_of(k) in orders and int(ag.aperm[k, a_gen_idx]) in members
-    ]
 
 
 def _structured_type23(spec: GroupSpec) -> dict[tuple[int, ...], GammaFunction]:
@@ -222,14 +208,17 @@ def _structured_type23(spec: GroupSpec) -> dict[tuple[int, ...], GammaFunction]:
 
     mixed_built = 0
     big_built = 0
-    for gen_idx, _members in sylows:
+    twist_orders = np.isin(ag.orders, (p, p * p))
+    for gen_idx, members in sylows:
         a_gen = spec.el(gen_idx)
-        for xi in _sylow_twists(spec, gen_idx, {p, p * p}):
+        # twists of order p or p^2 that leave the Sylow subgroup <a_gen> invariant
+        invariant = np.isin(ag.aperm[:, gen_idx], members)
+        for xi in np.flatnonzero(twist_orders & invariant).tolist():
             if xi in psi_powers:
                 continue
             gm = lift_rgf(spec, rgf_from_generator(spec, a_gen, xi), B)
             gammas[gm.key] = gm
-            if ag.order_of(xi) == p:
+            if ag.orders[xi] == p:
                 mixed_built += 1
             else:
                 big_built += 1
@@ -350,12 +339,7 @@ def _propagate(mt: np.ndarray, aperm: np.ndarray, comp: np.ndarray,
     return True
 
 
-def _candidates(mt: np.ndarray, aperm: np.ndarray, x: int) -> np.ndarray:
-    """Automorphisms alpha for which y -> y^alpha x moves every y."""
-    return np.flatnonzero((mt[aperm, x] != np.arange(len(mt))).all(axis=1))
-
-
-def gfe_search(spec: GroupSpec, budget: int = GFE_SEARCH_BUDGET) -> EnumerationResult:
+def gfe_search(spec: GroupSpec) -> EnumerationResult:
     """Depth-first search for every gamma table, with forced propagation.
 
     Partial assignments propagate through the functional equation (two
@@ -368,20 +352,21 @@ def gfe_search(spec: GroupSpec, budget: int = GFE_SEARCH_BUDGET) -> EnumerationR
     A solution makes (G, o) a group with y o x = y^gamma(x) x, and in a
     group y o x = y forces x = 1.  So for x != 1, gamma(x) = alpha only if
     y -> y^alpha x has no fixed point, and branching on x runs over those
-    alpha alone; the mask is computed once per branching element, from
-    the multiplication table and the automorphism permutations.  That
-    mask has |G| x |Aut| cells, which must not exceed ``budget``.
+    alpha alone: the column of x in ``AutGroup.fixed_point_free``, the
+    table the oracle's holomorph mask also reads.  That table has
+    |G| x |Aut| cells, which must not exceed ``GFE_SEARCH_BUDGET``, read
+    at call time.
     """
     ag = aut_group(spec)
-    if spec.n * ag.size > budget:
+    if spec.n * ag.size > GFE_SEARCH_BUDGET:
         raise SearchTooLargeError(
             f"search-too-large: |G| x |Aut| = {spec.n} x {ag.size} = "
-            f"{spec.n * ag.size} exceeds the budget {budget}"
+            f"{spec.n * ag.size} exceeds the budget {GFE_SEARCH_BUDGET}"
         )
     mt = spec.mul_table
     aperm = ag.aperm
     comp = ag.comp
-    candidates: dict[int, np.ndarray] = {}
+    fpf = ag.fixed_point_free
     found: dict[tuple[int, ...], GammaFunction] = {}
 
     def dfs(gamma: np.ndarray) -> None:
@@ -391,9 +376,7 @@ def gfe_search(spec: GroupSpec, budget: int = GFE_SEARCH_BUDGET) -> EnumerationR
             found[gm.key] = gm
             return
         x = int(unassigned[0])
-        if x not in candidates:
-            candidates[x] = _candidates(mt, aperm, x)
-        for candidate in candidates[x].tolist():
+        for candidate in np.flatnonzero(fpf[:, x]).tolist():
             branch = gamma.copy()
             branch[x] = candidate
             if _propagate(mt, aperm, comp, branch, [x]):

@@ -29,6 +29,10 @@ permutation rows, and an automorphism is a row index into it.
 
 Every power table, of an element or of an automorphism, comes from
 ``powers``, which gathers through ``mul_table`` or ``AutGroup.comp``.
+Aut(G)'s orders and its fixed-point-free table, which the search and the
+oracle both prune with, are cached arrays, each computed once.
+``mul_table`` and the homomorphism proof in ``aut_group`` run in row
+blocks, which keeps their temporaries small next to the result.
 The scalar law on ``GroupElement`` pairs (``GroupSpec.mul``, ``power``,
 ``inv_elem``, ``elem_order``) is kept only as the tests' reference.
 """
@@ -174,13 +178,17 @@ class GroupSpec:
     def mul_table(self) -> np.ndarray:
         if self._mul_table is None:
             c, nm = self.c_mod, self.n_mod
-            v1, u1, v2, u2 = np.ix_(
-                np.arange(c), np.arange(nm), np.arange(c), np.arange(nm)
-            )
-            tp = np.array(self.t_pow)
-            v = (v1 + v2) % c
-            u = (u1 * tp[v2] + u2) % nm
-            self._mul_table = (v * nm + u).reshape(self.n, self.n).astype(np.int32)
+            v2, u2 = np.divmod(np.arange(self.n, dtype=np.int32), nm)
+            # a^v1 b^u1 * a^v2 b^u2 = a^(v1+v2) b^(u1 t^v2 + u2): the b-part
+            # is the same for every v1, and each block of rows adds its a-part
+            tp = np.array(self.t_pow, dtype=np.int32)
+            b_part = np.arange(nm, dtype=np.int32)[:, None] * tp[v2]
+            b_part += u2
+            b_part %= nm
+            table = np.empty((self.n, self.n), dtype=np.int32)
+            for v1 in range(c):
+                np.add(b_part, (v1 + v2) % c * nm, out=table[v1 * nm:(v1 + 1) * nm])
+            self._mul_table = table
         return self._mul_table
 
     @property
@@ -334,6 +342,7 @@ class AutGroup:
         self._ainv: np.ndarray | None = None
         self._iota_map: np.ndarray | None = None
         self._orders: np.ndarray | None = None
+        self._fpf: np.ndarray | None = None
         self._generators: list[int] | None = None
         self._ints: list[int] | None = None
 
@@ -412,20 +421,27 @@ class AutGroup:
             self._iota_map = self._closed_lookup(conj_a, conj_b, "conjugation")
         return self._iota_map
 
-    def order_of(self, k: int) -> int:
+    @property
+    def orders(self) -> np.ndarray:
+        """orders[k] = the order of automorphism k."""
         if self._orders is None:
-            # follow the generator images of every automorphism's powers
-            rows = np.arange(self.size)
-            ga, gb = self._gen_idx
-            cur_a, cur_b = self.aperm[:, ga], self.aperm[:, gb]
-            orders = np.zeros(self.size, dtype=np.int32)
-            for d in range(1, self.size + 1):
-                orders[(cur_a == ga) & (cur_b == gb) & (orders == 0)] = d
-                if orders.all():
-                    break
-                cur_a, cur_b = self.aperm[rows, cur_a], self.aperm[rows, cur_b]
-            self._orders = orders
-        return int(self._orders[k])
+            self._orders = _element_orders(self.comp, self.identity_idx)
+        return self._orders
+
+    def order_of(self, k: int) -> int:
+        return int(self.orders[k])
+
+    @property
+    def fixed_point_free(self) -> np.ndarray:
+        """fixed_point_free[alpha, g] is True when x -> x^alpha g moves every x."""
+        if self._fpf is None:
+            spec = self.spec
+            # (alpha, g) fixes x exactly when g = (x^alpha)^-1 x
+            fixed = np.zeros((self.size, spec.n), dtype=bool)
+            moved = spec.mul_table[spec.inv_table[self.aperm], np.arange(spec.n)]
+            fixed[np.arange(self.size)[:, None], moved] = True
+            self._fpf = ~fixed
+        return self._fpf
 
     def generators(self) -> list[int]:
         """A small generating set, found greedily in canonical order."""
@@ -515,8 +531,10 @@ def aut_group(spec: GroupSpec) -> AutGroup:
     perms = _candidate_perms(spec)
     seen = np.zeros(perms.shape, dtype=bool)
     np.put_along_axis(seen, perms, True, axis=1)
-    aperm = perms[seen.all(axis=1)]
-    del perms, seen  # the homomorphism check below is the memory peak
+    bijective = seen.all(axis=1)
+    del seen  # before the copy of the kept rows, which is the memory peak
+    aperm = perms[bijective]
+    del perms
     expected = _closed_form_aut_size(spec)
     if len(aperm) != expected:
         raise AutSizeMismatchError(
@@ -525,14 +543,17 @@ def aut_group(spec: GroupSpec) -> AutGroup:
         )
     gens = (spec.idx(GroupElement(1, 0)), spec.idx(GroupElement(0, 1)))
     mt = spec.mul_table
+    rows = max(1, _COMP_BLOCK_ENTRIES // spec.n)  # row blocks bound the temporaries
     for g in gens:
-        bad = aperm[:, mt[:, g]] != mt[aperm, aperm[:, [g]]]
-        if bad.any():
-            k, x = (int(i) for i in np.argwhere(bad)[0])
-            raise AutSizeMismatchError(
-                f"aut-not-homomorphism: automorphism {k} of {spec.family} "
-                f"(p={spec.p}, q={spec.q}) fails at (x, g) = ({x}, {g})"
-            )
+        for lo in range(0, len(aperm), rows):
+            block = aperm[lo:lo + rows]
+            bad = block[:, mt[:, g]] != mt[block, block[:, [g]]]
+            if bad.any():
+                k, x = (int(i) for i in np.argwhere(bad)[0])
+                raise AutSizeMismatchError(
+                    f"aut-not-homomorphism: automorphism {lo + k} of {spec.family} "
+                    f"(p={spec.p}, q={spec.q}) fails at (x, g) = ({x}, {g})"
+                )
     return AutGroup(spec, aperm)
 
 

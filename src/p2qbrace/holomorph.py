@@ -19,6 +19,9 @@ in Stab(r).  A pair inside an already found subgroup generates nothing
 new, so each r keeps a mask of the members of the found subgroups
 through r and skips the second generators it covers.
 
+The fixed-point-free mask is ``AutGroup.fixed_point_free`` read flat, and
+each hit's Aut(G)-orbit is one conjugation by every automorphism at once.
+
 The search returns each regular subgroup as the sorted array of its flat
 member indices.  A member (alpha, g) sends the identity to g, so that
 array already is the gamma table g -> alpha of the matching skew brace
@@ -67,22 +70,12 @@ class Holomorph:
     @property
     def fixed_point_free_mask(self) -> np.ndarray:
         """mask[k] is True when the permutation k moves every point."""
-        if not hasattr(self, "_fpf"):
-            n = self.n
-            rng = np.arange(n)
-            mask = np.empty(self.size, dtype=bool)
-            for a in range(self.aut.size):
-                # rows x, columns g: image of x under (a, g)
-                images = self.spec.mul_table[self.aut.aperm[a]]
-                mask[a * n:(a + 1) * n] = ~(images == rng[:, None]).any(axis=0)
-            self._fpf = mask
-        return self._fpf
+        return self.aut.fixed_point_free.ravel()
 
-    def conjugate_by_aut(self, k, beta: int):
-        """Conjugate of the holomorph element(s) k by the automorphism beta."""
+    def conjugate_by_aut(self, k, beta):
+        """Conjugates of the holomorph element(s) k by the automorphism(s) beta."""
         a, g = np.divmod(k, self.n)
-        binv = int(self.aut.ainv[beta])
-        alpha = self.aut.comp[self.aut.comp[binv, a], beta]
+        alpha = self.aut.comp[self.aut.comp[self.aut.ainv[beta], a], beta]
         return alpha * self.n + self.aut.aperm[beta, g]
 
     def stabiliser(self, k: int) -> np.ndarray:
@@ -132,27 +125,6 @@ def _orbit_reps(H: Holomorph, cand: np.ndarray, betas: Iterable[int]) -> np.ndar
     return cand[least == cand]
 
 
-def _aut_orbit_of_subgroup(H: Holomorph, members: np.ndarray) -> list[np.ndarray]:
-    """All Aut(G)-conjugates of a subgroup given by flat member indices."""
-    gens = H.aut.generators()
-    start = tuple(np.sort(members).tolist())
-    seen = {start}
-    frontier = [members]
-    out = [np.sort(members)]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for b in gens:
-                img = np.sort(H.conjugate_by_aut(cur, b))
-                key = tuple(img.tolist())
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(img)
-                    out.append(img)
-        frontier = nxt
-    return out
-
-
 def closure_search_regular(
     spec: GroupSpec,
     max_hol_order: int = DEFAULT_MAX_HOL_ORDER,
@@ -165,9 +137,10 @@ def closure_search_regular(
 
     Non-identity members of a regular subgroup are fixed-point-free, so
     candidates are prefiltered to the identity plus the fixed-point-free
-    elements.  Conjugation by Aut(G) permutes regular subgroups and each
-    hit is closed up under it, so the first generator r ranges over
-    Aut(G)-orbit representatives.  For beta in Stab(r), <r, s^beta> is
+    elements (``AutGroup.fixed_point_free``).  Conjugation by Aut(G)
+    permutes regular subgroups and each hit is closed up under it, by one
+    conjugation of its members by all of Aut(G) at once, so the first
+    generator r ranges over Aut(G)-orbit representatives.  For beta in Stab(r), <r, s^beta> is
     <r, s>^beta, and the cut that both r s and s r stay allowed holds for s
     exactly when it holds for s^beta, so the second generator ranges over
     Stab(r)-orbit representatives.  A per-r mask holds the members of the
@@ -201,9 +174,10 @@ def closure_search_regular(
             members = _closure_within(H, np.array([r, s], dtype=np.int64), allowed, spec.n)
             if members is None or members.size != spec.n:
                 continue
-            for img in _aut_orbit_of_subgroup(H, members):
-                found[tuple(img.tolist())] = img
-                if r in img:
-                    covered[img] = True
+            # the hit's Aut(G)-orbit, one conjugate per row
+            orbit = np.sort(H.conjugate_by_aut(members, np.arange(H.aut.size)[:, None]), axis=1)
+            covered[orbit[(orbit == r).any(axis=1)]] = True
+            for img in orbit:
+                found.setdefault(tuple(img.tolist()), img)
 
     return [found[key] for key in sorted(found)]

@@ -12,8 +12,9 @@ circle operation and its closed-form inverse, the morphism tests, the
 inversion gamma function and ``nu_subgroup`` give the tests independent
 views of one gamma function.  ``scalar_aut_perms`` is the automorphism
 search written with the scalar group law, one generator-image pair at a
-time, and ``check_rgf_gfe`` checks the functional equation of a relative
-gamma function pair by pair.
+time, ``check_rgf_gfe`` checks the functional equation of a relative
+gamma function pair by pair, and ``scalar_lift`` is ``brace.lift_rgf``
+written as a loop over the pairs (a, b).
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from typing import Iterable
 import numpy as np
 
 from p2qbrace import arith, counts
-from p2qbrace.brace import RGF, GammaFunction, GfeError, gamma_from_array
+from p2qbrace.brace import (
+    RGF,
+    GammaFunction,
+    GfeError,
+    LiftPreconditionError,
+    gamma_from_array,
+)
 from p2qbrace.groups import GroupElement, GroupSpec, aut_group
 from p2qbrace.holomorph import HolElement, Holomorph, holo
 
@@ -141,6 +148,44 @@ def check_rgf_gfe(rgf: RGF) -> None:
                 raise GfeError("domain is not closed under the circle operation")
             if rgf.values[tgt] != int(ag.comp[rgf.values[g], rgf.values[h]]):
                 raise GfeError(f"relative GFE fails at pair ({g}, {h})")
+
+
+def scalar_lift(spec: GroupSpec, rgf: RGF, complement: Iterable[int]) -> GammaFunction:
+    """gamma(a b) = gamma'(a) for a in the RGF's domain and b in the
+    complement, filled in pair by pair, with the same preconditions and
+    messages as ``brace.lift_rgf``."""
+    ag = aut_group(spec)
+    comp_set = sorted(set(int(c) for c in complement))
+    for x in rgf.domain_set().intersection(comp_set):
+        if rgf.values[x] != ag.identity_idx:
+            raise LiftPreconditionError(
+                "lift-precondition-failed: intersection of the factors is not "
+                "killed by the relative gamma function"
+            )
+    comp_arr = np.fromiter(comp_set, dtype=np.int64)
+    for a in rgf.domain:
+        mover = int(ag.comp[rgf.values[a], ag.iota_map[a]])
+        if not np.isin(ag.aperm[mover, comp_arr], comp_arr).all():
+            raise LiftPreconditionError(
+                "lift-precondition-failed: complement is not invariant under "
+                "the twisted action of the subgroup"
+            )
+    table = [-1] * spec.n
+    for a in rgf.domain:
+        val = rgf.values[a]
+        for b in comp_set:
+            g = int(spec.mul_table[a, b])
+            if table[g] == -1:
+                table[g] = val
+            elif table[g] != val:
+                raise LiftPreconditionError(
+                    "lift-precondition-failed: factorization is ambiguous"
+                )
+    if any(v == -1 for v in table):
+        raise LiftPreconditionError(
+            "lift-precondition-failed: the factors do not cover the group"
+        )
+    return GammaFunction(spec, tuple(table))
 
 
 def search_candidates(spec: GroupSpec, x: int) -> set[int]:

@@ -31,6 +31,7 @@ from reference import (
     nu_subgroup,
     rgf_is_morphism,
     rho,
+    scalar_lift,
 )
 
 
@@ -401,6 +402,30 @@ class TestLift:
         A = spec.cyclic_subgroup(spec.idx(E(1, 0)))
         with pytest.raises(brace.LiftPreconditionError, match="invariant"):
             lift_rgf(spec, bad_rgf, A)
+
+    def test_ambiguous_factorization(self):
+        # <a^3> kills the intersection and is characteristic, but gamma'
+        # differs on a and a^4 = a a^3, which share the cell a^4
+        spec = make_group("P2Q-Type1", 3, 2)
+        ag = aut_group(spec)
+        eta = next(k for k in range(ag.size) if ag.order_of(k) == 3)
+        A = spec.cyclic_subgroup(spec.idx(E(1, 0)))
+        a3 = spec.cyclic_subgroup(spec.idx(E(3, 0)))
+        values = {x: ag.identity_idx for x in A}
+        values[spec.idx(E(1, 0))] = eta
+        rgf = brace.RGF(spec=spec, domain=A, values=values)
+        for lift in (lift_rgf, scalar_lift):
+            with pytest.raises(brace.LiftPreconditionError, match="ambiguous"):
+                lift(spec, rgf, a3)
+
+    def test_factors_must_cover(self):
+        spec = make_group("P2Q-Type1", 3, 2)
+        ag = aut_group(spec)
+        rgf = rgf_from_generator(spec, E(1, 0), ag.identity_idx)
+        A = spec.cyclic_subgroup(spec.idx(E(1, 0)))
+        for lift in (lift_rgf, scalar_lift):
+            with pytest.raises(brace.LiftPreconditionError, match="do not cover"):
+                lift(spec, rgf, A)
 
     def test_intersection_failure(self):
         spec = make_group("P2Q-Type4", 3, 2)

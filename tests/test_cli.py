@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import time
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from p2qbrace import cli, counts, groups
+from p2qbrace import arith, cli, counts, groups
 from p2qbrace import enumerate as routes
 from reference import cayley_to_json
 
@@ -405,3 +407,44 @@ class TestClassifyCayley:
         path = tmp_path_factory.mktemp("fuzz") / "t.json"
         path.write_text(json.dumps({"n": n, "table": table}))
         assert cli.main(["classify-cayley", "--in", str(path)]) in (0, 2)
+
+
+_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+           73, 79, 83, 89, 97, 101, 211, 1009, 1999, 9973]
+_NOT_PRIME = (
+    st.integers(max_value=1)
+    | st.builds(lambda a, b: a * b, st.integers(2, 200), st.integers(2, 200))
+    | st.integers(arith.PRIME_TEST_BOUND, 10**6 * arith.PRIME_TEST_BOUND)
+)
+_ANY = st.integers() | st.sampled_from(_PRIMES) | _NOT_PRIME
+# no group of order p^2 q (nor pq) in scope has these parameters
+_BAD_PAIRS = st.one_of(
+    st.tuples(_NOT_PRIME, _ANY),
+    st.tuples(_ANY, _NOT_PRIME),
+    st.sampled_from(_PRIMES).map(lambda r: (r, r)),
+    st.tuples(st.just(2), _ANY),
+    st.tuples(st.sampled_from(_PRIMES), st.sampled_from(_PRIMES)).filter(
+        lambda pq: pq[0] * pq[0] * pq[1] > arith.MAX_GROUP_ORDER),
+)
+_SMALL_PAIRS = st.tuples(st.sampled_from(_PRIMES[:25]), st.sampled_from(_PRIMES[:25]))
+
+
+class TestFuzzPrimes:
+    @given(data=st.data())
+    def test_any_p_q_is_answered_or_rejected_promptly(self, data):
+        command = data.draw(st.sampled_from(["tables", "pq", "enumerate", "verify"]))
+        pairs = _BAD_PAIRS | _SMALL_PAIRS if command in ("tables", "pq") else _BAD_PAIRS
+        p, q = data.draw(pairs)
+        argv = [command, f"--p={p}", f"--q={q}"]
+        if command == "enumerate":
+            method = data.draw(st.sampled_from(["structured", "search", "oracle"]))
+            argv += [f"--type={data.draw(st.integers(1, 4))}", f"--method={method}"]
+        elif command == "verify" and data.draw(st.booleans()):
+            argv.append("--pq")
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert time.perf_counter() - start < 1.0
+        assert code in (0, 2, 3)
+        assert (code == 0) == (err.getvalue() == "")

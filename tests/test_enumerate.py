@@ -1,13 +1,14 @@
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from p2qbrace import brace, holomorph
 from p2qbrace import enumerate as routes
 from p2qbrace.brace import dual_gamma
 from p2qbrace.groups import GroupSpec, aut_group, make_group
-from reference import search_candidates
+from reference import scalar_lift, search_candidates
 
 
 def orbit_shape(result):
@@ -108,6 +109,22 @@ class TestStructured:
             ("Type1", 13): 6, ("Type2", 1): 6, ("Type2", 13): 6,
         })
 
+    @pytest.mark.parametrize("family,p,q", [
+        ("P2Q-Type1", 3, 7), ("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7), ("P2Q-Type3", 3, 19),
+    ])
+    def test_lifts_match_the_scalar_reference(self, monkeypatch, family, p, q):
+        agrees = []
+        lift = routes.lift_rgf
+
+        def checked(spec, rgf, complement):
+            gm = lift(spec, rgf, complement)
+            agrees.append(gm.key == scalar_lift(spec, rgf, complement).key)
+            return gm
+
+        monkeypatch.setattr(routes, "lift_rgf", checked)
+        routes.structured_enumerate(make_group(family, p, q))
+        assert agrees and all(agrees)
+
     def test_rejects_pq_families(self):
         with pytest.raises(ValueError):
             routes.structured_enumerate(make_group("PQ-Cyclic", 3, 2))
@@ -147,14 +164,16 @@ class TestGfeSearch:
         with pytest.raises(routes.SearchTooLargeError, match="^search-too-large: .*201684"):
             routes.gfe_search(make_group("P2Q-Type4", 7, 2))
 
-    def test_gate_is_overridable(self):
-        # covered at full scale by the acceptance suite; here just the
-        # signature contract, at |G| x |Aut| = 18 x 6
+    def test_gate_is_overridable(self, monkeypatch):
+        # covered at full scale by the acceptance suite; here just that the
+        # budget is read at call time, at |G| x |Aut| = 18 x 6
         spec = make_group("P2Q-Type1", 3, 2)
-        result = routes.gfe_search(spec, budget=108)
+        monkeypatch.setattr(routes, "GFE_SEARCH_BUDGET", 108)
+        result = routes.gfe_search(spec)
         assert len(result.braces) == 4
+        monkeypatch.setattr(routes, "GFE_SEARCH_BUDGET", 107)
         with pytest.raises(routes.SearchTooLargeError):
-            routes.gfe_search(spec, budget=107)
+            routes.gfe_search(spec)
 
     @pytest.mark.parametrize("family,p,q", [
         ("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7), ("PQ-Metacyclic", 7, 3),
@@ -163,15 +182,28 @@ class TestGfeSearch:
         # the filter drops exactly the automorphisms alpha for which
         # y -> y^alpha x fixes a point, and every found gamma(x) survives it
         spec = make_group(family, p, q)
-        aperm = aut_group(spec).aperm
+        fpf = aut_group(spec).fixed_point_free
         nonidentity = [x for x in range(spec.n) if x != spec.identity_idx]
         cands = {x: search_candidates(spec, x) for x in nonidentity}
         for x in nonidentity:
-            assert routes._candidates(spec.mul_table, aperm, x).tolist() == sorted(cands[x])
+            assert np.flatnonzero(fpf[:, x]).tolist() == sorted(cands[x])
         searched = enum_cache(family, p, q, method="search")
         assert searched.gammas
         for key in searched.keys():
             assert all(key[x] in cands[x] for x in nonidentity)
+
+    def test_search_never_reads_the_oracle_layer(self, enum_cache, monkeypatch):
+        def oracle(*args, **kwargs):
+            raise AssertionError("the search reached the holomorph")
+
+        monkeypatch.setattr(holomorph, "holo", oracle)
+        for name, attr in list(vars(holomorph.Holomorph).items()):
+            if isinstance(attr, property):
+                monkeypatch.setattr(holomorph.Holomorph, name, property(oracle))
+            elif callable(attr):
+                monkeypatch.setattr(holomorph.Holomorph, name, oracle)
+        result = routes.gfe_search(make_group("P2Q-Type2", 3, 7))
+        assert result.keys() == enum_cache("P2Q-Type2", 3, 7).keys()
 
     def test_keys_share_the_aut_group_ints(self, enum_cache):
         # |Aut| = 342, so most entries are past the interpreter's small-int

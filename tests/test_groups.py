@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,8 +157,15 @@ class TestAutGroup:
             return perms
 
         monkeypatch.setattr(groups, "_candidate_perms", tampered)
-        with pytest.raises(groups.AutSizeMismatchError, match="^aut-not-homomorphism:"):
-            aut_group.__wrapped__(make_group("P2Q-Type4", 3, 2))
+        # the proof runs in row blocks; one row per block reports the
+        # same first failure as one block for the whole group
+        for entries in (groups._COMP_BLOCK_ENTRIES, 1):
+            monkeypatch.setattr(groups, "_COMP_BLOCK_ENTRIES", entries)
+            with pytest.raises(groups.AutSizeMismatchError, match=(
+                r"^aut-not-homomorphism: automorphism 6 of P2Q-Type4 \(p=3, q=2\) "
+                r"fails at \(x, g\) = \(3, 9\)$"
+            )):
+                aut_group.__wrapped__(make_group("P2Q-Type4", 3, 2))
 
     def test_generators_generate(self):
         ag = aut_group(make_group("P2Q-Type2", 3, 7))
@@ -409,3 +417,27 @@ def _pad_to_order6(t3):
     table[:3, 3:] = (t3 + 3).T
     table[3:, :3] = t3.T
     return table
+
+
+class TestBuildPeaks:
+    """Traced allocation peaks on Type1 (3,397): |G| = 3,573, |Aut| = 2,376."""
+
+    @staticmethod
+    def traced_peak(build):
+        tracemalloc.start()
+        try:
+            out = build()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_mul_table_is_built_in_row_blocks(self):
+        spec = make_group.__wrapped__("P2Q-Type1", 3, 397)
+        table, peak = self.traced_peak(lambda: spec.mul_table)
+        assert peak <= 1.75 * table.nbytes
+
+    def test_homomorphism_proof_runs_in_row_blocks(self):
+        spec = make_group.__wrapped__("P2Q-Type1", 3, 397)
+        spec.mul_table, spec.inv_table, spec.orders
+        ag, peak = self.traced_peak(lambda: aut_group.__wrapped__(spec))
+        assert peak <= 2.5 * ag.aperm.nbytes

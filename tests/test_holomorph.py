@@ -175,8 +175,11 @@ class TestClosureSearch:
         with pytest.raises(holomorph.OracleTooLargeError):
             closure_search_regular(spec)
 
-    def test_fixed_point_free_mask(self):
-        spec = make_group("P2Q-Type1", 3, 2)
+    @pytest.mark.parametrize("family,p,q", [
+        ("P2Q-Type1", 3, 2), ("PQ-Metacyclic", 7, 3), ("P2Q-Type2", 3, 7),
+    ])
+    def test_fixed_point_free_mask(self, family, p, q):
+        spec = make_group(family, p, q)
         H = holo(spec)
         mask = H.fixed_point_free_mask
         xs = np.arange(spec.n)
