@@ -159,7 +159,8 @@ class SkewBraceRecord:
     """One skew brace, as ``enumerate`` prints it: the gamma table, the
     circle group's isomorphism type, the kernel and the orbit id.
 
-    The circle table is not kept; ``circle_table(rec.gamma)`` rebuilds it.
+    The circle type is shared by a conjugation orbit; the circle table is
+    not kept, and ``circle_table(rec.gamma)`` rebuilds it.
     """
 
     gamma: GammaFunction
@@ -193,9 +194,10 @@ class SkewBraceRecord:
 def brace_from_gamma(gamma: GammaFunction) -> SkewBraceRecord:
     """Bundle a gamma function into a record.
 
-    This is the one place a route's table is checked against the
-    functional equation.  The circle table is built once, checked,
-    classified and then dropped.  Nothing else needs a check here:
+    This is the one place a route's tables are checked against the
+    functional equation, once per conjugation orbit on its least table
+    (``EnumerationResult.braces``).  The circle table is built once,
+    checked, classified and then dropped.  Nothing else needs a check here:
 
     * the brace law holds because every value of gamma is a row of
       Aut(G), and ``aut_group`` proves each row a homomorphism once per

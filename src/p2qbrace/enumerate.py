@@ -15,11 +15,11 @@
   functional equation or the other two routes.
 
 Where more than one route runs, the caller compares them once, as sets
-of gamma tables, not merely in count.  A record is built from a table
-only when ``EnumerationResult.braces`` is first read, and
-``brace_from_gamma`` checks the functional equation there, once per
-table.  ``aut_orbits`` partitions a complete enumeration into
-conjugation orbits, which is the isomorphism-class structure.
+of gamma tables, not merely in count.  Records are built when
+``EnumerationResult.braces`` is first read, orbit by orbit under
+conjugation by Aut(G): ``brace_from_gamma`` checks the functional
+equation and classifies the circle group once per orbit, on its least
+table.  ``aut_orbits`` reports the partition, the isomorphism classes.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .brace import (
     gamma_from_array,
     gamma_from_regular,
     identity_gamma,
+    kernel,
     lift_rgf,
     rgf_from_generator,
 )
@@ -82,8 +83,40 @@ class EnumerationResult:
 
     @cached_property
     def braces(self) -> list[SkewBraceRecord]:
-        """One record per gamma table in canonical order, built on first read."""
-        return [brace_from_gamma(self.gammas[key]) for key in sorted(self.gammas)]
+        """One record per gamma table in canonical order, built on first read.
+
+        Each table not yet recorded leads its conjugation orbit:
+        ``brace_from_gamma`` checks and classifies it, and a walk by the
+        generators of Aut(G) reaches the members, which inherit its type.
+        ``orbits`` is set only if the set is closed under conjugation.
+        """
+        gens = aut_group(self.spec).generators()
+        records: dict[tuple[int, ...], SkewBraceRecord] = {}
+        orbits: list[Orbit] = []
+        closed = True
+        for key in sorted(self.gammas):
+            if key in records:
+                continue
+            oid = len(orbits)
+            leader = brace_from_gamma(self.gammas[key])
+            leader.orbit_id = oid
+            records[key] = leader
+            orbit = [leader.gamma]
+            for gm in orbit:  # breadth first: the list grows while it is read
+                for beta in gens:
+                    image = conjugate_gamma(gm, beta).key
+                    if image not in self.gammas:
+                        closed = False
+                    elif image not in records:
+                        # keyed by the stored tuple, so the conjugate's is freed
+                        member = self.gammas[image]
+                        records[member.key] = SkewBraceRecord(
+                            member, leader.circle_type, kernel(member), oid)
+                        orbit.append(member)
+            orbits.append(Orbit(orbit_id=oid, length=len(orbit), circle_type=leader.circle_type))
+        if closed:
+            self.orbits = orbits
+        return [records[key] for key in sorted(records)]
 
     def counts_by_type(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -411,50 +444,17 @@ def closure_oracle(spec: GroupSpec,
 
 
 def aut_orbits(result: EnumerationResult) -> list[Orbit]:
-    """Partition a complete enumeration into conjugation orbits.
-
-    Mutates the records' ``orbit_id`` fields and stores the partition on
-    the result.  Orbit ids follow the canonical order of each orbit's
-    least gamma table.
+    """The conjugation-orbit partition of a complete enumeration, as
+    ``EnumerationResult.braces`` built it; raises when conjugation left
+    the set.  Orbit ids follow the canonical order of each orbit's least
+    gamma table.
     """
-    spec = result.spec
-    ag = aut_group(spec)
-    gens = ag.generators()
-    by_key = {rec.canonical_key: rec for rec in result.braces}
-    orbits: list[Orbit] = []
-    seen: set[tuple[int, ...]] = set()
-    for rec in result.braces:
-        if rec.canonical_key in seen:
-            continue
-        orbit_keys = {rec.canonical_key}
-        frontier = [rec.gamma]
-        while frontier:
-            nxt = []
-            for gm in frontier:
-                for beta in gens:
-                    image = conjugate_gamma(gm, beta)
-                    if image.key not in by_key:
-                        raise MethodDisagreementError(
-                            "conjugation left the enumerated set; the "
-                            "enumeration cannot be complete"
-                        )
-                    if image.key not in orbit_keys:
-                        orbit_keys.add(image.key)
-                        nxt.append(image)
-            frontier = nxt
-        oid = len(orbits)
-        ctype = rec.circle_type
-        for key in orbit_keys:
-            member = by_key[key]
-            if member.circle_type != ctype:
-                raise MethodDisagreementError(
-                    "conjugation changed the circle isomorphism type"
-                )
-            member.orbit_id = oid
-        orbits.append(Orbit(orbit_id=oid, length=len(orbit_keys), circle_type=ctype))
-        seen |= orbit_keys
-    result.orbits = orbits
-    return orbits
+    result.braces  # builds the partition on first read
+    if result.orbits is None:
+        raise MethodDisagreementError(
+            "conjugation left the enumerated set; the enumeration cannot be complete"
+        )
+    return result.orbits
 
 
 # -- order pq convenience ------------------------------------------------------

@@ -29,8 +29,9 @@ permutation rows, and an automorphism is a row index into it.
 
 Every power table, of an element or of an automorphism, comes from
 ``powers``, which gathers through ``mul_table`` or ``AutGroup.comp``.
-Aut(G)'s orders and its fixed-point-free table, which the search and the
-oracle both prune with, are cached arrays, each computed once.
+Aut(G)'s orders are a cached array, computed once.  Its
+fixed-point-free table, which the search and the oracle both prune
+with, is built by one scatter on each read and kept by its reader only.
 ``mul_table`` and the homomorphism proof in ``aut_group`` run in row
 blocks, which keeps their temporaries small next to the result.
 The scalar law on ``GroupElement`` pairs (``GroupSpec.mul``, ``power``,
@@ -342,7 +343,6 @@ class AutGroup:
         self._ainv: np.ndarray | None = None
         self._iota_map: np.ndarray | None = None
         self._orders: np.ndarray | None = None
-        self._fpf: np.ndarray | None = None
         self._generators: list[int] | None = None
         self._ints: list[int] | None = None
 
@@ -434,14 +434,12 @@ class AutGroup:
     @property
     def fixed_point_free(self) -> np.ndarray:
         """fixed_point_free[alpha, g] is True when x -> x^alpha g moves every x."""
-        if self._fpf is None:
-            spec = self.spec
-            # (alpha, g) fixes x exactly when g = (x^alpha)^-1 x
-            fixed = np.zeros((self.size, spec.n), dtype=bool)
-            moved = spec.mul_table[spec.inv_table[self.aperm], np.arange(spec.n)]
-            fixed[np.arange(self.size)[:, None], moved] = True
-            self._fpf = ~fixed
-        return self._fpf
+        spec = self.spec
+        # (alpha, g) fixes x exactly when g = (x^alpha)^-1 x
+        fixed = np.zeros((self.size, spec.n), dtype=bool)
+        moved = spec.mul_table[spec.inv_table[self.aperm], np.arange(spec.n)]
+        fixed[np.arange(self.size)[:, None], moved] = True
+        return ~fixed
 
     def generators(self) -> list[int]:
         """A small generating set, found greedily in canonical order."""

@@ -155,9 +155,9 @@ def closure_search_regular(
         raise OracleTooLargeError(
             f"oracle-too-large: |Hol(G)| = {H.size} exceeds the limit {max_hol_order}"
         )
-    allowed = H.fixed_point_free_mask.copy()
+    allowed = H.fixed_point_free_mask
+    fpf = np.flatnonzero(allowed)
     allowed[H.identity] = True
-    fpf = np.flatnonzero(H.fixed_point_free_mask)
 
     found: dict[tuple[int, ...], np.ndarray] = {}
 

@@ -17,10 +17,10 @@ _CACHE: dict = {}
 def enumerate_cached(family: str, p: int, q: int, method: str = "structured", **kw):
     """Enumerate once per (group, method, options).
 
-    Orbits are attached to structured results only.  The tests read
-    search and oracle results for their keys and counts, and compare
-    their key sets with structured results, whose orbit partition already
-    proves the set closed under conjugation.
+    ``aut_orbits`` runs on structured results only, and proves their
+    sets closed under conjugation.  The tests mostly read search and
+    oracle results for their keys and counts and compare their key sets
+    with structured results; reading their ``braces`` attaches orbits.
     """
     key = (family, p, q, method, tuple(sorted(kw.items())))
     if key not in _CACHE:

@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,7 +186,13 @@ class TestVerify:
             if c["name"].endswith(("/structured-vs-e-prime", "/counts-vs-e-prime"))
         )
         assert reported == 4 + 56 + 2 + 8
-        assert len(built) == reported
+        # one record is built per orbit: its least table is checked and
+        # classified, and the other members inherit the circle type
+        orbits = sum(
+            sum(c["detail"]["got"].values()) for c in report["checks"]
+            if c["name"].endswith("/orbits-vs-class-table")
+        )
+        assert len(built) == orbits
 
     def test_incomplete_orbit_is_a_failed_check(self, capsys, monkeypatch):
         structured = routes.structured_enumerate
@@ -192,7 +200,7 @@ class TestVerify:
         def drop_last(spec):
             result = structured(spec)
             if spec.family == "P2Q-Type4":
-                result.braces.pop()  # its conjugates now leave the set
+                del result.gammas[max(result.gammas)]  # its conjugates now leave the set
             return result
 
         monkeypatch.setattr(routes, "structured_enumerate", drop_last)
@@ -222,6 +230,28 @@ class TestVerify:
         statuses = {c["name"]: c["status"] for c in report["checks"]}
         assert statuses["type1/closure-oracle-agrees"] == "pass"
         assert statuses["type2/closure-oracle-agrees"] == "pass"
+
+
+class TestBenchmarkPins:
+    # the benchmark's byte pins, checked here on every test run; the pins
+    # file is read, never written
+    PINS = json.loads(
+        (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()
+    )
+
+    ARGV = {
+        "structured-type4-7-3": ("--p", "7", "--q", "3", "--type", "4"),
+        "structured-type2-5-11": ("--p", "5", "--q", "11", "--type", "2"),
+        "oracle-type4-3-2": ("--p", "3", "--q", "2", "--type", "4", "--method", "oracle"),
+    }
+
+    @pytest.mark.parametrize("op_id", list(ARGV))
+    def test_enumerate_output_matches_pinned_sha256(self, capsys, op_id):
+        code, out, _ = run(capsys, "enumerate", *self.ARGV[op_id])
+        assert code == 0
+        pin = self.PINS[op_id]
+        assert len(out.encode()) == pin["jsonl_bytes"]
+        assert hashlib.sha256(out.encode()).hexdigest() == pin["sha256"]
 
 
 class TestOracleLimit:

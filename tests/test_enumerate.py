@@ -36,8 +36,9 @@ class TestStructured:
             assert identity_gamma(result.spec).table in result.keys()
 
     @pytest.mark.parametrize("family,p,q", [("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7)])
-    def test_one_circle_table_per_record(self, monkeypatch, family, p, q):
-        # lifts and the kernel-p branch are checked only when records are built
+    def test_one_circle_table_per_orbit(self, monkeypatch, family, p, q):
+        # lifts and the kernel-p branch are checked only when records are
+        # built, and then on the least table of each conjugation orbit
         calls = []
         table = brace.circle_table
 
@@ -49,7 +50,11 @@ class TestStructured:
         result = routes.structured_enumerate(make_group(family, p, q))
         assert calls == []
         records = result.braces
-        assert sorted(calls) == [rec.canonical_key for rec in records]
+        leaders = {}
+        for rec in records:
+            leaders.setdefault(rec.orbit_id, rec.canonical_key)
+        assert calls == [leaders[orb.orbit_id] for orb in result.orbits]
+        assert len(calls) < len(records)
 
     def test_braces_are_canonically_sorted_and_distinct(self, enum_cache):
         result = enum_cache("P2Q-Type2", 3, 7)
@@ -307,6 +312,50 @@ class TestOrbits:
         m = aut_group(result.spec).size
         for orb in result.orbits:
             assert m % orb.length == 0
+
+    @pytest.mark.parametrize("family,p,q,method", [
+        ("P2Q-Type4", 3, 2, "structured"), ("P2Q-Type1", 3, 7, "structured"),
+        ("P2Q-Type2", 3, 7, "structured"), ("P2Q-Type3", 3, 19, "structured"),
+        ("P2Q-Type4", 5, 2, "structured"), ("PQ-Metacyclic", 7, 3, "oracle"),
+    ])
+    def test_inherited_type_and_kernel_match_a_direct_record(
+            self, enum_cache, family, p, q, method):
+        # only orbit leaders are classified; every member checked directly
+        result = enum_cache(family, p, q, method=method)
+        for rec in result.braces:
+            direct = brace.brace_from_gamma(rec.gamma)
+            assert (rec.circle_type, rec.kernel) == (direct.circle_type, direct.kernel)
+        assert len(result.orbits) < len(result.braces)
+
+    def test_set_not_closed_keeps_one_record_per_table(self, enum_cache):
+        full = enum_cache("P2Q-Type4", 3, 2)
+        by_key = {rec.canonical_key: rec for rec in full.braces}
+        dropped = next(rec.canonical_key for rec in full.braces
+                       if full.orbits[rec.orbit_id].length > 1)
+        result = routes.structured_enumerate(full.spec)
+        del result.gammas[dropped]
+        keys = [rec.canonical_key for rec in result.braces]
+        assert keys == sorted(set(by_key) - {dropped})
+        for rec in result.braces:
+            want = by_key[rec.canonical_key]
+            assert (rec.circle_type, rec.kernel) == (want.circle_type, want.kernel)
+        assert result.orbits is None
+        with pytest.raises(routes.MethodDisagreementError,
+                           match="conjugation left the enumerated set"):
+            routes.aut_orbits(result)
+
+    def test_every_table_is_checked_against_the_equation(self):
+        # a table violating the equation is no conjugate of a valid one, so
+        # it leads its own orbit and its record's check rejects it
+        spec = make_group("P2Q-Type4", 3, 2)
+        result = routes.structured_enumerate(spec)
+        bad = max(result.gammas)[:-1] + (aut_group(spec).identity_idx,)
+        assert bad not in result.gammas
+        gm = brace.GammaFunction(spec, bad)
+        assert brace.find_gfe_violation(gm) is not None
+        result.gammas[bad] = gm
+        with pytest.raises(brace.GfeError):
+            result.braces
 
 
 class TestDualityOnEnumerations:
