@@ -18,7 +18,7 @@ from .enumerate import (
     structured_enumerate,
 )
 from .groups import GroupElement, GroupSpec, aut_group, classify_iso_type, make_group
-from .holomorph import HolElement, closure_search_regular, holo
+from .holomorph import closure_search_regular, holo
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "aut_group",
     "classify_iso_type",
     "make_group",
-    "HolElement",
     "closure_search_regular",
     "holo",
     "__version__",

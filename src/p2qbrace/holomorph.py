@@ -9,8 +9,9 @@ index alpha * n + g so that searches can run on numpy arrays.
 ``closure_search_regular`` is the independent oracle of this package: it
 enumerates every regular subgroup of the holomorph by generator-pair
 closure, with no reference to gamma functions.  Its pruning rests on two
-exact facts: a non-identity element of a regular subgroup has no fixed
-point, and conjugation by Aut(G) permutes the regular subgroups.  So
+exact facts: every element of a regular subgroup is semiregular (each of
+its powers is the identity or moves every point), and conjugation by
+Aut(G) permutes the regular subgroups and keeps the semiregular set.  So
 once every found subgroup is closed up under that conjugation, the
 first generator r only needs to range over Aut(G)-orbit representatives,
 and the second over representatives of the orbits of the stabiliser
@@ -31,7 +32,7 @@ array already is the gamma table g -> alpha of the matching skew brace
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -42,11 +43,6 @@ DEFAULT_MAX_HOL_ORDER = 1200
 
 class OracleTooLargeError(RuntimeError):
     """The holomorph exceeds the configured closure-search bound."""
-
-
-class HolElement(NamedTuple):
-    alpha: int  # automorphism index in the canonical AutGroup order
-    g: int      # element index
 
 
 class Holomorph:
@@ -72,6 +68,24 @@ class Holomorph:
         """mask[k] is True when the permutation k moves every point."""
         return self.aut.fixed_point_free.ravel()
 
+    @property
+    def semiregular_mask(self) -> np.ndarray:
+        """mask[k] is True when <k> acts semiregularly: each power of k up to
+        the first identity one moves every point.
+
+        Every element has finite order, so each walk stops; a semiregular k
+        stops within |G| steps, since its orbits all have ord(k) points.
+        """
+        fpf = self.fixed_point_free_mask
+        mask = np.ones(self.size, dtype=bool)
+        live = power = np.arange(self.size)  # elements still walking, and their powers
+        while live.size:
+            moving = fpf[power]
+            mask[live[~moving & (power != self.identity)]] = False
+            live = live[moving]
+            power = self.mul(power[moving], live)
+        return mask
+
     def conjugate_by_aut(self, k, beta):
         """Conjugates of the holomorph element(s) k by the automorphism(s) beta."""
         a, g = np.divmod(k, self.n)
@@ -95,10 +109,10 @@ def _closure_within(H: Holomorph, seeds: np.ndarray, allowed: np.ndarray,
                     max_size: int) -> np.ndarray | None:
     """Subgroup generated by the seeds, or None on early abort.
 
-    Aborts as soon as the closure leaves the allowed set (identity plus
-    fixed-point-free elements) or outgrows max_size.  Each round takes
-    all pairwise products of the current members, so closures converge
-    or explode within a handful of rounds.
+    Aborts as soon as the closure leaves the allowed set (the semiregular
+    elements) or outgrows max_size.  Each round takes all pairwise
+    products of the current members, so closures converge or explode
+    within a handful of rounds.
     """
     members = np.unique(seeds)
     if not allowed[members].all():
@@ -135,40 +149,42 @@ def closure_search_regular(
     indices alpha * |G| + g, and the list is in increasing order of
     those arrays read as tuples.
 
-    Non-identity members of a regular subgroup are fixed-point-free, so
-    candidates are prefiltered to the identity plus the fixed-point-free
-    elements (``AutGroup.fixed_point_free``).  Conjugation by Aut(G)
-    permutes regular subgroups and each hit is closed up under it, by one
-    conjugation of its members by all of Aut(G) at once, so the first
-    generator r ranges over Aut(G)-orbit representatives.  For beta in Stab(r), <r, s^beta> is
-    <r, s>^beta, and the cut that both r s and s r stay allowed holds for s
-    exactly when it holds for s^beta, so the second generator ranges over
-    Stab(r)-orbit representatives.  A per-r mask holds the members of the
-    found subgroups through r; a second generator inside it is skipped,
-    since <r, s> would lie in a known regular subgroup.  By the
-    classification the count tables encode, every regular subgroup is
-    isomorphic to one of the families in scope, all two-generated, so
-    generator pairs reach each one.
+    Every member k of a regular subgroup is semiregular: <k> lies in the
+    subgroup, so no power of k other than the identity fixes a point.  So
+    the generators, the cut and every closure are restricted to the
+    semiregular elements (``Holomorph.semiregular_mask``), which also
+    bounds ord(k) by |G|.  Conjugation by Aut(G) permutes regular
+    subgroups and keeps the semiregular set, and each hit is closed up
+    under it, by one conjugation of its members by all of Aut(G) at once,
+    so the first generator r ranges over Aut(G)-orbit representatives.
+    For beta in Stab(r), <r, s^beta> is <r, s>^beta, and the cut that both
+    r s and s r stay allowed holds for s exactly when it holds for s^beta,
+    so the second generator ranges over Stab(r)-orbit representatives.  A
+    per-r mask holds the members of the found subgroups through r; a
+    second generator inside it is skipped, since <r, s> would lie in a
+    known regular subgroup.  By the classification the count tables
+    encode, every regular subgroup is isomorphic to one of the families in
+    scope, all two-generated, so generator pairs reach each one.
     """
     H = holo(spec)
     if H.size > max_hol_order:
         raise OracleTooLargeError(
             f"oracle-too-large: |Hol(G)| = {H.size} exceeds the limit {max_hol_order}"
         )
-    allowed = H.fixed_point_free_mask
-    fpf = np.flatnonzero(allowed)
-    allowed[H.identity] = True
+    allowed = H.semiregular_mask
+    cand = np.flatnonzero(allowed)
+    cand = cand[cand != H.identity]
 
     found: dict[tuple[int, ...], np.ndarray] = {}
 
-    for r in _orbit_reps(H, fpf, range(H.aut.size)).tolist():
+    for r in _orbit_reps(H, cand, range(H.aut.size)).tolist():
         covered = np.zeros(H.size, dtype=bool)  # members of found subgroups through r
         if found:
             subs = np.array(list(found.values()))
             covered[subs[(subs == r).any(axis=1)]] = True
         # quick vectorized cut: both first-round products must stay allowed
-        ok = allowed[H.mul(r, fpf)] & allowed[H.mul(fpf, r)]
-        for s in _orbit_reps(H, fpf[ok], H.stabiliser(r)):
+        ok = allowed[H.mul(r, cand)] & allowed[H.mul(cand, r)]
+        for s in _orbit_reps(H, cand[ok], H.stabiliser(r)):
             if covered[s]:
                 continue
             members = _closure_within(H, np.array([r, s], dtype=np.int64), allowed, spec.n)

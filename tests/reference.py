@@ -4,6 +4,8 @@ The translations, the inversion conjugation and the regularity check give
 the tests independent ways to name regular subgroups, and
 ``brute_force_regular`` is the closure search with no pruning at all,
 which the tests compare ``closure_search_regular`` against.
+``scalar_semiregular`` is ``Holomorph.semiregular_mask`` written as a
+walk over each element's powers one at a time.
 ``subgroup_view`` turns the flat member indices that search returns into
 holomorph elements and their sorted pair key.  ``search_candidates`` is
 the search's candidate filter written as a plain loop.  ``es_table`` and
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from p2qbrace.brace import (
     gamma_from_array,
 )
 from p2qbrace.groups import GroupElement, GroupSpec, aut_group
-from p2qbrace.holomorph import HolElement, Holomorph, holo
+from p2qbrace.holomorph import Holomorph, holo
 
 
 def smallest_prime_factor(n: int) -> int:
@@ -215,6 +217,11 @@ def act(H: Holomorph, k, x):
     return H.spec.mul_table[H.aut.aperm[a, x], g]
 
 
+class HolElement(NamedTuple):
+    alpha: int  # automorphism index in the canonical AutGroup order
+    g: int      # element index
+
+
 def flatten(H: Holomorph, h: HolElement) -> int:
     return h.alpha * H.n + h.g
 
@@ -289,6 +296,19 @@ def brute_force_regular(spec: GroupSpec) -> set[tuple[tuple[int, int], ...]]:
             if members.size == spec.n and is_regular(spec, [unflatten(H, k) for k in members]):
                 keys.add(tuple(divmod(int(k), spec.n) for k in members))
     return keys
+
+
+def scalar_semiregular(H: Holomorph) -> np.ndarray:
+    """mask[k] is True when no power of k but the identity fixes a point,
+    read off each power's action on G, one power at a time."""
+    xs = np.arange(H.n)
+    mask = np.zeros(H.size, dtype=bool)
+    for k in range(H.size):
+        power = k
+        while power != H.identity and (act(H, power, xs) != xs).all():
+            power = int(H.mul(power, k))
+        mask[k] = power == H.identity
+    return mask
 
 
 def inversion_gamma(spec: GroupSpec) -> GammaFunction:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from p2qbrace import holomorph
+from p2qbrace.enumerate import gfe_search
 from p2qbrace.groups import GroupElement as E
 from p2qbrace.groups import aut_group, classify_iso_type, make_group
-from p2qbrace.holomorph import HolElement, closure_search_regular, holo
+from p2qbrace.holomorph import closure_search_regular, holo
 from reference import (
+    HolElement,
     act,
     brute_force_regular,
     conjugate_by_inv,
@@ -14,6 +16,7 @@ from reference import (
     is_regular,
     lambda_rep,
     rho,
+    scalar_semiregular,
     subgroup_view,
     unflatten,
 )
@@ -187,6 +190,37 @@ class TestClosureSearch:
             assert mask[k] == bool((act(H, k, xs) != xs).all())
 
 
+class TestSemiregularMask:
+    """The closure search's filter: k with every power but 1 fixed-point-free."""
+
+    @pytest.mark.parametrize("family,p,q", [
+        ("P2Q-Type4", 3, 2), ("PQ-Metacyclic", 7, 3), ("PQ-Cyclic", 7, 3), ("P2Q-Type1", 3, 2),
+    ])
+    def test_matches_scalar_power_walk(self, family, p, q):
+        H = holo(make_group(family, p, q))
+        assert np.array_equal(H.semiregular_mask, scalar_semiregular(H))
+
+    @pytest.mark.parametrize("family,p,q", [("P2Q-Type4", 3, 2), ("PQ-Metacyclic", 7, 3)])
+    def test_invariant_under_every_automorphism(self, family, p, q):
+        H = holo(make_group(family, p, q))
+        mask = H.semiregular_mask
+        images = H.conjugate_by_aut(np.arange(H.size), np.arange(H.aut.size)[:, None])
+        assert (mask[images] == mask).all()
+
+    @pytest.mark.parametrize("family,p,q", [
+        ("P2Q-Type4", 3, 2), ("PQ-Metacyclic", 7, 3), ("P2Q-Type1", 3, 2), ("PQ-Cyclic", 7, 3),
+    ])
+    def test_every_regular_subgroup_lies_in_it(self, family, p, q):
+        """Soundness of the filter: the search route's regular subgroups,
+        {(gamma(g), g)}, found without the holomorph, and the oracle's."""
+        spec = make_group(family, p, q)
+        mask = holo(spec).semiregular_mask
+        searched = {tuple(sorted(a * spec.n + g for g, a in enumerate(table)))
+                    for table in gfe_search(spec).keys()}
+        assert all(mask[list(members)].all() for members in searched)
+        assert {tuple(flat.tolist()) for flat in closure_search_regular(spec)} == searched
+
+
 class TestClosurePruning:
     """The orbit and coverage pruning keep every regular subgroup."""
 
@@ -199,7 +233,7 @@ class TestClosurePruning:
         assert keys == brute_force_regular(spec)
 
     @pytest.mark.parametrize("family,p,q,attempts", [
-        ("P2Q-Type4", 3, 2, 4350), ("PQ-Metacyclic", 7, 3, 5286),
+        ("P2Q-Type4", 3, 2, 1998), ("PQ-Metacyclic", 7, 3, 1512),
     ])
     def test_attempt_counts(self, monkeypatch, family, p, q, attempts):
         calls = []
