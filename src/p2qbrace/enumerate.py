@@ -46,7 +46,8 @@ from .brace import (
     lift_rgf,
     rgf_from_generator,
 )
-from .groups import GroupElement, GroupSpec, aut_group, make_group, powers, psi_for_A
+from .groups import (GroupElement, GroupSpec, aut_group, aut_order, check_aut_gate,
+                     make_group, powers, psi_for_A)
 
 # |G| x |Aut|, the cells of the search's candidate table
 GFE_SEARCH_BUDGET = 200_000
@@ -390,12 +391,14 @@ def gfe_search(spec: GroupSpec) -> EnumerationResult:
     |G| x |Aut| cells, which must not exceed ``GFE_SEARCH_BUDGET``, read
     at call time.
     """
-    ag = aut_group(spec)
-    if spec.n * ag.size > GFE_SEARCH_BUDGET:
+    check_aut_gate(spec)
+    m = aut_order(spec)
+    if spec.n * m > GFE_SEARCH_BUDGET:
         raise SearchTooLargeError(
-            f"search-too-large: |G| x |Aut| = {spec.n} x {ag.size} = "
-            f"{spec.n * ag.size} exceeds the budget {GFE_SEARCH_BUDGET}"
+            f"search-too-large: |G| x |Aut| = {spec.n} x {m} = "
+            f"{spec.n * m} exceeds the budget {GFE_SEARCH_BUDGET}"
         )
+    ag = aut_group(spec)
     mt = spec.mul_table
     aperm = ag.aperm
     comp = ag.comp

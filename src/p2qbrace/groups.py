@@ -29,20 +29,22 @@ permutation rows, and an automorphism is a row index into it.
 
 Every power table, of an element or of an automorphism, comes from
 ``powers``, which gathers through ``mul_table`` or ``AutGroup.comp``.
-Aut(G)'s orders are a cached array, computed once.  Its
-fixed-point-free table, which the search and the oracle both prune
-with, is built by one scatter on each read and kept by its reader only.
-``mul_table`` and the homomorphism proof in ``aut_group`` run in row
-blocks, which keeps their temporaries small next to the result.
-The scalar law on ``GroupElement`` pairs (``GroupSpec.mul``, ``power``,
-``inv_elem``, ``elem_order``) is kept only as the tests' reference.
+Derived tables are cached properties, built on first read, except
+Aut(G)'s fixed-point-free table: the search and the oracle both prune
+with it, and it is built by one scatter on each read and kept by its
+reader only.  ``mul_table`` and the homomorphism proof in ``aut_group``
+run in row blocks, which keeps their temporaries small next to the
+result.  ``_generating_set`` walks a table to its least-index greedy
+generating set, and rejects one needing more than floor(log2 n)
+generators; it gives ``AutGroup.generators``, and associativity of a
+Cayley table is checked on those generators alone.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -114,12 +116,8 @@ class GroupSpec:
         self.c_mod = c_mod
         self.t = t
         self.n = n_mod * c_mod
-        # t^v mod n_mod for v in [0, c_mod); ord(t) divides c_mod so this
-        # table also serves negative exponents via c_mod - v.
+        # t^v mod n_mod for v in [0, c_mod)
         self.t_pow = tuple(pow(t, v, n_mod) for v in range(c_mod))
-        self._mul_table: np.ndarray | None = None
-        self._inv_table: np.ndarray | None = None
-        self._orders: np.ndarray | None = None
 
     # -- element indexing ------------------------------------------------
 
@@ -141,69 +139,31 @@ class GroupSpec:
     def identity_idx(self) -> int:
         return 0
 
-    # -- scalar group law: the tests' reference; no route calls it --------
-
-    def mul(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        v1, u1 = x
-        v2, u2 = y
-        return GroupElement(
-            (v1 + v2) % self.c_mod,
-            (u1 * self.t_pow[v2 % self.c_mod] + u2) % self.n_mod,
-        )
-
-    def inv_elem(self, x: GroupElement) -> GroupElement:
-        v, u = x
-        vi = (-v) % self.c_mod
-        # b-part conjugated back through a^-v
-        return GroupElement(vi, (-u * self.t_pow[vi]) % self.n_mod)
-
-    def power(self, x: GroupElement, k: int) -> GroupElement:
-        if k < 0:
-            return self.power(self.inv_elem(x), -k)
-        acc = self.identity
-        for _ in range(k):
-            acc = self.mul(acc, x)
-        return acc
-
-    def elem_order(self, x: GroupElement) -> int:
-        k = 1
-        acc = x
-        while acc != self.identity:
-            acc = self.mul(acc, x)
-            k += 1
-        return k
-
     # -- cached index tables ------------------------------------------------
 
-    @property
+    @cached_property
     def mul_table(self) -> np.ndarray:
-        if self._mul_table is None:
-            c, nm = self.c_mod, self.n_mod
-            v2, u2 = np.divmod(np.arange(self.n, dtype=np.int32), nm)
-            # a^v1 b^u1 * a^v2 b^u2 = a^(v1+v2) b^(u1 t^v2 + u2): the b-part
-            # is the same for every v1, and each block of rows adds its a-part
-            tp = np.array(self.t_pow, dtype=np.int32)
-            b_part = np.arange(nm, dtype=np.int32)[:, None] * tp[v2]
-            b_part += u2
-            b_part %= nm
-            table = np.empty((self.n, self.n), dtype=np.int32)
-            for v1 in range(c):
-                np.add(b_part, (v1 + v2) % c * nm, out=table[v1 * nm:(v1 + 1) * nm])
-            self._mul_table = table
-        return self._mul_table
+        c, nm = self.c_mod, self.n_mod
+        v2, u2 = np.divmod(np.arange(self.n, dtype=np.int32), nm)
+        # a^v1 b^u1 * a^v2 b^u2 = a^(v1+v2) b^(u1 t^v2 + u2): the b-part
+        # is the same for every v1, and each block of rows adds its a-part
+        tp = np.array(self.t_pow, dtype=np.int32)
+        b_part = np.arange(nm, dtype=np.int32)[:, None] * tp[v2]
+        b_part += u2
+        b_part %= nm
+        table = np.empty((self.n, self.n), dtype=np.int32)
+        for v1 in range(c):
+            np.add(b_part, (v1 + v2) % c * nm, out=table[v1 * nm:(v1 + 1) * nm])
+        return table
 
-    @property
+    @cached_property
     def inv_table(self) -> np.ndarray:
-        if self._inv_table is None:
-            pos = np.argwhere(self.mul_table == 0)  # rows (x, x^-1), x sorted
-            self._inv_table = pos[:, 1].astype(np.int32)
-        return self._inv_table
+        pos = np.argwhere(self.mul_table == 0)  # rows (x, x^-1), x sorted
+        return pos[:, 1].astype(np.int32)
 
-    @property
+    @cached_property
     def orders(self) -> np.ndarray:
-        if self._orders is None:
-            self._orders = _element_orders(self.mul_table, 0)
-        return self._orders
+        return _element_orders(self.mul_table, 0)
 
     def elements_of_order(self, k: int) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.orders == k)]
@@ -292,7 +252,8 @@ def make_group(family: str, p: int, q: int) -> GroupSpec:
 # -- automorphisms ----------------------------------------------------------
 
 
-def _closed_form_aut_size(spec: GroupSpec) -> int:
+def aut_order(spec: GroupSpec) -> int:
+    """|Aut(G)| by the family's closed form, known before any search."""
     p, q = spec.p, spec.q
     return {
         "P2Q-Type1": p * (p - 1) * (q - 1),
@@ -312,6 +273,8 @@ class AutGroup:
     image of element x under automorphism k, and ``comp[i, j]`` is "apply
     i, then j".  The constructor takes the rows sorted by the image of a,
     then of b, which makes every downstream enumeration order-stable.
+    Every derived table except ``fixed_point_free`` is a cached property;
+    ``generators()`` is the least-index greedy generating set of ``comp``.
 
     A homomorphism is fixed by its images of the generators a and b, so
     automorphisms are looked up by that pair: one int32 table gives the
@@ -339,12 +302,6 @@ class AutGroup:
             self.size, dtype=np.int32
         )
         self.identity_idx = self.index_of_perm(np.arange(spec.n))
-        self._comp: np.ndarray | None = None
-        self._ainv: np.ndarray | None = None
-        self._iota_map: np.ndarray | None = None
-        self._orders: np.ndarray | None = None
-        self._generators: list[int] | None = None
-        self._ints: list[int] | None = None
 
     @staticmethod
     def _ranks(images: np.ndarray, n: int) -> np.ndarray:
@@ -377,56 +334,46 @@ class AutGroup:
             raise KeyError("permutation is not an automorphism of this group")
         return k
 
-    @property
+    @cached_property
     def comp(self) -> np.ndarray:
         """comp[i, j] = index of the composite "i then j"."""
-        if self._comp is None:
-            m = self.size
-            img_a, img_b = (self.aperm[:, g] for g in self._gen_idx)
-            comp = np.empty((m, m), dtype=np.int32)
-            cols = max(1, _COMP_BLOCK_ENTRIES // m)
-            for lo in range(0, m, cols):
-                # "i then j" sends a to aperm[j, img_a[i]], and b likewise
-                block = self.aperm[lo:lo + cols]
-                comp[:, lo:lo + cols] = self._closed_lookup(
-                    block[:, img_a], block[:, img_b], "composite"
-                ).T
-            self._comp = comp
-        return self._comp
+        m = self.size
+        img_a, img_b = (self.aperm[:, g] for g in self._gen_idx)
+        comp = np.empty((m, m), dtype=np.int32)
+        cols = max(1, _COMP_BLOCK_ENTRIES // m)
+        for lo in range(0, m, cols):
+            # "i then j" sends a to aperm[j, img_a[i]], and b likewise
+            block = self.aperm[lo:lo + cols]
+            comp[:, lo:lo + cols] = self._closed_lookup(
+                block[:, img_a], block[:, img_b], "composite"
+            ).T
+        return comp
 
-    @property
+    @cached_property
     def ints(self) -> list[int]:
         """list(range(size)), built once: gamma tables whose entries come
         from it share one int object per automorphism."""
-        if self._ints is None:
-            self._ints = list(range(self.size))
-        return self._ints
+        return list(range(self.size))
 
-    @property
+    @cached_property
     def ainv(self) -> np.ndarray:
-        if self._ainv is None:
-            # the inverse of k sends each generator g to its preimage under k
-            pre_a, pre_b = (np.argmax(self.aperm == g, axis=1) for g in self._gen_idx)
-            self._ainv = self._closed_lookup(pre_a, pre_b, "inverse")
-        return self._ainv
+        # the inverse of k sends each generator g to its preimage under k
+        pre_a, pre_b = (np.argmax(self.aperm == g, axis=1) for g in self._gen_idx)
+        return self._closed_lookup(pre_a, pre_b, "inverse")
 
-    @property
+    @cached_property
     def iota_map(self) -> np.ndarray:
         """iota_map[g] = index of conjugation x -> g^-1 x g."""
-        if self._iota_map is None:
-            mt = self.spec.mul_table
-            inv = self.spec.inv_table
-            rng = np.arange(self.spec.n)
-            conj_a, conj_b = (mt[mt[inv, g], rng] for g in self._gen_idx)
-            self._iota_map = self._closed_lookup(conj_a, conj_b, "conjugation")
-        return self._iota_map
+        mt = self.spec.mul_table
+        inv = self.spec.inv_table
+        rng = np.arange(self.spec.n)
+        conj_a, conj_b = (mt[mt[inv, g], rng] for g in self._gen_idx)
+        return self._closed_lookup(conj_a, conj_b, "conjugation")
 
-    @property
+    @cached_property
     def orders(self) -> np.ndarray:
         """orders[k] = the order of automorphism k."""
-        if self._orders is None:
-            self._orders = _element_orders(self.comp, self.identity_idx)
-        return self._orders
+        return _element_orders(self.comp, self.identity_idx)
 
     def order_of(self, k: int) -> int:
         return int(self.orders[k])
@@ -441,30 +388,12 @@ class AutGroup:
         fixed[np.arange(self.size)[:, None], moved] = True
         return ~fixed
 
+    @cached_property
+    def _generators(self) -> list[int]:
+        return _generating_set(self.comp, self.identity_idx)
+
     def generators(self) -> list[int]:
-        """A small generating set, found greedily in canonical order."""
-        if self._generators is None:
-            gens: list[int] = []
-            reached = {self.identity_idx}
-            for k in range(self.size):
-                if k in reached:
-                    continue
-                gens.append(k)
-                frontier = [k]
-                while frontier:
-                    nxt = []
-                    for x in frontier:
-                        for g in gens:
-                            for y in (int(self.comp[x, g]), int(self.comp[g, x])):
-                                if y not in reached:
-                                    reached.add(y)
-                                    nxt.append(y)
-                    frontier = nxt
-                if k not in reached:
-                    reached.add(k)
-                if len(reached) == self.size:
-                    break
-            self._generators = gens
+        """The least-index greedy generating set (``_generating_set``)."""
         return self._generators
 
 
@@ -495,7 +424,7 @@ def check_aut_gate(spec: GroupSpec) -> None:
     """
     if spec.n > arith.MAX_GROUP_ORDER:
         raise ValueError(f"|G| = {spec.n} exceeds the supported bound")
-    m = _closed_form_aut_size(spec)
+    m = aut_order(spec)
     predicted = 4 * max(m, spec.n) ** 2
     if predicted > AUT_TABLE_MAX_BYTES:
         raise AutTooLargeError(
@@ -533,7 +462,7 @@ def aut_group(spec: GroupSpec) -> AutGroup:
     del seen  # before the copy of the kept rows, which is the memory peak
     aperm = perms[bijective]
     del perms
-    expected = _closed_form_aut_size(spec)
+    expected = aut_order(spec)
     if len(aperm) != expected:
         raise AutSizeMismatchError(
             f"aut-size-mismatch: found {len(aperm)} automorphisms of "
@@ -630,8 +559,31 @@ def _recognize_order(n: int) -> tuple[int, int, bool]:
     raise ValueError(f"order {n} is not p^2 q or pq for distinct primes")
 
 
+def _generating_set(table: np.ndarray, identity: int) -> list[int]:
+    """Least-index greedy generating set: each pick is the least element not
+    yet reached, then the reached set is closed under right multiplication
+    by the picks.  A group needs at most floor(log2 n) picks, since each at
+    least doubles that set; a table needing more raises ValueError."""
+    n = len(table)
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    gens: list[int] = []
+    while not reached.all():
+        if len(gens) == n.bit_length() - 1:
+            raise ValueError("table is not associative")
+        gens.append(int(np.argmin(reached)))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            step = np.zeros(n, dtype=bool)
+            step[table[frontier[:, None], gens]] = True
+            frontier = np.flatnonzero(step & ~reached)
+            reached |= step
+    return gens
+
+
 def _validate_group_table(table: np.ndarray) -> int:
-    """Full group-axiom check; returns the identity index."""
+    """Full group-axiom check; returns the identity index.  Associativity
+    is Light's test: (x y) g = x (y g) for g in ``_generating_set`` only."""
     n = table.shape[0]
     if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
         raise ValueError("malformed Cayley table")
@@ -645,10 +597,8 @@ def _validate_group_table(table: np.ndarray) -> int:
         raise ValueError("table has no two-sided identity")
     if not ((table == ident).sum(axis=1) == 1).all():
         raise ValueError("table has an element without a two-sided inverse")
-    # associativity: (ij)k == i(jk) for all triples, done in slabs to
-    # keep memory flat
-    for i in range(n):
-        if not np.array_equal(table[table[i], :], table[i][table]):
+    for g in _generating_set(table, ident):
+        if not np.array_equal(table[:, g][table], table[:, table[:, g]]):
             raise ValueError("table is not associative")
     return ident
 

@@ -36,7 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .groups import GroupSpec, aut_group
+from .groups import GroupSpec, aut_group, aut_order, check_aut_gate
 
 DEFAULT_MAX_HOL_ORDER = 1200
 
@@ -166,11 +166,13 @@ def closure_search_regular(
     encode, every regular subgroup is isomorphic to one of the families in
     scope, all two-generated, so generator pairs reach each one.
     """
-    H = holo(spec)
-    if H.size > max_hol_order:
+    check_aut_gate(spec)
+    size = spec.n * aut_order(spec)
+    if size > max_hol_order:
         raise OracleTooLargeError(
-            f"oracle-too-large: |Hol(G)| = {H.size} exceeds the limit {max_hol_order}"
+            f"oracle-too-large: |Hol(G)| = {size} exceeds the limit {max_hol_order}"
         )
+    H = holo(spec)
     allowed = H.semiregular_mask
     cand = np.flatnonzero(allowed)
     cand = cand[cand != H.identity]

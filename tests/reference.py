@@ -12,11 +12,14 @@ the search's candidate filter written as a plain loop.  ``es_table`` and
 ``fs`` invert the partial geometric sums of ``arith.es``.  The pointwise
 circle operation and its closed-form inverse, the morphism tests, the
 inversion gamma function and ``nu_subgroup`` give the tests independent
-views of one gamma function.  ``scalar_aut_perms`` is the automorphism
-search written with the scalar group law, one generator-image pair at a
-time, ``check_rgf_gfe`` checks the functional equation of a relative
+views of one gamma function.  ``mul``, ``inv_elem``, ``power`` and
+``elem_order`` are the scalar group law on ``GroupElement`` pairs, read
+off the presentation and not off ``mul_table``.  ``scalar_aut_perms`` is
+the automorphism search written with that law, one generator-image pair
+at a time, ``check_rgf_gfe`` checks the functional equation of a relative
 gamma function pair by pair, and ``scalar_lift`` is ``brace.lift_rgf``
-written as a loop over the pairs (a, b).
+written as a loop over the pairs (a, b).  ``is_associative`` checks
+(x y) z = x (y z) one row of x at a time, over every triple.
 """
 
 from __future__ import annotations
@@ -108,6 +111,45 @@ def iota(spec: GroupSpec, g: GroupElement) -> int:
     return int(aut_group(spec).iota_map[spec.idx(g)])
 
 
+def mul(spec: GroupSpec, x: GroupElement, y: GroupElement) -> GroupElement:
+    v1, u1 = x
+    v2, u2 = y
+    return GroupElement(
+        (v1 + v2) % spec.c_mod,
+        (u1 * spec.t_pow[v2 % spec.c_mod] + u2) % spec.n_mod,
+    )
+
+
+def inv_elem(spec: GroupSpec, x: GroupElement) -> GroupElement:
+    v, u = x
+    vi = (-v) % spec.c_mod
+    # b-part conjugated back through a^-v
+    return GroupElement(vi, (-u * spec.t_pow[vi]) % spec.n_mod)
+
+
+def power(spec: GroupSpec, x: GroupElement, k: int) -> GroupElement:
+    if k < 0:
+        return power(spec, inv_elem(spec, x), -k)
+    acc = spec.identity
+    for _ in range(k):
+        acc = mul(spec, acc, x)
+    return acc
+
+
+def elem_order(spec: GroupSpec, x: GroupElement) -> int:
+    k = 1
+    acc = x
+    while acc != spec.identity:
+        acc = mul(spec, acc, x)
+        k += 1
+    return k
+
+
+def is_associative(table: np.ndarray) -> bool:
+    """(x y) z == x (y z) for all triples, one row of x at a time."""
+    return all(np.array_equal(table[table[i], :], table[i][table]) for i in range(len(table)))
+
+
 def scalar_aut_perms(spec: GroupSpec) -> np.ndarray:
     """Aut(G) as sorted permutation rows, found with the scalar group law:
     each pair of images of the generators' orders that satisfies the
@@ -116,21 +158,21 @@ def scalar_aut_perms(spec: GroupSpec) -> np.ndarray:
     def power_list(x, k):
         out = [spec.identity]
         for _ in range(k - 1):
-            out.append(spec.mul(out[-1], x))
+            out.append(mul(spec, out[-1], x))
         return out
 
     a_pows = [power_list(x, spec.c_mod) for x in spec.elements()
-              if spec.elem_order(x) == spec.c_mod]
+              if elem_order(spec, x) == spec.c_mod]
     b_pows = [power_list(y, spec.n_mod) for y in spec.elements()
-              if spec.elem_order(y) == spec.n_mod]
+              if elem_order(spec, y) == spec.n_mod]
     perms = []
     for apow in a_pows:
-        ia, ia_inv = apow[1], spec.inv_elem(apow[1])
+        ia, ia_inv = apow[1], inv_elem(spec, apow[1])
         for bpow in b_pows:
             ib = bpow[1]
-            if spec.mul(spec.mul(ia_inv, ib), ia) != spec.power(ib, spec.t):
+            if mul(spec, mul(spec, ia_inv, ib), ia) != power(spec, ib, spec.t):
                 continue
-            perm = [spec.idx(spec.mul(x, y)) for x in apow for y in bpow]
+            perm = [spec.idx(mul(spec, x, y)) for x in apow for y in bpow]
             if len(set(perm)) == spec.n:
                 perms.append(perm)
     aperm = np.array(perms, dtype=np.int32).reshape(len(perms), spec.n)
@@ -197,7 +239,7 @@ def search_candidates(spec: GroupSpec, x: int) -> set[int]:
     keep = set(range(ag.size))
     for alpha in range(ag.size):
         for y in range(spec.n):
-            image = spec.idx(spec.mul(spec.el(int(ag.aperm[alpha, y])), spec.el(x)))
+            image = spec.idx(mul(spec, spec.el(int(ag.aperm[alpha, y])), spec.el(x)))
             if image == y:
                 keep.discard(alpha)
                 break

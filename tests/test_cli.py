@@ -90,6 +90,22 @@ class TestEnumerate:
         assert "201684" in err and "200000" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("method,message", [
+        ("oracle", "error: oracle-too-large: |Hol(G)| = 8489448 exceeds the limit 1200\n"),
+        ("search", "error: search-too-large: |G| x |Aut| = 3573 x 2376 = 8489448 "
+                   "exceeds the budget 200000\n"),
+    ], ids=["oracle", "search"])
+    def test_gates_answer_before_aut_is_built(self, capsys, method, message):
+        # Type1 (3, 397) passes the table gate, so only the closed-form
+        # |Aut| keeps the 2,376 automorphisms from being searched
+        before = groups.aut_group.cache_info()
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", "--p", "3", "--q", "397",
+                             "--type", "1", "--method", method)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out, err) == (3, "", message)
+        assert groups.aut_group.cache_info() == before  # never called
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "braces.jsonl"
         code, out, _ = run(capsys, "enumerate", "--p", "3", "--q", "2",
@@ -381,6 +397,16 @@ class TestClassifyCayley:
         path.write_text(cayley_to_json(table))
         code, _, err = run(capsys, "classify-cayley", "--in", str(path))
         assert code == 2
+
+    def test_large_cyclic_table_is_answered_promptly(self, capsys, tmp_path):
+        # order 2 x 499: associativity is checked on two generators, not
+        # on every row
+        path = tmp_path / "c998.json"
+        path.write_text(cayley_to_json(groups.make_group("PQ-Cyclic", 499, 2).mul_table))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "classify-cayley", "--in", str(path))
+        assert time.perf_counter() - start < 1.5
+        assert code == 0 and out == "PQ-Cyclic\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "classify-cayley", "--in", str(tmp_path / "nope.json"))

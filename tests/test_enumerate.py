@@ -7,7 +7,7 @@ import pytest
 from p2qbrace import brace, holomorph
 from p2qbrace import enumerate as routes
 from p2qbrace.brace import dual_gamma
-from p2qbrace.groups import GroupSpec, aut_group, make_group
+from p2qbrace.groups import AutTooLargeError, GroupSpec, aut_group, make_group
 from reference import scalar_lift, search_candidates
 
 
@@ -135,13 +135,10 @@ class TestStructured:
             routes.structured_enumerate(make_group("PQ-Cyclic", 3, 2))
 
     @pytest.mark.parametrize("family,p,q", [("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7)])
-    def test_no_route_calls_the_scalar_group_law(self, monkeypatch, family, p, q):
-        # the scalar law stays in GroupSpec only as the tests' reference
-        def scalar(*args):
-            raise AssertionError("the scalar group law was called")
-
+    def test_no_route_calls_the_scalar_group_law(self, family, p, q):
+        # the scalar law lives only in tests/reference.py, as the tests' reference
         for name in ("mul", "power", "inv_elem", "elem_order"):
-            monkeypatch.setattr(GroupSpec, name, scalar)
+            assert not hasattr(GroupSpec, name)
         spec = make_group.__wrapped__(family, p, q)  # no cached tables
         ag = aut_group.__wrapped__(spec)
         assert ag.aperm.tobytes() == aut_group(spec).aperm.tobytes()
@@ -274,6 +271,29 @@ class TestClosureOracle:
         result = routes.closure_oracle(make_group("P2Q-Type4", 3, 2))
         assert len(result.braces) == 56
         assert result.keys() == enum_cache("P2Q-Type4", 3, 2).keys()
+
+
+class TestGatesBeforeAut:
+    """The search's budget and the oracle's limit are checked on the
+    closed-form |Aut|, before Aut(G) or Hol(G) is built."""
+
+    @pytest.mark.parametrize("route,error,prefix", [
+        (routes.gfe_search, routes.SearchTooLargeError, "search-too-large: "),
+        (routes.closure_oracle, holomorph.OracleTooLargeError, "oracle-too-large: "),
+    ], ids=["search", "oracle"])
+    @pytest.mark.parametrize("family,p,q,aut_gated", [
+        ("P2Q-Type1", 3, 397, False),  # |G| x |Aut| = 3,573 x 2,376
+        ("P2Q-Type4", 11, 5, True),  # |Aut| = 13,310: over the table gate
+    ], ids=["Type1-3-397", "Type4-11-5"])
+    def test_gated_route_builds_no_aut_group(self, route, error, prefix, family, p, q, aut_gated):
+        # the caches are read, not cleared: other tests hold results built
+        # on the cached groups; no hit and no miss means no call at all
+        before = aut_group.cache_info(), holomorph.holo.cache_info()
+        if aut_gated:
+            error, prefix = AutTooLargeError, "aut-too-large: "
+        with pytest.raises(error, match=f"^{prefix}"):
+            route(make_group(family, p, q))
+        assert (aut_group.cache_info(), holomorph.holo.cache_info()) == before
 
 
 class TestOrbits:

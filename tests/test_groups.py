@@ -3,11 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from p2qbrace import groups
 from p2qbrace.groups import GroupElement as E
 from p2qbrace.groups import aut_group, classify_iso_type, make_group, psi_for_A
-from reference import cayley_to_json, iota, scalar_aut_perms
+from reference import (
+    cayley_to_json,
+    elem_order,
+    inv_elem,
+    iota,
+    is_associative,
+    mul,
+    power,
+    scalar_aut_perms,
+)
 
 ALL_DESK_SPECS = [
     ("P2Q-Type1", 3, 2),
@@ -60,28 +70,28 @@ class TestElementArithmetic:
     def test_identity(self):
         spec = make_group("P2Q-Type2", 3, 7)
         for x in spec.elements():
-            assert spec.mul(spec.identity, x) == x
-            assert spec.mul(x, spec.identity) == x
+            assert mul(spec, spec.identity, x) == x
+            assert mul(spec, x, spec.identity) == x
 
     def test_type4_normal_form_rewrite(self):
         spec = make_group("P2Q-Type4", 3, 2)
-        assert spec.mul(E(1, 1), E(1, 0)) == E(0, 8)
+        assert mul(spec, E(1, 1), E(1, 0)) == E(0, 8)
 
     def test_type1_is_componentwise(self):
         spec = make_group("P2Q-Type1", 3, 7)
         for v1, u1, v2, u2 in [(0, 3, 4, 2), (8, 6, 1, 1), (5, 0, 5, 5)]:
-            assert spec.mul(E(v1, u1), E(v2, u2)) == E((v1 + v2) % 9, (u1 + u2) % 7)
+            assert mul(spec, E(v1, u1), E(v2, u2)) == E((v1 + v2) % 9, (u1 + u2) % 7)
 
     def test_generator_orders_type4(self):
         spec = make_group("P2Q-Type4", 3, 2)
-        assert spec.elem_order(E(1, 0)) == 2
-        assert spec.elem_order(E(0, 1)) == 9
+        assert elem_order(spec, E(1, 0)) == 2
+        assert elem_order(spec, E(0, 1)) == 9
 
     def test_all_inverses_type4(self):
         spec = make_group("P2Q-Type4", 3, 2)
         for x in spec.elements():
-            assert spec.mul(x, spec.inv_elem(x)) == spec.identity
-            assert spec.mul(spec.inv_elem(x), x) == spec.identity
+            assert mul(spec, x, inv_elem(spec, x)) == spec.identity
+            assert mul(spec, inv_elem(spec, x), x) == spec.identity
 
     @pytest.mark.parametrize("family,p,q", ALL_DESK_SPECS)
     def test_group_axioms_exhaustive(self, family, p, q):
@@ -166,6 +176,19 @@ class TestAutGroup:
                 r"fails at \(x, g\) = \(3, 9\)$"
             )):
                 aut_group.__wrapped__(make_group("P2Q-Type4", 3, 2))
+
+    @pytest.mark.parametrize("family,p,q,gens", [
+        ("P2Q-Type4", 7, 3, [1, 2, 42]),
+        ("P2Q-Type2", 5, 11, [1, 10, 110]),
+        ("P2Q-Type2", 3, 19, [1, 18, 342]),
+        ("P2Q-Type3", 3, 19, [1, 18]),
+        ("P2Q-Type1", 3, 7, [1, 2, 6]),
+        ("PQ-Metacyclic", 13, 3, [1, 12]),
+        ("P2Q-Type4", 3, 2, [1, 6]),
+    ])
+    def test_generators_are_the_least_index_greedy_set(self, family, p, q, gens):
+        # the records' orbit walk visits conjugates in this order
+        assert aut_group(make_group(family, p, q)).generators() == gens
 
     def test_generators_generate(self):
         ag = aut_group(make_group("P2Q-Type2", 3, 7))
@@ -257,7 +280,7 @@ class TestPowers:
             want, acc = [], spec.identity
             for _ in range(k):
                 want.append(spec.idx(acc))
-                acc = spec.mul(acc, x)
+                acc = mul(spec, acc, x)
             assert table[spec.idx(x)].tolist() == want
             assert groups.powers(spec.mul_table, spec.idx(x), k, 0).tolist() == want
 
@@ -331,7 +354,7 @@ class TestPsi:
         psi = psi_for_A(spec, E(1, 0))
         p = spec.p
         for i in range(p):
-            gen = spec.mul(E(1, 0), spec.power(E(0, 1), p * i))
+            gen = mul(spec, E(1, 0), power(spec, E(0, 1), p * i))
             for member in spec.cyclic_subgroup(spec.idx(gen)):
                 assert ag.aperm[psi, member] == member
 
@@ -342,7 +365,7 @@ class TestPsi:
         assert ag.aperm[psi, spec.idx(E(0, 1))] == spec.idx(E(0, 1))
         for i in spec.elements_of_order(9):
             x = spec.el(i)
-            assert ag.aperm[psi, i] == spec.idx(spec.power(x, 1 + spec.p))
+            assert ag.aperm[psi, i] == spec.idx(power(spec, x, 1 + spec.p))
 
     def test_wrong_generator_rejected(self):
         spec = make_group("P2Q-Type4", 3, 2)
@@ -392,6 +415,54 @@ class TestClassify:
     def test_json_shape_mismatch(self):
         with pytest.raises(ValueError):
             groups.cayley_from_json('{"n": 3, "table": [[0, 1], [1, 0]]}')
+
+
+# C_2^3 with one intercalate switched: a loop whose greedy generators are
+# 1, 2, 4; (x y) g = x (y g) holds for all x, y at g = 1, not at 2 or 4
+_LOOP_8 = [
+    [0, 1, 2, 3, 4, 5, 6, 7],
+    [1, 0, 3, 2, 5, 4, 7, 6],
+    [2, 3, 0, 1, 6, 7, 4, 5],
+    [3, 2, 1, 0, 7, 6, 5, 4],
+    [4, 5, 6, 7, 1, 0, 2, 3],
+    [5, 4, 7, 6, 0, 1, 3, 2],
+    [6, 7, 4, 5, 2, 3, 0, 1],
+    [7, 6, 5, 4, 3, 2, 1, 0],
+]
+
+
+@st.composite
+def identity_tables(draw):
+    """Order 2..8, a two-sided identity at 0 and one identity entry per row."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    table = np.empty((n, n), dtype=np.int32)
+    table[0] = table[:, 0] = np.arange(n)
+    for i in range(1, n):
+        row = draw(st.lists(st.integers(1, n - 1), min_size=n - 1, max_size=n - 1))
+        row[draw(st.integers(0, n - 2))] = 0
+        table[i, 1:] = row
+    return table
+
+
+class TestValidateGroupTable:
+    @given(table=identity_tables())
+    @example(table=make_group("PQ-Metacyclic", 3, 2).mul_table)  # S_3
+    @example(table=(np.arange(8)[:, None] + np.arange(8)) % 8)  # C_8
+    @example(table=np.arange(8)[:, None] ^ np.arange(8))  # C_2^3: exactly log2 8 generators
+    @example(table=np.array(_LOOP_8))  # a later generator fails, the first passes
+    def test_rejects_exactly_the_non_associative_tables(self, table):
+        if is_associative(table):
+            assert groups._validate_group_table(table) == 0
+        else:
+            with pytest.raises(ValueError, match="^table is not associative$"):
+                groups._validate_group_table(table)
+
+    @pytest.mark.parametrize("family,p,q", ALL_DESK_SPECS)
+    def test_generating_set_stays_within_the_bound(self, family, p, q):
+        spec = make_group(family, p, q)
+        gens = groups._generating_set(spec.mul_table, 0)
+        assert 2 ** len(gens) <= spec.n
+        assert gens[0] == 1 and gens == sorted(gens)
 
 
 def _direct_product_table(orders):

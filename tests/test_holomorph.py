@@ -13,8 +13,10 @@ from reference import (
     conjugate_by_inv,
     flatten,
     inv,
+    inv_elem,
     is_regular,
     lambda_rep,
+    mul,
     rho,
     scalar_semiregular,
     subgroup_view,
@@ -94,7 +96,7 @@ class TestRhoLambda:
         for g in spec.elements():
             for h in spec.elements():
                 lhs = H.mul(flatten(H, rho(spec, g)), flatten(H, rho(spec, h)))
-                assert lhs == flatten(H, rho(spec, spec.mul(g, h)))
+                assert lhs == flatten(H, rho(spec, mul(spec, g, h)))
 
 
 class TestConjugateByInv:
@@ -104,7 +106,7 @@ class TestConjugateByInv:
         for g in spec.elements():
             image = conjugate_by_inv(spec, rho(spec, g))
             k = flatten(H, image)
-            ginv = spec.inv_elem(g)
+            ginv = inv_elem(spec, g)
             for x in range(spec.n):
                 assert act(H, k, x) == spec.mul_table[spec.idx(ginv), x]
 
