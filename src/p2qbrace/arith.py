@@ -3,14 +3,6 @@
 Moduli are plain positive ints.  Everything here is exact integer
 arithmetic at desk scale (group orders are capped at 10**4 upstream), so
 no big-number machinery is needed.
-
-The one non-generic piece is the partial geometric sum
-
-    es(k) = 1 + s + s**2 + ... + s**(k-1)  (mod m),
-
-which converts between ordinary powers and twisted powers of a cyclic
-generator.  When s = 1 (mod p) and m = p**n the values es(0), ...,
-es(p**n - 1) sweep out every residue class exactly once.
 """
 
 from __future__ import annotations
@@ -90,20 +82,6 @@ def canonical_action_exponent(order: int, m: int) -> int:
         if math.gcd(t, m) == 1 and mult_order(t, m) == order:
             return t
     raise ValueError(f"no residue of multiplicative order {order} modulo {m}")
-
-
-def es(k: int, s: int, m: int) -> int:
-    """Partial geometric sum 1 + s + ... + s**(k-1) reduced mod m; es(0) = 0."""
-    _check_modulus(m)
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    total = 0
-    power = 1
-    s = s % m
-    for _ in range(k):
-        total = (total + power) % m
-        power = power * s % m
-    return total
 
 
 @dataclass(frozen=True)

@@ -305,20 +305,17 @@ class RGF:
 def rgf_from_generator(spec: GroupSpec, a_gen: GroupElement, eta_idx: int) -> RGF:
     """The unique relative gamma function on A = <a_gen> with gamma(a) = eta.
 
-    Exists exactly when A is eta-invariant and ord(eta) divides |A|; the
-    values are spread over A through the partial-sum table of the twist
-    exponent s defined by a^eta = a^s: gamma(a^es(k)) = eta^k.  The lifted
-    table's functional-equation check in ``brace_from_gamma`` covers the
-    pairs of A x A, so the relative function is not checked here.
+    Exists exactly when A is eta-invariant and ord(eta) divides |A|.  It is
+    <(eta, a)> in Hol(G), and (alpha, g)(beta, h) = (alpha beta, g^beta h)
+    makes its k-th power (eta^k, a^(o k)): gamma(a^(o k)) = eta^k, where
+    a^(o k) is k steps of x -> x^eta a from the identity.  The lifted
+    table's GFE check in ``brace_from_gamma`` covers A x A; none is made here.
     """
-    from . import arith
-
     ag = aut_group(spec)
     a_idx = spec.idx(a_gen)
     d = int(spec.orders[a_idx])
     a_pows = powers(spec.mul_table, a_idx, d, 0)
-    hits = np.flatnonzero(a_pows == ag.aperm[eta_idx, a_idx])
-    if hits.size == 0:
+    if ag.aperm[eta_idx, a_idx] not in a_pows:
         raise NotInvariantError(
             "not-invariant: the subgroup <a> is not invariant under the proposed image"
         )
@@ -326,10 +323,12 @@ def rgf_from_generator(spec: GroupSpec, a_gen: GroupElement, eta_idx: int) -> RG
         raise OrderTooBigError(
             f"order-too-big: ord(eta) = {ag.order_of(eta_idx)} does not divide |<a>| = {d}"
         )
-    s = int(hits[0])
-    es = [arith.es(k, s, d) for k in range(d)]
+    step = spec.mul_table[ag.aperm[eta_idx], a_idx].tolist()  # x -> x^eta a
+    circle_pows = [0]
+    for _ in range(d - 1):
+        circle_pows.append(step[circle_pows[-1]])
     eta_pows = powers(ag.comp, eta_idx, d, ag.identity_idx)
-    values = dict(zip(a_pows[es].tolist(), eta_pows.tolist()))
+    values = dict(zip(circle_pows, eta_pows.tolist()))
     if len(values) != d:
         # unreachable for the orders in scope; guards against misuse
         raise OrderTooBigError("order-too-big: twisted powers do not sweep out <a>")

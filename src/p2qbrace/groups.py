@@ -128,13 +128,6 @@ class GroupSpec:
         v, u = divmod(i, self.n_mod)
         return GroupElement(v, u)
 
-    def elements(self) -> list[GroupElement]:
-        return [self.el(i) for i in range(self.n)]
-
-    @property
-    def identity(self) -> GroupElement:
-        return GroupElement(0, 0)
-
     @property
     def identity_idx(self) -> int:
         return 0
@@ -618,10 +611,11 @@ def classify_iso_type(table, assume_group: bool = False) -> IsoResult:
     ident = _find_identity_fast(table) if assume_group else _validate_group_table(table)
 
     orders = _element_orders(table, ident)
-    abelian = bool(np.array_equal(table, table.T))
+    sym = table == table.T
+    abelian = bool(sym.all())
     cyclic = bool((orders == n).any())
     has_p2 = bool((orders == p * p).any()) if is_p2q else True
-    center_size = int((table == table.T).all(axis=1).sum())
+    center_size = int(sym.all(axis=1).sum())
     p_part = p * p if is_p2q else p
     num_p_elements = int((p_part % orders == 0).sum())
     num_q_elements = int(((orders == 1) | (orders == q)).sum())

@@ -8,18 +8,31 @@ which the tests compare ``closure_search_regular`` against.
 walk over each element's powers one at a time.
 ``subgroup_view`` turns the flat member indices that search returns into
 holomorph elements and their sorted pair key.  ``search_candidates`` is
-the search's candidate filter written as a plain loop.  ``es_table`` and
-``fs`` invert the partial geometric sums of ``arith.es``.  The pointwise
-circle operation and its closed-form inverse, the morphism tests, the
-inversion gamma function and ``nu_subgroup`` give the tests independent
-views of one gamma function.  ``mul``, ``inv_elem``, ``power`` and
-``elem_order`` are the scalar group law on ``GroupElement`` pairs, read
-off the presentation and not off ``mul_table``.  ``scalar_aut_perms`` is
-the automorphism search written with that law, one generator-image pair
-at a time, ``check_rgf_gfe`` checks the functional equation of a relative
-gamma function pair by pair, and ``scalar_lift`` is ``brace.lift_rgf``
-written as a loop over the pairs (a, b).  ``is_associative`` checks
-(x y) z = x (y z) one row of x at a time, over every triple.
+the search's candidate filter written as a plain loop.
+
+``es`` is the partial geometric sum
+
+    es(k) = 1 + s + s**2 + ... + s**(k-1)  (mod m),
+
+which converts between ordinary powers and twisted powers of a cyclic
+generator.  When s = 1 (mod p) and m = p**n the values es(0), ...,
+es(p**n - 1) sweep out every residue class exactly once.  ``es_table``
+and ``fs`` invert it, and ``rgf_by_partial_sums`` is
+``brace.rgf_from_generator`` written with it: the twist exponent s with
+a^eta = a^s, then gamma(a^es(k)) = eta^k.
+
+The pointwise circle operation and its closed-form inverse, the morphism
+tests, the inversion gamma function and ``nu_subgroup`` give the tests
+independent views of one gamma function.  ``elements`` and ``identity``
+name a group's elements as ``GroupElement`` pairs.  ``mul``,
+``inv_elem``, ``power`` and ``elem_order`` are the scalar group law on
+those pairs, read off the presentation and not off ``mul_table``.
+``scalar_aut_perms`` is the automorphism search written with that law,
+one generator-image pair at a time, ``check_rgf_gfe`` checks the
+functional equation of a relative gamma function pair by pair, and
+``scalar_lift`` is ``brace.lift_rgf`` written as a loop over the pairs
+(a, b).  ``is_associative`` checks (x y) z = x (y z) one row of x at a
+time, over every triple.
 """
 
 from __future__ import annotations
@@ -37,9 +50,11 @@ from p2qbrace.brace import (
     GammaFunction,
     GfeError,
     LiftPreconditionError,
+    NotInvariantError,
+    OrderTooBigError,
     gamma_from_array,
 )
-from p2qbrace.groups import GroupElement, GroupSpec, aut_group
+from p2qbrace.groups import GroupElement, GroupSpec, aut_group, powers
 from p2qbrace.holomorph import Holomorph, holo
 
 
@@ -52,6 +67,20 @@ def smallest_prime_factor(n: int) -> int:
             return d
         d += 1
     return n
+
+
+def es(k: int, s: int, m: int) -> int:
+    """Partial geometric sum 1 + s + ... + s**(k-1) reduced mod m; es(0) = 0."""
+    arith._check_modulus(m)
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    total = 0
+    power = 1
+    s = s % m
+    for _ in range(k):
+        total = (total + power) % m
+        power = power * s % m
+    return total
 
 
 @dataclass(frozen=True)
@@ -72,7 +101,7 @@ class EsTable:
 
 @lru_cache(maxsize=None)
 def es_table(s: int, m: int) -> EsTable:
-    values = tuple(arith.es(k, s, m) for k in range(m))
+    values = tuple(es(k, s, m) for k in range(m))
     if sorted(values) != list(range(m)):
         raise ValueError(
             f"partial sums of s={s} do not cover all residues modulo {m}"
@@ -94,6 +123,33 @@ def fs(r: int, s: int, m: int) -> int:
     return es_table(s, m).inverse(r)
 
 
+def rgf_by_partial_sums(spec: GroupSpec, a_gen: GroupElement, eta_idx: int) -> RGF:
+    """``brace.rgf_from_generator`` through the partial-sum table of the
+    twist exponent s defined by a^eta = a^s: gamma(a^es(k)) = eta^k, with
+    the same preconditions, messages and sweep guard."""
+    ag = aut_group(spec)
+    a_idx = spec.idx(a_gen)
+    d = int(spec.orders[a_idx])
+    a_pows = powers(spec.mul_table, a_idx, d, 0)
+    hits = np.flatnonzero(a_pows == ag.aperm[eta_idx, a_idx])
+    if hits.size == 0:
+        raise NotInvariantError(
+            "not-invariant: the subgroup <a> is not invariant under the proposed image"
+        )
+    if d % ag.order_of(eta_idx) != 0:
+        raise OrderTooBigError(
+            f"order-too-big: ord(eta) = {ag.order_of(eta_idx)} does not divide |<a>| = {d}"
+        )
+    s = int(hits[0])
+    es_vals = [es(k, s, d) for k in range(d)]
+    eta_pows = powers(ag.comp, eta_idx, d, ag.identity_idx)
+    values = dict(zip(a_pows[es_vals].tolist(), eta_pows.tolist()))
+    if len(values) != d:
+        # unreachable for the orders in scope; guards against misuse
+        raise OrderTooBigError("order-too-big: twisted powers do not sweep out <a>")
+    return RGF(spec=spec, domain=tuple(sorted(values)), values=values)
+
+
 def mod_pow(base: int, exp: int, m: int) -> int:
     """base**exp reduced into [0, m)."""
     arith._check_modulus(m)
@@ -109,6 +165,14 @@ def totals(p: int, q: int, gamma_type: int) -> int:
 def iota(spec: GroupSpec, g: GroupElement) -> int:
     """Index in Aut(G) of the inner automorphism x -> g^-1 x g."""
     return int(aut_group(spec).iota_map[spec.idx(g)])
+
+
+def elements(spec: GroupSpec) -> list[GroupElement]:
+    return [spec.el(i) for i in range(spec.n)]
+
+
+def identity(spec: GroupSpec) -> GroupElement:
+    return GroupElement(0, 0)
 
 
 def mul(spec: GroupSpec, x: GroupElement, y: GroupElement) -> GroupElement:
@@ -130,7 +194,7 @@ def inv_elem(spec: GroupSpec, x: GroupElement) -> GroupElement:
 def power(spec: GroupSpec, x: GroupElement, k: int) -> GroupElement:
     if k < 0:
         return power(spec, inv_elem(spec, x), -k)
-    acc = spec.identity
+    acc = identity(spec)
     for _ in range(k):
         acc = mul(spec, acc, x)
     return acc
@@ -139,7 +203,7 @@ def power(spec: GroupSpec, x: GroupElement, k: int) -> GroupElement:
 def elem_order(spec: GroupSpec, x: GroupElement) -> int:
     k = 1
     acc = x
-    while acc != spec.identity:
+    while acc != identity(spec):
         acc = mul(spec, acc, x)
         k += 1
     return k
@@ -156,14 +220,14 @@ def scalar_aut_perms(spec: GroupSpec) -> np.ndarray:
     defining relation is expanded element by element and kept when
     bijective; rows are sorted by the image of a, then of b."""
     def power_list(x, k):
-        out = [spec.identity]
+        out = [identity(spec)]
         for _ in range(k - 1):
             out.append(mul(spec, out[-1], x))
         return out
 
-    a_pows = [power_list(x, spec.c_mod) for x in spec.elements()
+    a_pows = [power_list(x, spec.c_mod) for x in elements(spec)
               if elem_order(spec, x) == spec.c_mod]
-    b_pows = [power_list(y, spec.n_mod) for y in spec.elements()
+    b_pows = [power_list(y, spec.n_mod) for y in elements(spec)
               if elem_order(spec, y) == spec.n_mod]
     perms = []
     for apow in a_pows:

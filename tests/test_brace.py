@@ -23,7 +23,10 @@ from reference import (
     circle,
     circle_inverse,
     conjugate_by_inv,
+    elements,
+    es,
     flatten,
+    identity,
     inversion_gamma,
     is_morphism,
     is_regular,
@@ -31,6 +34,7 @@ from reference import (
     mul,
     nu_subgroup,
     power,
+    rgf_by_partial_sums,
     rgf_is_morphism,
     rho,
     scalar_lift,
@@ -74,14 +78,14 @@ class TestCircle:
     def test_identity_gamma_circle_is_mul(self):
         spec = make_group("P2Q-Type4", 3, 2)
         gm = identity_gamma(spec)
-        for x in spec.elements()[:6]:
-            for y in spec.elements()[:6]:
+        for x in elements(spec)[:6]:
+            for y in elements(spec)[:6]:
                 assert circle(gm, x, y) == mul(spec, x, y)
 
     def test_circle_inverse_identity(self):
         gm = identity_gamma(make_group("P2Q-Type1", 3, 7))
         spec = gm.spec
-        assert circle_inverse(gm, spec.identity) == spec.identity
+        assert circle_inverse(gm, identity(spec)) == identity(spec)
 
     def test_closed_form_inverse_matches_table(self, enum_cache):
         result = enum_cache("P2Q-Type4", 3, 2)
@@ -156,13 +160,13 @@ class TestNuSubgroup:
     def test_identity_gamma_gives_right_translations(self):
         spec = make_group("P2Q-Type1", 3, 2)
         assert nu_subgroup(identity_gamma(spec)) == {
-            rho(spec, g) for g in spec.elements()
+            rho(spec, g) for g in elements(spec)
         }
 
     def test_inversion_gamma_gives_left_translations(self):
         spec = make_group("P2Q-Type4", 3, 2)
         assert nu_subgroup(inversion_gamma(spec)) == {
-            lambda_rep(spec, g) for g in spec.elements()
+            lambda_rep(spec, g) for g in elements(spec)
         }
 
     def test_regular_and_injective_over_enumeration(self, enum_cache):
@@ -252,8 +256,6 @@ class TestRgf:
         assert all(v == ag.identity_idx for v in rgf.values.values())
 
     def test_type1_twist_follows_partial_sums(self):
-        from p2qbrace import arith
-
         spec = make_group("P2Q-Type1", 3, 7)
         ag = aut_group(spec)
         a_idx, b_idx = spec.idx(E(1, 0)), spec.idx(E(0, 1))
@@ -263,8 +265,31 @@ class TestRgf:
         )
         rgf = rgf_from_generator(spec, E(1, 0), eta)
         for k in range(9):
-            el = spec.idx(power(spec, E(1, 0), arith.es(k, 4, 9)))
+            el = spec.idx(power(spec, E(1, 0), es(k, 4, 9)))
             assert rgf.values[el] == aut_power(spec, eta, k)
+
+    @pytest.mark.parametrize("family,p,q", [
+        ("P2Q-Type1", 3, 7), ("P2Q-Type2", 3, 7), ("P2Q-Type3", 3, 19), ("P2Q-Type4", 3, 2),
+    ])
+    def test_walk_matches_partial_sums(self, family, p, q):
+        # every (element of order p, p^2 or q, automorphism) pair: the same
+        # error class and message, or the same domain and values
+        spec = make_group(family, p, q)
+
+        def outcome(build, g, eta):
+            try:
+                rgf = build(spec, spec.el(g), eta)
+            except (brace.NotInvariantError, brace.OrderTooBigError) as exc:
+                return type(exc), str(exc)
+            return rgf.domain, rgf.values
+
+        built = 0
+        for g in (g for k in (p, p * p, q) for g in spec.elements_of_order(k)):
+            for eta in range(aut_group(spec).size):
+                want = outcome(rgf_by_partial_sums, g, eta)
+                assert outcome(rgf_from_generator, g, eta) == want
+                built += isinstance(want[0], tuple)
+        assert built > 0
 
     def test_rejects_order_not_dividing(self):
         spec = make_group("P2Q-Type1", 3, 7)

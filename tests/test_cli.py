@@ -106,6 +106,14 @@ class TestEnumerate:
         assert (code, out, err) == (3, "", message)
         assert groups.aut_group.cache_info() == before  # never called
 
+    def test_type1_rgfs_are_built_promptly(self, capsys):
+        # the RGFs on <a> of order 961 are walked in O(d) steps; partial
+        # sums recomputed for each power took about 2 s
+        start = time.perf_counter()
+        code, _, _ = run(capsys, "enumerate", "--p", "31", "--q", "2", "--type", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "braces.jsonl"
         code, out, _ = run(capsys, "enumerate", "--p", "3", "--q", "2",
