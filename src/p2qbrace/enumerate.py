@@ -8,8 +8,12 @@
   assignments: the functional equation itself is the propagation rule,
   so nothing family-specific enters.  Since a solution makes (G, o) a
   group, it branches on x only over the automorphisms alpha for which
-  y -> y^alpha x has no fixed point.  It runs while |G| x |Aut|, the size
-  of that candidate mask, is within ``GFE_SEARCH_BUDGET``.
+  y -> y^alpha x has no fixed point.  A branch is closed under right
+  multiplication by the elements decided so far, not checked pair by
+  pair: gamma is consistent on a set A exactly when {(gamma(g), g) :
+  g in A} is a subgroup of Hol(G), and a set closed under its
+  generators is that subgroup.  It runs while |G| x |Aut|, the size of
+  the candidate mask, is within ``GFE_SEARCH_BUDGET``.
 * ``closure_oracle`` reads gamma tables off the regular subgroups found
   by the holomorph closure search, a route that never touches the
   functional equation or the other two routes.
@@ -49,8 +53,9 @@ from .brace import (
 from .groups import (GroupElement, GroupSpec, aut_group, aut_order, check_aut_gate,
                      make_group, powers, psi_for_A)
 
-# |G| x |Aut|, the cells of the search's candidate table
-GFE_SEARCH_BUDGET = 200_000
+# |G| x |Aut|, the cells of the search's candidate table; Type4 (7,3) is
+# the largest group it admits
+GFE_SEARCH_BUDGET = 302_526
 
 
 class SearchTooLargeError(RuntimeError):
@@ -339,38 +344,61 @@ def structured_enumerate(spec: GroupSpec) -> EnumerationResult:
 
 
 def _propagate(mt: np.ndarray, aperm: np.ndarray, comp: np.ndarray,
-               gamma: np.ndarray, fresh: list[int]) -> bool:
-    """Close a partial assignment under the functional equation, in place.
+               gamma: np.ndarray, x: int, decided: list[int]) -> bool:
+    """Close a branch under right multiplication by its decided elements,
+    in place; returns False on a conflict.
 
-    Every pair (g, h) with g or h freshly assigned forces
-    gamma[g^gamma(h) h] = gamma(g) gamma(h); returns False on a conflict.
-    Each round visits every such pair once: (fresh, assigned), then
-    (assigned earlier, fresh).
+    A pair (g, h) of assigned elements forces gamma[g^gamma(h) h] =
+    gamma(g) gamma(h).  On entry the assigned set is closed under
+    g -> g o s for every s in ``decided``, each such pair consistent, and
+    x has just been assigned.  The first round checks (assigned, x) and
+    (x, s) for s in ``decided``; each later round checks the elements the
+    round before assigned against ``decided`` and x.
     """
-    fr = np.asarray(fresh, dtype=np.int64)
-    while fr.size:
-        assigned = np.flatnonzero(gamma >= 0)
-        is_fresh = np.zeros(gamma.size, dtype=bool)
-        is_fresh[fr] = True
-        collected: list[np.ndarray] = []
-        for gs, hs in ((fr, assigned), (assigned[~is_fresh[assigned]], fr)):
-            gamma_h = gamma[hs]
-            targets = mt[aperm[gamma_h[None, :], gs[:, None]], hs[None, :]].ravel()
-            values = comp[gamma[gs][:, None], gamma_h[None, :]].ravel()
-            current = gamma[targets]
-            if ((current >= 0) & (current != values)).any():
-                return False
-            unset = current < 0
-            if unset.any():
-                targets, values = targets[unset], values[unset]
-                gamma[targets] = values
-                if not (gamma[targets] == values).all():
-                    return False
-                collected.append(targets)
-        if not collected:
-            return True
-        fr = np.unique(np.concatenate(collected))
+    gens = np.array([*decided, x])
+    assigned = np.flatnonzero(gamma >= 0)
+    gs = np.concatenate([assigned, np.full(len(decided), x)])
+    hs = np.concatenate([np.full(assigned.size, x), gens[:-1]])
+    while gs.size:
+        gamma_h = gamma[hs]
+        targets = mt[aperm[gamma_h, gs], hs]
+        values = comp[gamma[gs], gamma_h]
+        unset = gamma[targets] < 0
+        new = targets[unset]
+        gamma[new] = values[unset]
+        # a conflict, or one new target given two values
+        if not (gamma[targets] == values).all():
+            return False
+        fresh = np.zeros(gamma.size, dtype=bool)
+        fresh[new] = True
+        gs, hs = np.flatnonzero(fresh)[:, None], gens
     return True
+
+
+def _first_round(mt: np.ndarray, aperm: np.ndarray, comp: np.ndarray,
+                 gamma: np.ndarray, x: int, alphas: np.ndarray) -> np.ndarray:
+    """Which candidates alpha for gamma(x) survive the pairs (x, h), (g, x)
+    and (x, x) over the assigned g and h, all rows in one batch.
+
+    A row fails on a conflict with gamma or when one target gets two
+    values: exactly the branches that the first round of checking every
+    assigned pair would reject.
+    """
+    assigned = np.flatnonzero(gamma >= 0)
+    gamma_a = gamma[assigned]
+    col = alphas[:, None]
+    targets = np.hstack([
+        np.broadcast_to(mt[aperm[gamma_a, x], assigned], (alphas.size, assigned.size)),
+        mt[aperm[col, assigned], x],
+        mt[aperm[col, x], x],
+    ])
+    values = np.hstack([comp[col, gamma_a], comp[gamma_a, col], comp[col, col]])
+    table = np.tile(gamma, (alphas.size, 1))
+    table[:, x] = alphas
+    rows = np.broadcast_to(np.arange(alphas.size)[:, None], targets.shape)
+    unset = table[rows, targets] < 0
+    table[rows[unset], targets[unset]] = values[unset]
+    return (table[rows, targets] == values).all(axis=1)
 
 
 def gfe_search(spec: GroupSpec) -> EnumerationResult:
@@ -380,8 +408,19 @@ def gfe_search(spec: GroupSpec) -> EnumerationResult:
     assigned values force a third) to a fixpoint; conflicts prune, and
     branching runs over the least unassigned element with automorphism
     candidates in canonical order, so the output order is deterministic.
-    Propagation has checked every pair of a full assignment, so leaves
-    are not re-checked.
+
+    The equation holds for (g, h) exactly when rho_g rho_h = rho_(g o h)
+    in Hol(G), where rho_g = (gamma(g), g) and g o h = g^gamma(h) h.  So
+    propagation closes a branch under right multiplication by the
+    elements S it has branched on, x included: if A is closed under
+    g -> g o s for every s in S and every such pair holds, then
+    {rho_g : g in A} is the group the rho_s generate, and every pair of A
+    holds.  Each closure therefore ends where closing under every
+    assigned pair would, with the same gamma or the same conflict, and a
+    full assignment is a gamma function: leaves are not re-checked.
+    Before any propagation, ``_first_round`` drops in one batch the
+    candidates of x that the first round over every assigned pair would
+    reject, so the tree and its nodes do not change.
 
     A solution makes (G, o) a group with y o x = y^gamma(x) x, and in a
     group y o x = y forces x = 1.  So for x != 1, gamma(x) = alpha only if
@@ -405,24 +444,25 @@ def gfe_search(spec: GroupSpec) -> EnumerationResult:
     fpf = ag.fixed_point_free
     found: dict[tuple[int, ...], GammaFunction] = {}
 
-    def dfs(gamma: np.ndarray) -> None:
+    def dfs(gamma: np.ndarray, decided: list[int]) -> None:
         unassigned = np.flatnonzero(gamma < 0)
         if unassigned.size == 0:
             gm = gamma_from_array(spec, gamma)
             found[gm.key] = gm
             return
         x = int(unassigned[0])
-        for candidate in np.flatnonzero(fpf[:, x]).tolist():
+        alphas = np.flatnonzero(fpf[:, x])
+        for alpha in alphas[_first_round(mt, aperm, comp, gamma, x, alphas)].tolist():
             branch = gamma.copy()
-            branch[x] = candidate
-            if _propagate(mt, aperm, comp, branch, [x]):
-                dfs(branch)
+            branch[x] = alpha
+            if _propagate(mt, aperm, comp, branch, x, decided):
+                dfs(branch, [*decided, x])
 
     root = np.full(spec.n, -1, dtype=np.int32)
     root[spec.identity_idx] = ag.identity_idx
-    if not _propagate(mt, aperm, comp, root, [spec.identity_idx]):
+    if not _propagate(mt, aperm, comp, root, spec.identity_idx, []):
         raise AssertionError("the trivial seed assignment cannot conflict")
-    dfs(root)
+    dfs(root, [])
     return EnumerationResult(spec, "gfe-search", found)
 
 

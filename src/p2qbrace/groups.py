@@ -639,16 +639,40 @@ def _find_identity_fast(table: np.ndarray) -> int:
 
 
 def _element_orders(table: np.ndarray, ident: int) -> np.ndarray:
+    """Every element's order, by descent from n = |table|: while p divides
+    an element's order d and x^(d/p) is the identity, d drops to d/p, for
+    each prime p dividing n.  Each x^e is a square-and-multiply walk of
+    gathers, all elements at once."""
     n = table.shape[0]
     rng = np.arange(n)
-    orders = np.zeros(n, dtype=np.int32)
-    cur = rng.copy()  # cur[x] = x^k
-    for k in range(1, n + 1):
-        orders[(cur == ident) & (orders == 0)] = k
-        if orders.all():
-            return orders
-        cur = table[cur, rng]
-    raise ValueError("table rows do not close; not a group table")
+
+    def power(e: np.ndarray) -> np.ndarray:
+        out = np.full(n, ident, dtype=table.dtype)
+        base = rng
+        while e.any():
+            odd = (e & 1).astype(bool)
+            out[odd] = table[out[odd], base[odd]]
+            base = table[base, base]
+            e = e >> 1
+        return out
+
+    orders = np.full(n, n, dtype=np.int64)
+    if (power(orders) != ident).any():
+        raise ValueError("table rows do not close; not a group table")
+    p, m = 2, n
+    while m > 1:
+        if p * p > m:
+            p = m  # what is left is prime
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            while True:
+                drop = (orders % p == 0) & (power(orders // p) == ident)
+                if not drop.any():
+                    break
+                orders[drop] //= p
+        p += 1
+    return orders.astype(np.int32)
 
 
 def _name_fingerprint(fp: Fingerprint, is_p2q: bool) -> str:

@@ -9,6 +9,13 @@ walk over each element's powers one at a time.
 ``subgroup_view`` turns the flat member indices that search returns into
 holomorph elements and their sorted pair key.  ``search_candidates`` is
 the search's candidate filter written as a plain loop.
+``all_pairs_propagate`` is the search's propagation as it was before it
+closed a branch under its decided elements only: every round checks
+each pair with a freshly assigned member.  ``all_pairs_search`` is the
+search's DFS driven by it, without the batched first round.
+``element_orders_by_steps`` finds every element's order by stepping all
+powers one exponent at a time, the O(n · exp(G)) walk that
+``groups._element_orders`` replaced.
 
 ``es`` is the partial geometric sum
 
@@ -294,6 +301,81 @@ def scalar_lift(spec: GroupSpec, rgf: RGF, complement: Iterable[int]) -> GammaFu
             "lift-precondition-failed: the factors do not cover the group"
         )
     return GammaFunction(spec, tuple(table))
+
+
+def all_pairs_propagate(mt: np.ndarray, aperm: np.ndarray, comp: np.ndarray,
+                        gamma: np.ndarray, fresh: list[int]) -> bool:
+    """Close a partial assignment under the functional equation, in place.
+
+    Every pair (g, h) with g or h freshly assigned forces
+    gamma[g^gamma(h) h] = gamma(g) gamma(h); returns False on a conflict.
+    Each round visits every such pair once: (fresh, assigned), then
+    (assigned earlier, fresh).
+    """
+    fr = np.asarray(fresh, dtype=np.int64)
+    while fr.size:
+        assigned = np.flatnonzero(gamma >= 0)
+        is_fresh = np.zeros(gamma.size, dtype=bool)
+        is_fresh[fr] = True
+        collected: list[np.ndarray] = []
+        for gs, hs in ((fr, assigned), (assigned[~is_fresh[assigned]], fr)):
+            gamma_h = gamma[hs]
+            targets = mt[aperm[gamma_h[None, :], gs[:, None]], hs[None, :]].ravel()
+            values = comp[gamma[gs][:, None], gamma_h[None, :]].ravel()
+            current = gamma[targets]
+            if ((current >= 0) & (current != values)).any():
+                return False
+            unset = current < 0
+            if unset.any():
+                targets, values = targets[unset], values[unset]
+                gamma[targets] = values
+                if not (gamma[targets] == values).all():
+                    return False
+                collected.append(targets)
+        if not collected:
+            return True
+        fr = np.unique(np.concatenate(collected))
+    return True
+
+
+def all_pairs_search(spec: GroupSpec) -> list[tuple[int, ...]]:
+    """The search's gamma tables in the order its DFS finds them, with
+    every candidate of the least unassigned element closed by
+    ``all_pairs_propagate`` and no batched first round."""
+    ag = aut_group(spec)
+    mt, aperm, comp, fpf = spec.mul_table, ag.aperm, ag.comp, ag.fixed_point_free
+    found: list[tuple[int, ...]] = []
+
+    def dfs(gamma: np.ndarray) -> None:
+        unassigned = np.flatnonzero(gamma < 0)
+        if unassigned.size == 0:
+            found.append(tuple(gamma.tolist()))
+            return
+        x = int(unassigned[0])
+        for alpha in np.flatnonzero(fpf[:, x]).tolist():
+            branch = gamma.copy()
+            branch[x] = alpha
+            if all_pairs_propagate(mt, aperm, comp, branch, [x]):
+                dfs(branch)
+
+    root = np.full(spec.n, -1, dtype=np.int32)
+    root[spec.identity_idx] = ag.identity_idx
+    dfs(root)
+    return found
+
+
+def element_orders_by_steps(table: np.ndarray, ident: int) -> np.ndarray:
+    """Every element's order, by stepping all powers one exponent at a time."""
+    n = table.shape[0]
+    rng = np.arange(n)
+    orders = np.zeros(n, dtype=np.int32)
+    cur = rng.copy()  # cur[x] = x^k
+    for k in range(1, n + 1):
+        orders[(cur == ident) & (orders == 0)] = k
+        if orders.all():
+            return orders
+        cur = table[cur, rng]
+    raise ValueError("table rows do not close; not a group table")
 
 
 def search_candidates(spec: GroupSpec, x: int) -> set[int]:

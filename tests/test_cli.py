@@ -81,19 +81,20 @@ class TestEnumerate:
         assert "oracle-too-large" in err
 
     def test_search_gate_exit_code(self, capsys):
-        # |G| x |Aut| = 98 x 2058 is over the search budget
-        code, out, err = run(capsys, "enumerate", "--p", "7", "--q", "2",
-                             "--type", "4", "--method", "search")
+        # |G| x |Aut| = 637 x 504 = 321,048: the least group of order p^2 q
+        # over the search budget
+        code, out, err = run(capsys, "enumerate", "--p", "7", "--q", "13",
+                             "--type", "1", "--method", "search")
         assert code == 3
         assert out == ""
         assert err.startswith("error: search-too-large: ")
-        assert "201684" in err and "200000" in err
+        assert "321048" in err and "302526" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("method,message", [
         ("oracle", "error: oracle-too-large: |Hol(G)| = 8489448 exceeds the limit 1200\n"),
         ("search", "error: search-too-large: |G| x |Aut| = 3573 x 2376 = 8489448 "
-                   "exceeds the budget 200000\n"),
+                   "exceeds the budget 302526\n"),
     ], ids=["oracle", "search"])
     def test_gates_answer_before_aut_is_built(self, capsys, method, message):
         # Type1 (3, 397) passes the table gate, so only the closed-form
@@ -244,6 +245,15 @@ class TestVerify:
         assert statuses["type3/closure-oracle-agrees"] == "skipped"
         assert statuses["type2/gfe-search-agrees"] == "pass"
         assert statuses["type3/gfe-search-agrees"] == "pass"
+
+    @pytest.mark.slow
+    def test_type4_with_odd_acting_prime_is_searched(self, capsys):
+        # |G| x |Aut| = 147 x 2058 = 302,526 is within the search budget
+        code, out, _ = run(capsys, "verify", "--p", "7", "--q", "3")
+        assert code == 0
+        report = json.loads(out)
+        statuses = {c["name"]: c["status"] for c in report["checks"]}
+        assert statuses["type4/gfe-search-agrees"] == "pass"
 
     @pytest.mark.slow
     def test_raised_oracle_limit_covers_medium_pair(self, capsys):

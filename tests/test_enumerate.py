@@ -8,7 +8,7 @@ from p2qbrace import brace, holomorph
 from p2qbrace import enumerate as routes
 from p2qbrace.brace import dual_gamma
 from p2qbrace.groups import AutTooLargeError, GroupSpec, aut_group, make_group
-from reference import scalar_lift, search_candidates
+from reference import all_pairs_propagate, all_pairs_search, scalar_lift, search_candidates
 
 
 def orbit_shape(result):
@@ -162,9 +162,9 @@ class TestGfeSearch:
         assert result.counts_by_type() == {"Type1": 5}
 
     def test_size_gate(self):
-        # |G| x |Aut| = 98 x 2058 = 201,684, just over the budget
-        with pytest.raises(routes.SearchTooLargeError, match="^search-too-large: .*201684"):
-            routes.gfe_search(make_group("P2Q-Type4", 7, 2))
+        # |G| x |Aut| = 583 x 520 = 303,160, the least group over the budget
+        with pytest.raises(routes.SearchTooLargeError, match="^search-too-large: .*303160"):
+            routes.gfe_search(make_group("PQ-Cyclic", 53, 11))
 
     def test_gate_is_overridable(self, monkeypatch):
         # covered at full scale by the acceptance suite; here just that the
@@ -220,21 +220,66 @@ class TestGfeSearch:
             assert all(v is ints[v] for v in key)
 
     def test_pinned_propagation_and_node_counts(self, monkeypatch):
-        # one _propagate call per tried branch plus the root; a call that
-        # succeeds opens one DFS node
-        calls = Counter()
+        # one _propagate call per branch the batched first round keeps,
+        # plus the root; a call that succeeds opens one DFS node
         propagate = routes._propagate
+        for family, p, q, tables, pinned in [
+            ("P2Q-Type2", 3, 7, 90, Counter(propagations=272, nodes=96)),
+            ("P2Q-Type2", 3, 19, 918, Counter(propagations=2108, nodes=936)),
+        ]:
+            calls = Counter()
 
-        def counting(*args):
-            ok = propagate(*args)
-            calls["propagations"] += 1
-            calls["nodes"] += ok
+            def counting(*args):
+                ok = propagate(*args)
+                calls["propagations"] += 1
+                calls["nodes"] += ok
+                return ok
+
+            monkeypatch.setattr(routes, "_propagate", counting)
+            result = routes.gfe_search(make_group(family, p, q))
+            assert len(result.gammas) == tables
+            assert calls == pinned
+
+    REFERENCE_GROUPS = [
+        ("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7), ("PQ-Metacyclic", 7, 3), ("P2Q-Type3", 3, 19),
+    ]
+
+    @pytest.mark.parametrize("family,p,q", REFERENCE_GROUPS)
+    def test_every_node_matches_the_all_pairs_reference(self, monkeypatch, family, p, q):
+        # closing under the decided elements gives the all-pairs answer on
+        # every branch, and the batched first round drops only branches
+        # that the all-pairs rule rejects
+        propagate, first_round = routes._propagate, routes._first_round
+        seen = Counter()
+
+        def checked(mt, aperm, comp, gamma, x, decided):
+            want = gamma.copy()
+            ok = all_pairs_propagate(mt, aperm, comp, want, [x])
+            assert propagate(mt, aperm, comp, gamma, x, decided) == ok
+            if ok:
+                assert np.array_equal(gamma, want)
+            seen["propagations"] += 1
             return ok
 
-        monkeypatch.setattr(routes, "_propagate", counting)
-        result = routes.gfe_search(make_group("P2Q-Type2", 3, 7))
-        assert len(result.gammas) == 90
-        assert calls == Counter(propagations=650, nodes=96)
+        def filtered(mt, aperm, comp, gamma, x, alphas):
+            keep = first_round(mt, aperm, comp, gamma, x, alphas)
+            for alpha in alphas[~keep].tolist():
+                branch = gamma.copy()
+                branch[x] = alpha
+                assert not all_pairs_propagate(mt, aperm, comp, branch, [x])
+                seen["dropped"] += 1
+            return keep
+
+        monkeypatch.setattr(routes, "_propagate", checked)
+        monkeypatch.setattr(routes, "_first_round", filtered)
+        result = routes.gfe_search(make_group(family, p, q))
+        assert result.gammas and seen["propagations"] > len(result.gammas)
+        assert seen["dropped"] > 0
+
+    @pytest.mark.parametrize("family,p,q", REFERENCE_GROUPS)
+    def test_key_sequence_matches_the_all_pairs_search(self, family, p, q):
+        spec = make_group(family, p, q)
+        assert list(routes.gfe_search(spec).gammas) == all_pairs_search(spec)
 
 
 class TestClosureOracle:

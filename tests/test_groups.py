@@ -11,6 +11,7 @@ from p2qbrace.groups import aut_group, classify_iso_type, make_group, psi_for_A
 from reference import (
     cayley_to_json,
     elem_order,
+    element_orders_by_steps,
     elements,
     identity,
     inv_elem,
@@ -303,6 +304,40 @@ class TestPowers:
         assert groups.powers(mt, 5, 1, 0).tolist() == [0]
         assert groups.powers(mt, 5, 0, 0).shape == (0,)
         assert groups.powers(mt, np.array([[1, 2]]), 2, 0).tolist() == [[[0, 1], [0, 2]]]
+
+
+class TestElementOrders:
+    """``_element_orders`` descends over the primes dividing n; the
+    reference steps every power one exponent at a time."""
+
+    LADDER = [
+        ("P2Q-Type1", 3, 2), ("P2Q-Type4", 3, 2), ("PQ-Cyclic", 3, 2), ("PQ-Metacyclic", 3, 2),
+        ("P2Q-Type1", 3, 7), ("P2Q-Type2", 3, 7),
+        ("P2Q-Type1", 3, 19), ("P2Q-Type2", 3, 19), ("P2Q-Type3", 3, 19),
+    ]
+
+    @pytest.mark.parametrize("family,p,q", LADDER)
+    def test_group_and_automorphism_orders_match_the_reference(self, family, p, q):
+        spec = make_group(family, p, q)
+        ag = aut_group(spec)
+        for table, ident in ((spec.mul_table, 0), (ag.comp, ag.identity_idx)):
+            got = groups._element_orders(table, ident)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, element_orders_by_steps(table, ident))
+
+    def test_cyclic_table_of_order_2_times_997(self):
+        n = 2 * 997
+        table = ((np.arange(n)[:, None] + np.arange(n)) % n).astype(np.int32)
+        got = groups._element_orders(table, 0)
+        assert np.array_equal(got, element_orders_by_steps(table, 0))
+        assert int((got == n).sum()) == 996  # the generators: phi(2 * 997)
+
+    def test_rows_that_do_not_close_are_rejected(self):
+        # 1 * 1 = 1, so no power of 1 reaches the identity 0
+        table = np.array([[0, 1], [1, 1]], dtype=np.int32)
+        for orders in (groups._element_orders, element_orders_by_steps):
+            with pytest.raises(ValueError, match="table rows do not close; not a group table"):
+                orders(table, 0)
 
 
 class TestIota:
