@@ -7,7 +7,7 @@ routes, and checks the results against the closed-form count tables.
 """
 
 from .arith import DivisibilityProfile, divisibility_profile
-from .brace import GammaFunction, SkewBraceRecord, brace_from_gamma, check_gfe
+from .brace import GammaFunction, SkewBraceRecord, brace_from_gamma
 from .counts import CountTable, count_table, pq_tables
 from .enumerate import (
     EnumerationResult,
@@ -28,7 +28,6 @@ __all__ = [
     "GammaFunction",
     "SkewBraceRecord",
     "brace_from_gamma",
-    "check_gfe",
     "CountTable",
     "count_table",
     "pq_tables",

@@ -9,8 +9,8 @@ stored as a table of automorphism indices over the canonical element
 order.  Each one induces a second group operation g o h = g^gamma(h) * h
 making (G, *, o) a right skew brace, and corresponds to exactly one
 regular subgroup {(gamma(g), g)} of the holomorph.  This module holds
-the pointwise toolkit: validation, the circle table and its classifier,
-kernels, duality (conjugation of the regular subgroup by inversion),
+the pointwise toolkit: the circle law, checked and classified on its
+generators, kernels, duality (conjugation of the regular subgroup by inversion),
 conjugation by automorphisms, and the cyclic-subgroup machinery used to
 build gamma functions generator-first (relative gamma functions and
 their liftings along a factorization G = A B).
@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .groups import GroupSpec, GroupElement, aut_group, classify_iso_type, powers
+from .groups import GroupSpec, GroupElement, _generating_set, aut_group, classify_iso_type, powers
 
 
 class GfeError(RuntimeError):
@@ -85,15 +86,10 @@ def identity_gamma(spec: GroupSpec) -> GammaFunction:
     return GammaFunction(spec, (ag.identity_idx,) * spec.n)
 
 
-def find_gfe_violation(
-    gamma: GammaFunction, circ: Optional[np.ndarray] = None
-) -> Optional[tuple[int, int]]:
-    """First (g, h) pair violating the functional equation, or None.
-
-    ``circ`` is gamma's circle table; it is built here when not given.
-    """
-    if circ is None:
-        circ = circle_table(gamma)
+def find_gfe_violation(gamma: GammaFunction) -> Optional[tuple[int, int]]:
+    """First (g, h) pair violating the functional equation, in row-major
+    order over the full circle table, or None."""
+    circ = circle_table(gamma)
     ag = aut_group(gamma.spec)
     gt = gamma.arr()
     want = ag.comp[gt[:, None], gt[None, :]]
@@ -109,11 +105,31 @@ def check_gfe(gamma: GammaFunction) -> bool:
 
 
 def circle_table(gamma: GammaFunction) -> np.ndarray:
-    spec = gamma.spec
-    ag = aut_group(spec)
-    gt = gamma.arr()
-    rng = np.arange(spec.n)
-    return spec.mul_table[ag.aperm[gt[rng][None, :], rng[:, None]], rng[None, :]]
+    """All |G|^2 cells of the circle law, which only reference checks need."""
+    rng = np.arange(gamma.spec.n)
+    return CircleLaw(gamma)[rng[:, None], rng]
+
+
+class CircleLaw:
+    """gamma's circle operation x o y = x^gamma(y) y, read as ``law[x, y]``
+    cell by cell like a Cayley table, so no |G| x |G| table is built.
+    ``generators`` is ``groups._generating_set``'s walk of it from 0."""
+
+    def __init__(self, gamma: GammaFunction):
+        self._mt = gamma.spec.mul_table
+        self._aperm = aut_group(gamma.spec).aperm
+        self._gt = gamma.arr()
+
+    def __len__(self) -> int:
+        return len(self._gt)
+
+    def __getitem__(self, xy):
+        x, y = xy
+        return self._mt[self._aperm[self._gt[y], x], y]
+
+    @cached_property
+    def generators(self) -> list[int]:
+        return _generating_set(self, 0)
 
 
 def kernel(gamma: GammaFunction) -> frozenset[int]:
@@ -157,38 +173,25 @@ def verify_brace_axiom(gamma: GammaFunction, exhaustive: bool) -> None:
 @dataclass
 class SkewBraceRecord:
     """One skew brace, as ``enumerate`` prints it: the gamma table, the
-    circle group's isomorphism type, the kernel and the orbit id.
+    circle group's isomorphism type, the kernel's size and the orbit id.
 
-    The circle type is shared by a conjugation orbit; the circle table is
-    not kept, and ``circle_table(rec.gamma)`` rebuilds it.
+    A conjugation orbit shares the type and the kernel size.  No circle
+    table is built; ``circle_table(rec.gamma)`` gives it.
     """
 
     gamma: GammaFunction
     circle_type: str
-    kernel: frozenset[int]
+    kernel_size: int
     orbit_id: Optional[int] = None
 
-    @property
-    def canonical_key(self) -> tuple[int, ...]:
-        return self.gamma.table
-
-    def to_json_dict(self) -> dict:
-        spec = self.gamma.spec
-        return {
-            "group": {
-                "family": spec.family,
-                "p": spec.p,
-                "q": spec.q,
-                "t": spec.t,
-            },
+    def to_json(self) -> str:
+        return json.dumps({
+            "group": self.gamma.spec.to_json_dict(),
             "gamma": list(self.gamma.table),
             "circle_type": self.circle_type,
-            "kernel_size": len(self.kernel),
+            "kernel_size": self.kernel_size,
             "orbit_id": self.orbit_id,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        })
 
 
 def brace_from_gamma(gamma: GammaFunction) -> SkewBraceRecord:
@@ -196,8 +199,12 @@ def brace_from_gamma(gamma: GammaFunction) -> SkewBraceRecord:
 
     This is the one place a route's tables are checked against the
     functional equation, once per conjugation orbit on its least table
-    (``EnumerationResult.braces``).  The circle table is built once,
-    checked, classified and then dropped.  Nothing else needs a check here:
+    (``EnumerationResult.braces``).  It reads only the products with the
+    generators S of (G, o), as the classification does: gamma(1) = 1 and
+    gamma(g o s) = gamma(g) gamma(s) for all g and s in S suffice, by the
+    closure lemma of ``gfe_search``.  A failing table is scanned in full,
+    and the error names ``find_gfe_violation``'s first pair.  Nothing
+    else needs a check here:
 
     * the brace law holds because every value of gamma is a row of
       Aut(G), and ``aut_group`` proves each row a homomorphism once per
@@ -207,12 +214,15 @@ def brace_from_gamma(gamma: GammaFunction) -> SkewBraceRecord:
       the kernel makes it a subgroup of (G, *) too.  ``_check_kernel``
       stays as the independent reference the tests run.
     """
-    circ = circle_table(gamma)
-    violation = find_gfe_violation(gamma, circ)
-    if violation is not None:
-        raise GfeError(f"gamma functional equation fails at pair {violation}")
-    iso = classify_iso_type(circ, assume_group=True)
-    return SkewBraceRecord(gamma=gamma, circle_type=iso.iso_type, kernel=kernel(gamma))
+    law, ag, gt = CircleLaw(gamma), aut_group(gamma.spec), gamma.arr()
+    try:
+        s, g = np.asarray(law.generators), np.arange(len(gt))[:, None]
+        holds = gt[0] == ag.identity_idx and (gt[law[g, s]] == ag.comp[gt[g], gt[s]]).all()
+    except ValueError:  # more generators than any group of order |G| needs
+        holds = False
+    if not holds:
+        raise GfeError(f"gamma functional equation fails at pair {find_gfe_violation(gamma)}")
+    return SkewBraceRecord(gamma, classify_iso_type(law).iso_type, len(kernel(gamma)))
 
 
 def _check_kernel(gamma: GammaFunction, circ: np.ndarray, ker: frozenset[int]) -> None:

@@ -29,7 +29,7 @@ table.  ``aut_orbits`` reports the partition, the isomorphism classes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -46,7 +46,6 @@ from .brace import (
     gamma_from_array,
     gamma_from_regular,
     identity_gamma,
-    kernel,
     lift_rgf,
     rgf_from_generator,
 )
@@ -93,7 +92,8 @@ class EnumerationResult:
 
         Each table not yet recorded leads its conjugation orbit:
         ``brace_from_gamma`` checks and classifies it, and a walk by the
-        generators of Aut(G) reaches the members, which inherit its type.
+        generators of Aut(G) reaches the members, which inherit its type
+        and kernel size: gamma^beta vanishes exactly on (ker gamma)^beta.
         ``orbits`` is set only if the set is closed under conjugation.
         """
         gens = aut_group(self.spec).generators()
@@ -116,8 +116,7 @@ class EnumerationResult:
                     elif image not in records:
                         # keyed by the stored tuple, so the conjugate's is freed
                         member = self.gammas[image]
-                        records[member.key] = SkewBraceRecord(
-                            member, leader.circle_type, kernel(member), oid)
+                        records[member.key] = replace(leader, gamma=member)
                         orbit.append(member)
             orbits.append(Orbit(orbit_id=oid, length=len(orbit), circle_type=leader.circle_type))
         if closed:
@@ -140,12 +139,7 @@ class EnumerationResult:
 
     def summary_dict(self) -> dict:
         return {
-            "group": {
-                "family": self.spec.family,
-                "p": self.spec.p,
-                "q": self.spec.q,
-                "t": self.spec.t,
-            },
+            "group": self.spec.to_json_dict(),
             "method": self.method,
             "total": len(self.braces),
             "counts": self.counts_by_type(),

@@ -36,8 +36,8 @@ reader only.  ``mul_table`` and the homomorphism proof in ``aut_group``
 run in row blocks, which keeps their temporaries small next to the
 result.  ``_generating_set`` walks a table to its least-index greedy
 generating set, and rejects one needing more than floor(log2 n)
-generators; it gives ``AutGroup.generators``, and associativity of a
-Cayley table is checked on those generators alone.
+generators; it gives ``AutGroup.generators``, and a group's
+associativity and isomorphism type are read on those generators alone.
 """
 
 from __future__ import annotations
@@ -181,6 +181,10 @@ class GroupSpec:
         return sorted((gen, members) for members, gen in found.items())
 
     # -- misc ------------------------------------------------------------
+
+    def to_json_dict(self) -> dict:
+        """The "group" object of the JSON records and summaries."""
+        return {"family": self.family, "p": self.p, "q": self.q, "t": self.t}
 
     def __repr__(self) -> str:
         return f"GroupSpec({self.family}, p={self.p}, q={self.q}, t={self.t})"
@@ -411,8 +415,8 @@ def check_aut_gate(spec: GroupSpec) -> None:
     """Raise AutTooLargeError if the group's dense tables would be too large.
 
     The prediction needs only |G| and the closed-form |Aut|, so it runs
-    before any search.  ``comp`` (|Aut| x |Aut|), ``aperm`` (|Aut| x |G|),
-    ``mul_table`` and every record's circle table (|G| x |G|) are int32
+    before any search.  ``comp`` (|Aut| x |Aut|), ``aperm`` (|Aut| x |G|)
+    and ``mul_table`` (|G| x |G|; records build no such table) are int32
     tables; the largest takes at most 4 max(|Aut|, |G|)^2 bytes.
     """
     if spec.n > arith.MAX_GROUP_ORDER:
@@ -530,18 +534,23 @@ class IsoResult:
     fingerprint: Fingerprint
 
 
+def _prime_factors(n: int) -> dict[int, int]:
+    """{prime: exponent} for n, by trial division."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
 def _recognize_order(n: int) -> tuple[int, int, bool]:
     """Split n as p^2 q (returns (p, q, True)) or pq with p > q ((p, q, False))."""
-    factors: dict[int, int] = {}
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
+    factors = _prime_factors(n)
     if sorted(factors.values()) == [1, 2]:
         p = next(r for r, e in factors.items() if e == 2)
         q = next(r for r, e in factors.items() if e == 1)
@@ -596,26 +605,30 @@ def _validate_group_table(table: np.ndarray) -> int:
     return ident
 
 
-def classify_iso_type(table, assume_group: bool = False) -> IsoResult:
-    """Fingerprint a Cayley table and name its isomorphism class.
+def classify_iso_type(table) -> IsoResult:
+    """Fingerprint a group and name its isomorphism class.
 
-    Tables of order p^2 q (p odd) map onto Type1..Type4 when the Sylow
-    p-subgroup is cyclic, and order-pq tables onto the two pq families.
-    Anything else lands in "Other" with the raw fingerprint attached.
-    Non-group tables are rejected unless ``assume_group`` is set (used
-    internally for tables that are groups by construction).
+    ``table`` is a Cayley table, validated in full, or a group law with
+    identity 0 that carries its ``generators`` (``brace.CircleLaw``).
+    The centre is the elements commuting with every generator.  Order
+    p^2 q (p odd) maps onto Type1..Type4 when the Sylow p-subgroup is
+    cyclic, order pq onto the pq families, anything else to "Other".
     """
-    table = np.asarray(table, dtype=np.int32)
-    n = table.shape[0]
+    n = len(table)
     p, q, is_p2q = _recognize_order(n)
-    ident = _find_identity_fast(table) if assume_group else _validate_group_table(table)
+    ident, gens = 0, getattr(table, "generators", None)
+    if gens is None:  # a Cayley table
+        table = np.asarray(table, dtype=np.int32)
+        ident = _validate_group_table(table)
+        gens = _generating_set(table, ident)
 
     orders = _element_orders(table, ident)
-    sym = table == table.T
-    abelian = bool(sym.all())
+    s, x = np.asarray(gens), np.arange(n)[:, None]
+    central = (table[x, s] == table[s, x]).all(axis=1)
+    abelian = bool(central[s].all())
     cyclic = bool((orders == n).any())
     has_p2 = bool((orders == p * p).any()) if is_p2q else True
-    center_size = int(sym.all(axis=1).sum())
+    center_size = int(central.sum())
     p_part = p * p if is_p2q else p
     num_p_elements = int((p_part % orders == 0).sum())
     num_q_elements = int(((orders == 1) | (orders == q)).sum())
@@ -629,25 +642,16 @@ def classify_iso_type(table, assume_group: bool = False) -> IsoResult:
     return IsoResult(iso_type=_name_fingerprint(fp, is_p2q), fingerprint=fp)
 
 
-def _find_identity_fast(table: np.ndarray) -> int:
-    n = table.shape[0]
-    rng = np.arange(n)
-    for e in range(n):
-        if np.array_equal(table[e], rng):
-            return e
-    raise ValueError("table has no identity")
-
-
 def _element_orders(table: np.ndarray, ident: int) -> np.ndarray:
     """Every element's order, by descent from n = |table|: while p divides
     an element's order d and x^(d/p) is the identity, d drops to d/p, for
     each prime p dividing n.  Each x^e is a square-and-multiply walk of
     gathers, all elements at once."""
-    n = table.shape[0]
+    n = len(table)
     rng = np.arange(n)
 
     def power(e: np.ndarray) -> np.ndarray:
-        out = np.full(n, ident, dtype=table.dtype)
+        out = np.full(n, ident)
         base = rng
         while e.any():
             odd = (e & 1).astype(bool)
@@ -659,19 +663,12 @@ def _element_orders(table: np.ndarray, ident: int) -> np.ndarray:
     orders = np.full(n, n, dtype=np.int64)
     if (power(orders) != ident).any():
         raise ValueError("table rows do not close; not a group table")
-    p, m = 2, n
-    while m > 1:
-        if p * p > m:
-            p = m  # what is left is prime
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            while True:
-                drop = (orders % p == 0) & (power(orders // p) == ident)
-                if not drop.any():
-                    break
-                orders[drop] //= p
-        p += 1
+    for p in _prime_factors(n):
+        while True:
+            drop = (orders % p == 0) & (power(orders // p) == ident)
+            if not drop.any():
+                break
+            orders[drop] //= p
     return orders.astype(np.int32)
 
 

@@ -15,7 +15,9 @@ each pair with a freshly assigned member.  ``all_pairs_search`` is the
 search's DFS driven by it, without the batched first round.
 ``element_orders_by_steps`` finds every element's order by stepping all
 powers one exponent at a time, the O(n · exp(G)) walk that
-``groups._element_orders`` replaced.
+``groups._element_orders`` replaced.  ``all_pairs_classify`` is
+``groups.classify_iso_type`` as it read a whole table before it asked
+only the generators: abelian and the centre from ``table == table.T``.
 
 ``es`` is the partial geometric sum
 
@@ -61,7 +63,8 @@ from p2qbrace.brace import (
     OrderTooBigError,
     gamma_from_array,
 )
-from p2qbrace.groups import GroupElement, GroupSpec, aut_group, powers
+from p2qbrace.groups import (Fingerprint, GroupElement, GroupSpec, IsoResult, _name_fingerprint,
+                             _recognize_order, aut_group, powers)
 from p2qbrace.holomorph import Holomorph, holo
 
 
@@ -376,6 +379,24 @@ def element_orders_by_steps(table: np.ndarray, ident: int) -> np.ndarray:
             return orders
         cur = table[cur, rng]
     raise ValueError("table rows do not close; not a group table")
+
+
+def all_pairs_classify(table: np.ndarray) -> IsoResult:
+    """The isomorphism type and fingerprint of a group table with identity
+    0, read off every pair: x is central when its row equals its column."""
+    n = len(table)
+    p, q, is_p2q = _recognize_order(n)
+    orders = element_orders_by_steps(table, 0)
+    sym = table == table.T
+    p_part = p * p if is_p2q else p
+    fp = Fingerprint(
+        n=n, p=p, q=q, abelian=bool(sym.all()), cyclic=bool((orders == n).any()),
+        has_p2_element=bool((orders == p * p).any()) if is_p2q else True,
+        center_size=int(sym.all(axis=1).sum()),
+        sylow_p_normal=int((p_part % orders == 0).sum()) == p_part,
+        sylow_q_normal=int(((orders == 1) | (orders == q)).sum()) == q,
+    )
+    return IsoResult(iso_type=_name_fingerprint(fp, is_p2q), fingerprint=fp)
 
 
 def search_candidates(spec: GroupSpec, x: int) -> set[int]:

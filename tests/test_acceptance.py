@@ -177,7 +177,7 @@ def test_criterion_6a_kernel_follows_from_gfe():
     # reference check confirms it on every brace
     for result in _every_enumerated_brace():
         for rec in result.braces:
-            brace._check_kernel(rec.gamma, circle_table(rec.gamma), rec.kernel)
+            brace._check_kernel(rec.gamma, circle_table(rec.gamma), brace.kernel(rec.gamma))
     print("\nACCEPTANCE 6a (kernel a subgroup of (G, *), normal in (G, o)): PASS")
 
 
@@ -202,7 +202,7 @@ def test_criterion_6c_duality_involution_and_kernel_dichotomy():
             if C is not None:
                 in_ker = all(rec.gamma.table[x] == ag.identity_idx for x in C)
                 in_dual_ker = all(dual.table[x] == ag.identity_idx for x in C)
-                assert in_ker != in_dual_ker, (spec.family, rec.canonical_key)
+                assert in_ker != in_dual_ker, (spec.family, rec.gamma.key)
     print("\nACCEPTANCE 6c (duality involution, kernel dichotomy): PASS")
 
 
@@ -304,7 +304,7 @@ def test_criterion_6g_sylow_q_image_is_left_or_right():
             inner_inverse = all(
                 rec.gamma.table[x] == int(ag.iota_map[inv[x]]) for x in B
             )
-            assert trivial or inner_inverse, (family, rec.canonical_key)
+            assert trivial or inner_inverse, (family, rec.gamma.key)
     print("\nACCEPTANCE 6g (normal Sylow image is a one-bit choice): PASS")
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,10 @@ from p2qbrace.brace import (
     rgf_from_generator,
 )
 from p2qbrace.groups import GroupElement as E
-from p2qbrace.groups import aut_group, make_group
+from p2qbrace.groups import aut_group, classify_iso_type, make_group
 from p2qbrace.holomorph import holo
 from reference import (
+    all_pairs_classify,
     check_rgf_gfe,
     circle,
     circle_inverse,
@@ -97,12 +100,92 @@ class TestCircle:
                 assert circ[spec.idx(z), x] == spec.identity_idx
 
 
+# the structured groups of the verify ladder
+LADDER = [("P2Q-Type4", 3, 2), ("P2Q-Type1", 3, 7), ("P2Q-Type2", 3, 7),
+          ("P2Q-Type2", 3, 19), ("P2Q-Type3", 3, 19)]
+
+
+class TestGeneratorCheck:
+    """Records check and classify (G, o) on its generators only; the
+    references read every pair of the full circle table."""
+
+    @pytest.mark.parametrize("family,p,q", LADDER)
+    def test_type_and_fingerprint_match_the_all_pairs_reference(
+            self, enum_cache, family, p, q):
+        # every table, so inherited types are compared as well
+        for rec in enum_cache(family, p, q).braces:
+            want = all_pairs_classify(circle_table(rec.gamma))
+            assert rec.circle_type == want.iso_type
+            assert classify_iso_type(brace.CircleLaw(rec.gamma)) == want
+
+    @pytest.mark.parametrize("family,p,q", LADDER)
+    def test_corrupted_tables_fail_with_the_full_scans_pair(
+            self, enum_cache, family, p, q):
+        result = enum_cache(family, p, q)
+        spec = result.spec
+        m = aut_group(spec).size
+        tables = sorted(result.gammas)
+        rs = np.random.RandomState(spec.n)
+        rejected = 0
+        for i in range(150):
+            table = np.array(tables[rs.randint(len(tables))])
+            if i % 3 == 0:  # a few entries changed, the identity's included
+                cells = rs.randint(0, spec.n, 1 + i % 4)
+                table[cells] = rs.randint(0, m, cells.size)
+            elif i % 3 == 1:  # two entries swapped
+                x, y = rs.randint(0, spec.n, 2)
+                table[[x, y]] = table[[y, x]]
+            else:  # the head of one valid table on the tail of another
+                cut = rs.randint(1, spec.n)
+                table[cut:] = tables[rs.randint(len(tables))][cut:]
+            gm = GammaFunction(spec, tuple(table.tolist()))
+            violation = find_gfe_violation(gm)
+            if violation is None:
+                assert brace_from_gamma(gm).circle_type
+                continue
+            with pytest.raises(brace.GfeError) as err:
+                brace_from_gamma(gm)
+            assert str(err.value) == f"gamma functional equation fails at pair {violation}"
+            rejected += 1
+        assert rejected >= 100
+
+    def test_a_law_walked_past_the_generator_bound_fails_with_the_full_scans_pair(self):
+        # gamma(1) = 1 and inversion elsewhere on C_6: the greedy walk of
+        # its law needs more than floor(log2 6) picks
+        spec = make_group("PQ-Cyclic", 3, 2)
+        ag = aut_group(spec)
+        alpha = 1 - ag.identity_idx
+        gm = GammaFunction(spec, (ag.identity_idx,) + (alpha,) * (spec.n - 1))
+        with pytest.raises(ValueError, match="^table is not associative$"):
+            brace.CircleLaw(gm).generators
+        violation = find_gfe_violation(gm)
+        assert violation is not None
+        with pytest.raises(brace.GfeError) as err:
+            brace_from_gamma(gm)
+        assert str(err.value) == f"gamma functional equation fails at pair {violation}"
+
+    def test_records_allocate_no_circle_table(self, enum_cache):
+        result = enum_cache("P2Q-Type1", 31, 2)
+        n = result.spec.n
+        leaders = {}
+        for rec in result.braces:  # also builds every table a record reads
+            leaders.setdefault(rec.orbit_id, rec.gamma)
+        for gm in leaders.values():
+            tracemalloc.start()
+            try:
+                brace_from_gamma(gm)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * n * n
+
+
 class TestBraceRecords:
     def test_identity_gamma_record(self):
         spec = make_group("P2Q-Type2", 3, 7)
         rec = brace_from_gamma(identity_gamma(spec))
         assert rec.circle_type == "Type2"
-        assert rec.kernel == frozenset(range(spec.n))
+        assert brace.kernel(rec.gamma) == frozenset(range(spec.n))
 
     def test_type4_inverse_inner_twist_gives_cyclic(self):
         spec = make_group("P2Q-Type4", 3, 2)
@@ -112,7 +195,7 @@ class TestBraceRecords:
         gm = lift_rgf(spec, rgf, spec.cyclic_subgroup(spec.idx(E(0, 1))))
         rec = brace_from_gamma(gm)
         assert rec.circle_type == "Type1"
-        assert set(spec.cyclic_subgroup(spec.idx(E(0, 1)))) <= rec.kernel
+        assert set(spec.cyclic_subgroup(spec.idx(E(0, 1)))) <= brace.kernel(rec.gamma)
 
     def test_type3_unit_twist_gives_cyclic(self):
         spec = make_group("P2Q-Type3", 3, 19)

@@ -36,29 +36,36 @@ class TestStructured:
             assert identity_gamma(result.spec).table in result.keys()
 
     @pytest.mark.parametrize("family,p,q", [("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7)])
-    def test_one_circle_table_per_orbit(self, monkeypatch, family, p, q):
+    def test_one_record_check_per_orbit(self, monkeypatch, family, p, q):
         # lifts and the kernel-p branch are checked only when records are
-        # built, and then on the least table of each conjugation orbit
-        calls = []
-        table = brace.circle_table
+        # built, on the least table of each conjugation orbit, and the
+        # check reads the circle group's generators, never its full table
+        tables, checked = [], []
+        table, record = brace.circle_table, routes.brace_from_gamma
 
-        def counting(gamma):
-            calls.append(gamma.key)
+        def counting_table(gamma):
+            tables.append(gamma.key)
             return table(gamma)
 
-        monkeypatch.setattr(brace, "circle_table", counting)
+        def counting_record(gamma):
+            checked.append(gamma.key)
+            return record(gamma)
+
+        monkeypatch.setattr(brace, "circle_table", counting_table)
+        monkeypatch.setattr(routes, "brace_from_gamma", counting_record)
         result = routes.structured_enumerate(make_group(family, p, q))
-        assert calls == []
+        assert checked == []
         records = result.braces
         leaders = {}
         for rec in records:
-            leaders.setdefault(rec.orbit_id, rec.canonical_key)
-        assert calls == [leaders[orb.orbit_id] for orb in result.orbits]
-        assert len(calls) < len(records)
+            leaders.setdefault(rec.orbit_id, rec.gamma.key)
+        assert checked == [leaders[orb.orbit_id] for orb in result.orbits]
+        assert len(checked) < len(records)
+        assert tables == []
 
     def test_braces_are_canonically_sorted_and_distinct(self, enum_cache):
         result = enum_cache("P2Q-Type2", 3, 7)
-        keys = [rec.canonical_key for rec in result.braces]
+        keys = [rec.gamma.key for rec in result.braces]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
@@ -359,7 +366,7 @@ class TestOrbits:
 
         result = enum_cache("P2Q-Type4", 3, 2)
         trivial_key = identity_gamma(result.spec).table
-        rec = next(r for r in result.braces if r.canonical_key == trivial_key)
+        rec = next(r for r in result.braces if r.gamma.key == trivial_key)
         orb = result.orbits[rec.orbit_id]
         assert orb.length == 1
 
@@ -389,21 +396,22 @@ class TestOrbits:
         result = enum_cache(family, p, q, method=method)
         for rec in result.braces:
             direct = brace.brace_from_gamma(rec.gamma)
-            assert (rec.circle_type, rec.kernel) == (direct.circle_type, direct.kernel)
+            assert (rec.circle_type, rec.kernel_size) == (
+                direct.circle_type, len(brace.kernel(rec.gamma)))
         assert len(result.orbits) < len(result.braces)
 
     def test_set_not_closed_keeps_one_record_per_table(self, enum_cache):
         full = enum_cache("P2Q-Type4", 3, 2)
-        by_key = {rec.canonical_key: rec for rec in full.braces}
-        dropped = next(rec.canonical_key for rec in full.braces
+        by_key = {rec.gamma.key: rec for rec in full.braces}
+        dropped = next(rec.gamma.key for rec in full.braces
                        if full.orbits[rec.orbit_id].length > 1)
         result = routes.structured_enumerate(full.spec)
         del result.gammas[dropped]
-        keys = [rec.canonical_key for rec in result.braces]
+        keys = [rec.gamma.key for rec in result.braces]
         assert keys == sorted(set(by_key) - {dropped})
         for rec in result.braces:
-            want = by_key[rec.canonical_key]
-            assert (rec.circle_type, rec.kernel) == (want.circle_type, want.kernel)
+            want = by_key[rec.gamma.key]
+            assert (rec.circle_type, rec.kernel_size) == (want.circle_type, want.kernel_size)
         assert result.orbits is None
         with pytest.raises(routes.MethodDisagreementError,
                            match="conjugation left the enumerated set"):
@@ -428,7 +436,7 @@ class TestDualityOnEnumerations:
     def test_dual_permutes_brace_set(self, enum_cache, family, p, q):
         result = enum_cache(family, p, q)
         keys = result.keys()
-        by_key = {rec.canonical_key: rec for rec in result.braces}
+        by_key = {rec.gamma.key: rec for rec in result.braces}
         for rec in result.braces:
             dual = dual_gamma(rec.gamma)
             assert dual.key in keys
@@ -436,7 +444,7 @@ class TestDualityOnEnumerations:
 
     def test_dual_preserves_orbit_shape(self, enum_cache):
         result = enum_cache("P2Q-Type4", 3, 2)
-        by_key = {rec.canonical_key: rec for rec in result.braces}
+        by_key = {rec.gamma.key: rec for rec in result.braces}
         lengths = {o.orbit_id: o.length for o in result.orbits}
         for rec in result.braces:
             dual_rec = by_key[dual_gamma(rec.gamma).key]
@@ -506,7 +514,7 @@ class TestExports:
         assert len(lines) == len(result.braces) + 1
         for line, rec in zip(lines, result.braces):
             data = json.loads(line)
-            assert data["gamma"] == list(rec.canonical_key)
+            assert data["gamma"] == list(rec.gamma.key)
             assert data["circle_type"] == rec.circle_type
             assert data["orbit_id"] == rec.orbit_id
         summary = json.loads(lines[-1])

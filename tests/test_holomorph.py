@@ -36,7 +36,7 @@ def abstract_type_of(spec, members):
         kx = flat[x]
         for y in range(n):
             table[x, y] = H.mul(kx, flat[y]) % n
-    return classify_iso_type(table, assume_group=True).iso_type
+    return classify_iso_type(table).iso_type
 
 
 class TestHolStructure:
