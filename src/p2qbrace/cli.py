@@ -120,7 +120,9 @@ def _cmd_classify(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-_TYPE_OF_CIRCLE = {"Type1": 1, "Type2": 2, "Type3": 3, "Type4": 4}
+def _check(name: str, ok: bool, detail=None) -> dict:
+    return {"name": name, "status": "pass" if ok else "fail",
+            **({"detail": detail} if detail is not None else {})}
 
 
 def _orbits_vs_classes(result: routes.EnumerationResult, rows) -> tuple[bool, dict]:
@@ -137,106 +139,79 @@ def _orbits_vs_classes(result: routes.EnumerationResult, rows) -> tuple[bool, di
     }
 
 
+def _group_checks(spec, g, table: counts.CountTable, prefix: str, circle: str,
+                  count_name: str, oracle_limit: int) -> list[dict]:
+    """The checks of one group, column ``g`` of ``table``, in route order.
+
+    The first route that ran is the base: its counts and its orbits are
+    checked against the table, under the circle-type labels
+    ``circle.format(gt)``.  Each later route is compared with it as a set
+    of gamma tables and then freed; a gated route is skipped.
+    """
+    checks = []
+    type_of = {circle.format(gt): gt for gt in table.types}
+    for method, result, base in routes.run_routes(spec, oracle_limit):
+        name = f"{prefix}/{method}-agrees"
+        if isinstance(result, Exception):
+            checks.append({"name": name, "status": "skipped", "reason": str(result)})
+        elif result is base:
+            got = {type_of.get(c, c): n for c, n in base.counts_by_type().items()}
+            want = {gt: table.e_prime_at(gt, g) for gt in table.types
+                    if table.e_prime_at(gt, g)}
+            checks.append(_check(f"{prefix}/{count_name}", got == want,
+                                 {"got": got, "want": want}))
+        else:
+            # the detail names each route by the last word of its method
+            checks.append(_check(name, result.keys() == base.keys(), {
+                base.method.split("-")[-1]: len(base.gammas),
+                method.split("-")[-1]: len(result.gammas)}))
+        del result
+    if base is None:  # every route was gated
+        return checks
+    name = f"{prefix}/orbits-vs-class-table"
+    try:
+        routes.aut_orbits(base)
+    except routes.MethodDisagreementError as exc:
+        checks.append(_check(name, False, str(exc)))
+    else:
+        checks.append(_check(name, *_orbits_vs_classes(
+            base, ((circle.format(gt), table.classes_at(gt, g)) for gt in table.types))))
+    return checks
+
+
 def verify_run(p: int, q: int, oracle_limit: int = holomorph.DEFAULT_MAX_HOL_ORDER,
                with_pq: bool = False) -> dict:
     """The full cross-validation; returns the machine-readable report.
 
-    Any count or set disagreement fails the run; resource-gate skips of
-    the two search routes are recorded but do not fail it.
+    The plan holds the groups of order p^2 q and, with ``with_pq``, those
+    of order pq; every group gets the same checks (``_group_checks``).
+    The two orders differ only in their table and labels: check prefix,
+    family name, circle type and the name of the count check.  The
+    scaling identity and the row totals of the p^2 q table follow its
+    groups.  Any count or set disagreement fails the run; resource-gate
+    skips of the search and the oracle are recorded but do not fail it.
     """
-    if with_pq and p <= q:
-        raise ValueError(f"--pq needs p > q, got ({p}, {q})")
     table = counts.count_table(p, q)
-    checks: list[dict] = []
-
-    def check(name: str, ok: bool, detail=None) -> None:
-        checks.append({"name": name, "status": "pass" if ok else "fail",
-                       **({"detail": detail} if detail is not None else {})})
-
-    def skip(name: str, reason: str) -> None:
-        checks.append({"name": name, "status": "skipped", "reason": reason})
-
-    specs = {g_type: make_group(f"P2Q-Type{g_type}", p, q) for g_type in table.types}
-    for spec in specs.values():
+    # (table, check prefix, family name, circle type, count check) per order
+    orders = [(table, "type{}", "P2Q-Type{}", "Type{}", "structured-vs-e-prime")]
+    if with_pq:  # pq_tables rejects p <= q before any route runs
+        orders.append((counts.pq_tables(p, q), "pq/{}", "{}", "{}", "counts-vs-e-prime"))
+    plan = [(make_group(family.format(g), p, q), g, tbl, prefix.format(g), circle, count_name)
+            for tbl, prefix, family, circle, count_name in orders for g in tbl.types]
+    for spec, *_ in plan:
         check_aut_gate(spec)  # before any route runs
-    computed_aut_sizes: dict[int, int] = {}
-    for g_type, spec in specs.items():
-        computed_aut_sizes[g_type] = aut_group(spec).size
-        base = routes.structured_enumerate(spec)
-        got = {_TYPE_OF_CIRCLE[k]: v for k, v in base.counts_by_type().items()}
-        want = {gt: table.e_prime_at(gt, g_type) for gt in table.types
-                if table.e_prime_at(gt, g_type)}
-        check(f"type{g_type}/structured-vs-e-prime", got == want,
-              {"got": got, "want": want})
-
-        try:
-            searched = routes.gfe_search(spec)
-        except routes.SearchTooLargeError as exc:
-            skip(f"type{g_type}/gfe-search-agrees", str(exc))
-        else:
-            check(f"type{g_type}/gfe-search-agrees", searched.keys() == base.keys(),
-                  {"structured": len(base.gammas), "search": len(searched.gammas)})
-            del searched  # compared only; freed before the records are built
-
-        try:
-            oracle = routes.closure_oracle(spec, max_hol_order=oracle_limit)
-        except holomorph.OracleTooLargeError as exc:
-            skip(f"type{g_type}/closure-oracle-agrees", str(exc))
-        else:
-            check(f"type{g_type}/closure-oracle-agrees", oracle.keys() == base.keys(),
-                  {"structured": len(base.gammas), "oracle": len(oracle.gammas)})
-
-        try:
-            routes.aut_orbits(base)
-        except routes.MethodDisagreementError as exc:
-            check(f"type{g_type}/orbits-vs-class-table", False, str(exc))
-            continue
-        check(f"type{g_type}/orbits-vs-class-table", *_orbits_vs_classes(
-            base, ((f"Type{gt}", table.classes_at(gt, g_type)) for gt in table.types)))
-
-    scaling_ok = all(
-        table.e_at(gt, g) * computed_aut_sizes[g]
-        == computed_aut_sizes[gt] * table.e_prime_at(gt, g)
-        for gt in table.types
-        for g in table.types
-    )
-    check("scaling-identity-computed-aut", scaling_ok,
-          {"aut_sizes": computed_aut_sizes})
-    totals_ok = all(
-        table.total_for(gt) == sum(table.e_at(gt, g) for g in table.types)
-        for gt in table.types
-    )
-    check("totals-row-sums", totals_ok)
-
-    if with_pq:
-        pq_table = counts.pq_tables(p, q)
-        results = {}
-        try:
-            results = routes.pq_enumerate(p, q, max_hol_order=oracle_limit)
-        except (holomorph.OracleTooLargeError, routes.SearchTooLargeError) as exc:
-            skip("pq/enumeration", str(exc))
-        except routes.MethodDisagreementError as exc:
-            check("pq/enumeration", False, str(exc))
-        for family, result in results.items():
-            got = result.counts_by_type()
-            expected = {
-                gt: pq_table.e_prime_at(gt, family)
-                for gt in pq_table.types
-                if pq_table.e_prime_at(gt, family)
-            }
-            check(f"pq/{family}/counts-vs-e-prime", got == expected,
-                  {"got": got, "want": expected})
-            check(f"pq/{family}/orbits-vs-class-table", *_orbits_vs_classes(
-                result, ((gt, pq_table.classes_at(gt, family)) for gt in pq_table.types)))
-
-    ok = all(c["status"] != "fail" for c in checks)
-    return {
-        "p": p,
-        "q": q,
-        "profile": table.header["profile"],
-        "checks": checks,
-        "ok": ok,
-    }
+    sections = [_group_checks(*group, oracle_limit) for group in plan]
+    n = len(table.types)  # the p^2 q groups lead the plan
+    aut_sizes = {g: aut_group(spec).size for spec, g, *_ in plan[:n]}
+    scaling_ok = all(table.e_at(gt, g) * aut_sizes[g] == aut_sizes[gt] * table.e_prime_at(gt, g)
+                     for gt in table.types for g in table.types)
+    totals_ok = all(table.total_for(gt) == sum(table.e_at(gt, g) for g in table.types)
+                    for gt in table.types)
+    table_checks = [_check("scaling-identity-computed-aut", scaling_ok, {"aut_sizes": aut_sizes}),
+                    _check("totals-row-sums", totals_ok)]
+    checks = [c for part in [*sections[:n], table_checks, *sections[n:]] for c in part]
+    return {"p": p, "q": q, "profile": table.header["profile"], "checks": checks,
+            "ok": all(c["status"] != "fail" for c in checks)}
 
 
 def _cmd_verify(args) -> int:

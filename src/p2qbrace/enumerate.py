@@ -18,8 +18,9 @@
   by the holomorph closure search, a route that never touches the
   functional equation or the other two routes.
 
-Where more than one route runs, the caller compares them once, as sets
-of gamma tables, not merely in count.  Records are built when
+``run_routes`` runs them on one group in a fixed order; ``verify`` and
+``pq_enumerate`` compare each with the first that ran, as sets of gamma
+tables, not merely in count.  Records are built when
 ``EnumerationResult.braces`` is first read, orbit by orbit under
 conjugation by Aut(G): ``brace_from_gamma`` checks the functional
 equation and classifies the circle group once per orbit, on its least
@@ -35,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import arith, holomorph
+from . import arith, counts, holomorph
 from .brace import (
     GammaFunction,
     SkewBraceRecord,
@@ -49,8 +50,8 @@ from .brace import (
     lift_rgf,
     rgf_from_generator,
 )
-from .groups import (GroupElement, GroupSpec, aut_group, aut_order, check_aut_gate,
-                     make_group, powers, psi_for_A)
+from .groups import (P2Q_FAMILIES, GroupElement, GroupSpec, aut_group, aut_order,
+                     check_aut_gate, make_group, powers, psi_for_A)
 
 # |G| x |Aut|, the cells of the search's candidate table; Type4 (7,3) is
 # the largest group it admits
@@ -467,8 +468,8 @@ def closure_oracle(spec: GroupSpec,
                    max_hol_order: int = holomorph.DEFAULT_MAX_HOL_ORDER) -> EnumerationResult:
     """Braces read off the exhaustive regular-subgroup closure search.
 
-    Never consults the other routes: comparing it with them is the
-    caller's job (``pq_enumerate`` and ``verify``).
+    Never consults the other routes: ``run_routes`` runs it last, and its
+    callers compare it with the first route that ran.
     """
     gammas: dict[tuple[int, ...], GammaFunction] = {}
     for members in holomorph.closure_search_regular(spec, max_hol_order=max_hol_order):
@@ -494,35 +495,56 @@ def aut_orbits(result: EnumerationResult) -> list[Orbit]:
     return result.orbits
 
 
-# -- order pq convenience ------------------------------------------------------
+# -- every route on one group -------------------------------------------------
+
+
+def run_routes(spec: GroupSpec, max_hol_order: int = holomorph.DEFAULT_MAX_HOL_ORDER):
+    """Yield (method, result, base) per route: structured (order p^2 q
+    only), search, then oracle.  A route past its gate yields its gate
+    error as the result.  The base is the first route's result that ran,
+    None until one has.
+
+    Each route is looked up as a module attribute when it runs, and no
+    result but the base is kept here once yielded.
+    """
+    runs = [("gfe-search", lambda: gfe_search(spec)),
+            ("closure-oracle", lambda: closure_oracle(spec, max_hol_order=max_hol_order))]
+    if spec.family in P2Q_FAMILIES:
+        runs.insert(0, ("structured", lambda: structured_enumerate(spec)))
+    base = None
+    for method, run in runs:
+        try:
+            result = run()
+        except (SearchTooLargeError, holomorph.OracleTooLargeError) as exc:
+            result = exc
+        if base is None and isinstance(result, EnumerationResult):
+            base = result
+        yield method, result, base
+        del result
 
 
 def pq_enumerate(p: int, q: int,
                  max_hol_order: int = holomorph.DEFAULT_MAX_HOL_ORDER
                  ) -> dict[str, EnumerationResult]:
-    """Oracle and search on the order-pq groups, keyed by family.
+    """The order-pq groups through ``run_routes``, keyed by family.
 
     Covers the cyclic group always and the metacyclic one when it
-    exists (q | p-1).  Requires p > q.  Each family runs the closure
-    oracle once and the search once; differing gamma-table sets raise
-    ``MethodDisagreementError``.  Each result is the oracle's, with its
-    orbit partition attached.
+    exists (q | p-1); p <= q raises ``ValueError``.  A gated route raises
+    its gate error, and a route whose gamma-table set differs from the
+    search's raises ``MethodDisagreementError``.  Each result is the
+    search's, with its orbit partition attached.
     """
-    if p <= q:
-        raise ValueError(f"order-pq enumeration needs p > q, got ({p}, {q})")
     out: dict[str, EnumerationResult] = {}
-    families = ["PQ-Cyclic"]
-    if (p - 1) % q == 0:
-        families.append("PQ-Metacyclic")
-    for family in families:
+    for family in counts.pq_tables(p, q).types:
         spec = make_group(family, p, q)
-        result = closure_oracle(spec, max_hol_order=max_hol_order)
-        searched = gfe_search(spec)
-        if result.keys() != searched.keys():
-            raise MethodDisagreementError(
-                f"closure oracle and functional-equation search disagree on "
-                f"{spec}: {len(result.gammas)} vs {len(searched.gammas)} braces"
-            )
-        aut_orbits(result)
-        out[family] = result
+        for _method, result, base in run_routes(spec, max_hol_order):
+            if isinstance(result, Exception):
+                raise result
+            if result.keys() != base.keys():
+                raise MethodDisagreementError(
+                    f"{base.method} and {result.method} disagree on {spec}: "
+                    f"{len(base.gammas)} vs {len(result.gammas)} braces"
+                )
+        aut_orbits(base)
+        out[family] = base
     return out

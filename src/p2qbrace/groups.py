@@ -151,8 +151,10 @@ class GroupSpec:
 
     @cached_property
     def inv_table(self) -> np.ndarray:
-        pos = np.argwhere(self.mul_table == 0)  # rows (x, x^-1), x sorted
-        return pos[:, 1].astype(np.int32)
+        # (a^v b^u)^-1 = a^w b^(-u t^w) with w = -v mod c_mod
+        v, u = np.divmod(np.arange(self.n, dtype=np.int64), self.n_mod)
+        w = -v % self.c_mod
+        return (w * self.n_mod + (-u * np.array(self.t_pow)[w]) % self.n_mod).astype(np.int32)
 
     @cached_property
     def orders(self) -> np.ndarray:

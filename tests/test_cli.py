@@ -175,25 +175,64 @@ class TestVerify:
         assert code == 2
 
     def test_pq_route_disagreement_is_a_failed_check(self, capsys, monkeypatch):
-        search = routes.gfe_search
+        oracle = routes.closure_oracle
 
         def drop_one_on_pq(spec, *args, **kwargs):
-            result = search(spec, *args, **kwargs)
+            result = oracle(spec, *args, **kwargs)
             if spec.family.startswith("PQ-"):
                 result.gammas.popitem()
             return result
 
-        monkeypatch.setattr(routes, "gfe_search", drop_one_on_pq)
+        monkeypatch.setattr(routes, "closure_oracle", drop_one_on_pq)
         code, out, _ = run(capsys, "verify", "--p", "3", "--q", "2", "--pq")
         assert code == 1
-        statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
-        assert statuses["pq/enumeration"] == "fail"
-        assert statuses["type4/gfe-search-agrees"] == "pass"
-        assert not any(name.startswith("pq/PQ-") for name in statuses)
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        failed = checks["pq/PQ-Metacyclic/closure-oracle-agrees"]
+        assert failed["status"] == "fail"
+        assert failed["detail"] == {"search": 8, "oracle": 7}
+        # the search is each pq group's base, so its checks still run
+        for family in ("PQ-Cyclic", "PQ-Metacyclic"):
+            assert checks[f"pq/{family}/counts-vs-e-prime"]["status"] == "pass"
+            assert checks[f"pq/{family}/orbits-vs-class-table"]["status"] == "pass"
+        assert checks["type4/closure-oracle-agrees"]["status"] == "pass"
+        assert all(c["status"] == "pass" for name, c in checks.items()
+                   if not name.startswith("pq/"))
 
-    def test_records_are_built_only_for_structured_and_pq_oracle(self, monkeypatch):
-        # search and p^2 q oracle results are compared as key sets, so
-        # no record is built for them
+    def test_pq_group_past_the_oracle_gate_is_still_checked(self, capsys):
+        # |Hol| = 65 x 48 is past the oracle's gate, but the search runs
+        code, out, _ = run(capsys, "verify", "--p", "13", "--q", "5", "--pq")
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["pq/PQ-Cyclic/counts-vs-e-prime"]["status"] == "pass"
+        assert checks["pq/PQ-Cyclic/orbits-vs-class-table"]["status"] == "pass"
+        oracle = checks["pq/PQ-Cyclic/closure-oracle-agrees"]
+        assert oracle["status"] == "skipped"
+        assert oracle["reason"].startswith("oracle-too-large:")
+        assert "pq/enumeration" not in checks
+
+    def test_group_with_every_route_gated_reports_only_skips(self, monkeypatch):
+        monkeypatch.setattr(routes, "GFE_SEARCH_BUDGET", 0)
+        report = cli.verify_run(3, 2, oracle_limit=0, with_pq=True)
+        assert report["ok"] is True
+        statuses = {c["name"]: c["status"] for c in report["checks"]}
+        assert statuses["type4/structured-vs-e-prime"] == "pass"
+        assert statuses["type4/orbits-vs-class-table"] == "pass"
+        assert {n: s for n, s in statuses.items() if n.startswith("pq/PQ-Cyclic/")} == {
+            "pq/PQ-Cyclic/gfe-search-agrees": "skipped",
+            "pq/PQ-Cyclic/closure-oracle-agrees": "skipped",
+        }
+
+    def test_pq_checks_follow_the_p2q_report(self):
+        plain = cli.verify_run(3, 2)["checks"]
+        both = cli.verify_run(3, 2, with_pq=True)["checks"]
+        assert both[:len(plain)] == plain
+        assert plain[-2:] == [c for c in plain if "/" not in c["name"]]
+        assert len(both) > len(plain)
+        assert all(c["name"].startswith("pq/PQ-") for c in both[len(plain):])
+
+    def test_records_are_built_only_for_each_groups_first_route(self, monkeypatch):
+        # later routes are compared with the first as key sets, so no
+        # record is built for them
         built = []
         build = routes.brace_from_gamma
 
@@ -206,6 +245,7 @@ class TestVerify:
         statuses = {c["name"]: c["status"] for c in report["checks"]}
         assert statuses["type4/gfe-search-agrees"] == "pass"
         assert statuses["type4/closure-oracle-agrees"] == "pass"
+        assert statuses["pq/PQ-Metacyclic/closure-oracle-agrees"] == "pass"
         reported = sum(
             sum(c["detail"]["got"].values()) for c in report["checks"]
             if c["name"].endswith(("/structured-vs-e-prime", "/counts-vs-e-prime"))

@@ -494,6 +494,12 @@ class TestPqEnumerate:
         with pytest.raises(ValueError):
             routes.pq_enumerate(3, 7)
 
+    def test_gated_route_raises_its_gate_error(self):
+        # the search answers PQ-Cyclic (13,5), but |Hol| = 3,120 is past the oracle's gate
+        with pytest.raises(holomorph.OracleTooLargeError):
+            routes.pq_enumerate(13, 5)
+        assert set(routes.pq_enumerate(13, 5, max_hol_order=3120)) == {"PQ-Cyclic"}
+
     def test_search_disagreement_raises(self, monkeypatch):
         search = routes.gfe_search
 
@@ -505,6 +511,36 @@ class TestPqEnumerate:
         monkeypatch.setattr(routes, "gfe_search", drop_one)
         with pytest.raises(routes.MethodDisagreementError):
             routes.pq_enumerate(3, 2)
+
+
+class TestRunRoutes:
+    def test_route_order_and_gate_errors(self):
+        spec = make_group("P2Q-Type4", 3, 2)
+        outcomes = list(routes.run_routes(spec))
+        assert [m for m, _, _ in outcomes] == ["structured", "gfe-search", "closure-oracle"]
+        assert [r.method for _, r, _ in outcomes] == [m for m, _, _ in outcomes]
+        base = outcomes[0][1]
+        assert all(b is base and r.keys() == base.keys() for _, r, b in outcomes)
+        (_, searched, base), (_, gated, _) = routes.run_routes(make_group("PQ-Cyclic", 13, 5))
+        assert searched is base and searched.method == "gfe-search"
+        assert isinstance(gated, holomorph.OracleTooLargeError)
+
+    def test_base_is_none_until_a_route_ran(self, monkeypatch):
+        def gated(spec):
+            raise routes.SearchTooLargeError("search-too-large: test")
+
+        monkeypatch.setattr(routes, "gfe_search", gated)
+        (_, first, none), (_, oracle, base) = routes.run_routes(make_group("PQ-Cyclic", 3, 2))
+        assert isinstance(first, routes.SearchTooLargeError) and none is None
+        assert oracle is base and base.method == "closure-oracle"
+
+    def test_routes_are_looked_up_when_they_run(self, monkeypatch):
+        calls = []
+        search = routes.gfe_search
+        monkeypatch.setattr(routes, "gfe_search", lambda spec: calls.append(spec) or search(spec))
+        spec = make_group("PQ-Cyclic", 3, 2)
+        assert [m for m, _, _ in routes.run_routes(spec)] == ["gfe-search", "closure-oracle"]
+        assert calls == [spec]
 
 
 class TestExports:

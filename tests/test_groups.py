@@ -97,6 +97,14 @@ class TestElementArithmetic:
             assert mul(spec, inv_elem(spec, x), x) == identity(spec)
 
     @pytest.mark.parametrize("family,p,q", ALL_DESK_SPECS)
+    def test_inverse_table_matches_the_scalar_law(self, family, p, q):
+        spec = make_group(family, p, q)
+        inv = spec.inv_table
+        assert inv.dtype == np.int32
+        assert inv.tolist() == [spec.idx(inv_elem(spec, x)) for x in elements(spec)]
+        assert (spec.mul_table[np.arange(spec.n), inv] == 0).all()
+
+    @pytest.mark.parametrize("family,p,q", ALL_DESK_SPECS)
     def test_group_axioms_exhaustive(self, family, p, q):
         spec = make_group(family, p, q)
         mt = spec.mul_table
