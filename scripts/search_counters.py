@@ -1,14 +1,16 @@
-"""Count the search's propagations, DFS nodes and propagation rounds.
+"""Count the search's propagations, DFS nodes, kernel calls and rounds.
 
     PYTHONPATH=src python scripts/search_counters.py [--type4-7]
 
 Run from the repository root.  The script wraps ``enumerate._propagate``
-from outside the package: each call is one propagation, and each call
-that returns True opens one DFS node, the root included.  A round is one
-pass of the loop in ``_propagate``, counted by a line tracer on that
-function's frames alone.  The groups are the nine that ``verify`` runs
-on (3,2) --pq, (3,7) and (3,19); ``--type4-7`` adds Type4 (7,2) and (7,3).
-A group over the search budget reads "gated".  Prints one JSON object.
+from outside the package.  Each call closes one node's batch of
+branches, one row per candidate: every row is one propagation, and every
+row its mask keeps opens one DFS node, the root included.  A call is one
+kernel call, and a round is one pass of the loop in ``_propagate``,
+counted by a line tracer on that function's frames alone.  The groups
+are the nine that ``verify`` runs on (3,2) --pq, (3,7) and (3,19);
+``--type4-7`` adds Type4 (7,2) and (7,3).  A group over the search
+budget reads "gated".  Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ def loop_body_line(fn) -> int:
     return start + at + 1
 
 
-def count(family: str, p: int, q: int) -> dict | str:
-    propagate = routes._propagate
+def counted(propagate, counts: dict):
+    """``propagate`` wrapped to add its rows, surviving rows, calls and
+    loop passes to ``counts``."""
     code, body = propagate.__code__, loop_body_line(propagate)
-    counts = {"propagations": 0, "nodes": 0, "rounds": 0}
 
     def local(frame, event, arg):
         if event == "line" and frame.f_lineno == body:
@@ -52,14 +54,21 @@ def count(family: str, p: int, q: int) -> dict | str:
     def counting(*args):
         sys.settrace(calls)
         try:
-            ok = propagate(*args)
+            alive = propagate(*args)
         finally:
             sys.settrace(None)
-        counts["propagations"] += 1
-        counts["nodes"] += bool(ok)
-        return ok
+        counts["propagations"] += alive.size
+        counts["nodes"] += int(alive.sum())
+        counts["calls"] += 1
+        return alive
 
-    routes._propagate = counting
+    return counting
+
+
+def count(family: str, p: int, q: int) -> dict | str:
+    propagate = routes._propagate
+    counts = {"propagations": 0, "nodes": 0, "calls": 0, "rounds": 0}
+    routes._propagate = counted(propagate, counts)
     try:
         result = routes.gfe_search(make_group(family, p, q))
     except routes.SearchTooLargeError:
@@ -75,7 +84,7 @@ def main() -> None:
     args = parser.parse_args()
     groups = LADDER + (TYPE4_7 if args.type4_7 else [])
     out: dict[str, dict | str] = {}
-    total = {"propagations": 0, "nodes": 0, "rounds": 0, "tables": 0}
+    total = {"propagations": 0, "nodes": 0, "calls": 0, "rounds": 0, "tables": 0}
     for family, p, q in groups:
         got = count(family, p, q)
         out[f"{family} ({p},{q})"] = got

@@ -8,12 +8,12 @@
   assignments: the functional equation itself is the propagation rule,
   so nothing family-specific enters.  Since a solution makes (G, o) a
   group, it branches on x only over the automorphisms alpha for which
-  y -> y^alpha x has no fixed point.  A branch is closed under right
-  multiplication by the elements decided so far, not checked pair by
-  pair: gamma is consistent on a set A exactly when {(gamma(g), g) :
-  g in A} is a subgroup of Hol(G), and a set closed under its
-  generators is that subgroup.  It runs while |G| x |Aut|, the size of
-  the candidate mask, is within ``GFE_SEARCH_BUDGET``.
+  y -> y^alpha x has no fixed point.  Each node closes all its branches
+  in one batch under right multiplication by the elements decided so
+  far, not pair by pair: gamma is consistent on a set A exactly when
+  {(gamma(g), g) : g in A} is a subgroup of Hol(G), and a set closed
+  under its generators is that subgroup.  It runs while |G| x |Aut|, the
+  size of the candidate mask, is within ``GFE_SEARCH_BUDGET``.
 * ``closure_oracle`` reads gamma tables off the regular subgroups found
   by the holomorph closure search, a route that never touches the
   functional equation or the other two routes.
@@ -339,35 +339,43 @@ def structured_enumerate(spec: GroupSpec) -> EnumerationResult:
 
 
 def _propagate(mt: np.ndarray, aperm: np.ndarray, comp: np.ndarray,
-               gamma: np.ndarray, x: int, decided: list[int]) -> bool:
-    """Close a branch under right multiplication by its decided elements,
-    in place; returns False on a conflict.
+               table: np.ndarray, x: int, decided: list[int]) -> np.ndarray:
+    """Close each row of a (k, |G|) batch of branches under right
+    multiplication by its decided elements, in place; returns the mask of
+    rows that closed without a conflict.
 
     A pair (g, h) of assigned elements forces gamma[g^gamma(h) h] =
-    gamma(g) gamma(h).  On entry the assigned set is closed under
-    g -> g o s for every s in ``decided``, each such pair consistent, and
-    x has just been assigned.  The first round checks (assigned, x) and
-    (x, s) for s in ``decided``; each later round checks the elements the
-    round before assigned against ``decided`` and x.
+    gamma(g) gamma(h).  On entry the rows differ only at x, just assigned,
+    and the assigned set is closed under g -> g o s for every s in
+    ``decided``, each such pair consistent.  The first round checks
+    (assigned, x) and (x, s) for s in ``decided`` on every row; each later
+    round checks the elements the round before assigned on a live row
+    against ``decided`` and x.  Cells are flat indices row |G| + element,
+    so each row closes as it would alone, and a dead row assigns no more.
     """
-    gens = np.array([*decided, x])
-    assigned = np.flatnonzero(gamma >= 0)
-    gs = np.concatenate([assigned, np.full(len(decided), x)])
-    hs = np.concatenate([np.full(assigned.size, x), gens[:-1]])
-    while gs.size:
-        gamma_h = gamma[hs]
-        targets = mt[aperm[gamma_h, gs], hs]
-        values = comp[gamma[gs], gamma_h]
-        unset = gamma[targets] < 0
+    n = table.shape[1]
+    flat = table.reshape(-1)
+    alive = np.ones(len(table), dtype=bool)
+    gens = np.array([*decided, x], dtype=np.int32)
+    assigned = np.flatnonzero(table[:1] >= 0).astype(np.int32)  # shared by the rows
+    rows = np.arange(0, table.size, n, dtype=np.int32)[:, None]
+    gs = np.concatenate([assigned, np.full(len(decided), x, dtype=np.int32)])
+    hs = np.concatenate([np.full(assigned.size, x, dtype=np.int32), gens[:-1]])
+    while rows.size:
+        gamma_h = flat[rows + hs]
+        targets = rows + mt[aperm[gamma_h, gs], hs]
+        values = comp[flat[rows + gs], gamma_h]
+        unset = flat[targets] < 0
         new = targets[unset]
-        gamma[new] = values[unset]
+        flat[new] = values[unset]
         # a conflict, or one new target given two values
-        if not (gamma[targets] == values).all():
-            return False
-        fresh = np.zeros(gamma.size, dtype=bool)
+        alive[targets[flat[targets] != values] // n] = False
+        fresh = np.zeros(flat.size, dtype=bool)
         fresh[new] = True
-        gs, hs = np.flatnonzero(fresh)[:, None], gens
-    return True
+        fresh = np.flatnonzero(fresh).astype(np.int32)
+        fresh = fresh[alive[fresh // n], None]
+        rows, gs, hs = fresh - fresh % n, fresh % n, gens
+    return alive
 
 
 def _first_round(mt: np.ndarray, aperm: np.ndarray, comp: np.ndarray,
@@ -413,9 +421,9 @@ def gfe_search(spec: GroupSpec) -> EnumerationResult:
     holds.  Each closure therefore ends where closing under every
     assigned pair would, with the same gamma or the same conflict, and a
     full assignment is a gamma function: leaves are not re-checked.
-    Before any propagation, ``_first_round`` drops in one batch the
-    candidates of x that the first round over every assigned pair would
-    reject, so the tree and its nodes do not change.
+    At each node ``_first_round`` drops the candidates of x that the first
+    round over every assigned pair would reject, and ``_propagate`` closes
+    the rest together, one row each; the tree and its nodes do not change.
 
     A solution makes (G, o) a group with y o x = y^gamma(x) x, and in a
     group y o x = y forces x = 1.  So for x != 1, gamma(x) = alpha only if
@@ -447,17 +455,17 @@ def gfe_search(spec: GroupSpec) -> EnumerationResult:
             return
         x = int(unassigned[0])
         alphas = np.flatnonzero(fpf[:, x])
-        for alpha in alphas[_first_round(mt, aperm, comp, gamma, x, alphas)].tolist():
-            branch = gamma.copy()
-            branch[x] = alpha
-            if _propagate(mt, aperm, comp, branch, x, decided):
-                dfs(branch, [*decided, x])
+        alphas = alphas[_first_round(mt, aperm, comp, gamma, x, alphas)]
+        branches = np.tile(gamma, (alphas.size, 1))
+        branches[:, x] = alphas
+        for branch in branches[_propagate(mt, aperm, comp, branches, x, decided)]:
+            dfs(branch, [*decided, x])
 
-    root = np.full(spec.n, -1, dtype=np.int32)
-    root[spec.identity_idx] = ag.identity_idx
-    if not _propagate(mt, aperm, comp, root, spec.identity_idx, []):
+    root = np.full((1, spec.n), -1, dtype=np.int32)
+    root[0, spec.identity_idx] = ag.identity_idx
+    if not _propagate(mt, aperm, comp, root, spec.identity_idx, [])[0]:
         raise AssertionError("the trivial seed assignment cannot conflict")
-    dfs(root, [])
+    dfs(root[0], [])
     return EnumerationResult(spec, "gfe-search", found)
 
 

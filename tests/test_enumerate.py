@@ -1,5 +1,7 @@
+import importlib.util
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,15 @@ from p2qbrace import enumerate as routes
 from p2qbrace.brace import dual_gamma
 from p2qbrace.groups import AutTooLargeError, GroupSpec, aut_group, make_group
 from reference import all_pairs_propagate, all_pairs_search, scalar_lift, search_candidates
+
+
+@pytest.fixture(scope="module")
+def search_counters():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "search_counters.py"
+    spec = importlib.util.spec_from_file_location("search_counters", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def orbit_shape(result):
@@ -227,25 +238,89 @@ class TestGfeSearch:
             assert all(v is ints[v] for v in key)
 
     def test_pinned_propagation_and_node_counts(self, monkeypatch):
-        # one _propagate call per branch the batched first round keeps,
-        # plus the root; a call that succeeds opens one DFS node
+        # one _propagate call per node, the root included, closing one row
+        # per candidate the batched first round keeps; a row that closes
+        # without a conflict opens one DFS node
         propagate = routes._propagate
         for family, p, q, tables, pinned in [
-            ("P2Q-Type2", 3, 7, 90, Counter(propagations=272, nodes=96)),
-            ("P2Q-Type2", 3, 19, 918, Counter(propagations=2108, nodes=936)),
+            ("P2Q-Type2", 3, 7, 90, Counter(propagations=272, nodes=96, calls=7)),
+            ("P2Q-Type2", 3, 19, 918, Counter(propagations=2108, nodes=936, calls=19)),
         ]:
             calls = Counter()
 
-            def counting(*args):
-                ok = propagate(*args)
-                calls["propagations"] += 1
-                calls["nodes"] += ok
-                return ok
+            def counting(mt, aperm, comp, table, x, decided):
+                alive = propagate(mt, aperm, comp, table, x, decided)
+                calls["propagations"] += len(table)
+                calls["nodes"] += int(alive.sum())
+                calls["calls"] += 1
+                return alive
 
             monkeypatch.setattr(routes, "_propagate", counting)
             result = routes.gfe_search(make_group(family, p, q))
             assert len(result.gammas) == tables
             assert calls == pinned
+
+    def test_empty_batch_gives_an_empty_mask(self):
+        spec = make_group("P2Q-Type4", 3, 2)
+        ag = aut_group(spec)
+        table = np.empty((0, spec.n), dtype=np.int32)
+        alive = routes._propagate(spec.mul_table, ag.aperm, ag.comp, table, 1, [])
+        assert alive.shape == (0,) and alive.dtype == bool
+
+    def test_node_with_every_candidate_dropped(self, monkeypatch, enum_cache):
+        # on Type4 (3,2) the first round keeps no candidate at six nodes;
+        # the kernel closes their empty batches and they have no children
+        propagate = routes._propagate
+        empty = []
+
+        def recording(mt, aperm, comp, table, x, decided):
+            alive = propagate(mt, aperm, comp, table, x, decided)
+            if not len(table):
+                empty.append(alive)
+            return alive
+
+        monkeypatch.setattr(routes, "_propagate", recording)
+        result = routes.gfe_search(make_group("P2Q-Type4", 3, 2))
+        assert [alive.shape for alive in empty] == [(0,)] * 6
+        assert result.keys() == enum_cache("P2Q-Type4", 3, 2).keys()
+
+    def test_batch_rows_close_as_single_rows(self, monkeypatch, search_counters):
+        # every candidate of x at each node, unfiltered by the first round,
+        # so that rows die in round 1 (on Type4 (3,2)) and only in a later
+        # round (on Type2 (3,7)); each row's verdict and table must be what
+        # closing it alone gives
+        propagate = routes._propagate
+        died_in = Counter()
+        for family, p, q in [("P2Q-Type2", 3, 7), ("P2Q-Type4", 3, 2)]:
+            spec = make_group(family, p, q)
+            ag = aut_group(spec)
+            mt, aperm, comp = spec.mul_table, ag.aperm, ag.comp
+            nodes = []
+
+            def recording(mt, aperm, comp, table, x, decided):
+                if len(table):
+                    gamma = table[0].copy()
+                    gamma[x] = -1
+                    nodes.append((gamma, x, list(decided)))
+                return propagate(mt, aperm, comp, table, x, decided)
+
+            monkeypatch.setattr(routes, "_propagate", recording)
+            routes.gfe_search(spec)
+            for gamma, x, decided in nodes:
+                alphas = np.flatnonzero(ag.fixed_point_free[:, x])
+                batch = np.tile(gamma, (alphas.size, 1))
+                batch[:, x] = alphas
+                alive = propagate(mt, aperm, comp, batch, x, decided)
+                for alpha, row, ok in zip(alphas.tolist(), batch, alive.tolist()):
+                    single = gamma[None, :].copy()
+                    single[0, x] = alpha
+                    counts = Counter()
+                    closing = search_counters.counted(propagate, counts)
+                    assert closing(mt, aperm, comp, single, x, decided).tolist() == [ok]
+                    assert np.array_equal(single[0], row)
+                    if not ok:
+                        died_in["round 1" if counts["rounds"] == 1 else "later"] += 1
+        assert died_in["round 1"] > 0 and died_in["later"] > 0
 
     REFERENCE_GROUPS = [
         ("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7), ("PQ-Metacyclic", 7, 3), ("P2Q-Type3", 3, 19),
@@ -259,14 +334,14 @@ class TestGfeSearch:
         propagate, first_round = routes._propagate, routes._first_round
         seen = Counter()
 
-        def checked(mt, aperm, comp, gamma, x, decided):
-            want = gamma.copy()
-            ok = all_pairs_propagate(mt, aperm, comp, want, [x])
-            assert propagate(mt, aperm, comp, gamma, x, decided) == ok
-            if ok:
-                assert np.array_equal(gamma, want)
-            seen["propagations"] += 1
-            return ok
+        def checked(mt, aperm, comp, table, x, decided):
+            want = table.copy()
+            oks = [all_pairs_propagate(mt, aperm, comp, row, [x]) for row in want]
+            alive = propagate(mt, aperm, comp, table, x, decided)
+            assert alive.tolist() == oks
+            assert np.array_equal(table[alive], want[alive])
+            seen["propagations"] += len(table)
+            return alive
 
         def filtered(mt, aperm, comp, gamma, x, alphas):
             keep = first_round(mt, aperm, comp, gamma, x, alphas)
@@ -287,6 +362,13 @@ class TestGfeSearch:
     def test_key_sequence_matches_the_all_pairs_search(self, family, p, q):
         spec = make_group(family, p, q)
         assert list(routes.gfe_search(spec).gammas) == all_pairs_search(spec)
+
+
+class TestSearchCounters:
+    def test_pinned_counts(self, search_counters):
+        assert search_counters.count("P2Q-Type2", 3, 7) == {
+            "propagations": 272, "nodes": 96, "calls": 7, "rounds": 25, "tables": 90,
+        }
 
 
 class TestClosureOracle:
