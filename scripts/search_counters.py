@@ -16,7 +16,7 @@ budget reads "gated".  Prints one JSON object.
 from __future__ import annotations
 
 import argparse
-import inspect
+import dis
 import json
 import sys
 
@@ -32,10 +32,13 @@ TYPE4_7 = [("P2Q-Type4", 7, 2), ("P2Q-Type4", 7, 3)]
 
 
 def loop_body_line(fn) -> int:
-    """The line number of the first statement inside ``fn``'s while loop."""
-    lines, start = inspect.getsourcelines(fn)
-    at = next(i for i, line in enumerate(lines) if line.lstrip().startswith("while "))
-    return start + at + 1
+    """The line number of the first statement inside ``fn``'s loop, read
+    off the running code: the line of the instruction that the loop's
+    backward jump returns to."""
+    code = fn.__code__
+    target = next(ins.argval for ins in dis.get_instructions(code)
+                  if ins.opcode in dis.hasjrel + dis.hasjabs and ins.argval < ins.offset)
+    return next(line for start, end, line in code.co_lines() if start <= target < end)
 
 
 def counted(propagate, counts: dict):

@@ -254,7 +254,7 @@ def gamma_from_regular(spec: GroupSpec, members: np.ndarray) -> GammaFunction:
     g -> alpha = k div |G| a well-defined total map.
     """
     alpha, g = np.divmod(np.asarray(members, dtype=np.int64), spec.n)
-    if np.unique(g).size != g.size:
+    if (np.bincount(g) > 1).any():
         raise ValueError("subgroup is not regular: repeated identity image")
     if g.size != spec.n:
         raise ValueError("subgroup is not regular: misses identity images")

@@ -7,18 +7,15 @@ makes regularity checks cheap.  Elements are flattened to the single
 index alpha * n + g so that searches can run on numpy arrays.
 
 ``closure_search_regular`` is the independent oracle of this package: it
-enumerates every regular subgroup of the holomorph by generator-pair
-closure, with no reference to gamma functions.  Its pruning rests on two
-exact facts: every element of a regular subgroup is semiregular (each of
-its powers is the identity or moves every point), and conjugation by
-Aut(G) permutes the regular subgroups and keeps the semiregular set.  So
-once every found subgroup is closed up under that conjugation, the
-first generator r only needs to range over Aut(G)-orbit representatives,
-and the second over representatives of the orbits of the stabiliser
-Stab(r) = {beta : r^beta = r}, because <r, s^beta> = <r, s>^beta for beta
-in Stab(r).  A pair inside an already found subgroup generates nothing
-new, so each r keeps a mask of the members of the found subgroups
-through r and skips the second generators it covers.
+enumerates every regular subgroup of the holomorph with no reference to
+gamma functions and no classification of the groups of order |G|.  A
+regular subgroup R of order |P| q, with P a Sylow p-subgroup, is P <r>
+for any r in R of order q, so r and one generator s of a cyclic P, or r
+and two commuting generators s and t of an elementary abelian P,
+generate it.  Every element of R is semiregular (each of its powers is
+the identity or moves every point), and conjugation by Aut(G) permutes
+the regular subgroups, so the generators are semiregular and range over
+orbit representatives of Aut(G) and of their stabilisers in it.
 
 The fixed-point-free mask is ``AutGroup.fixed_point_free`` read flat, and
 each hit's Aut(G)-orbit is one conjugation by every automorphism at once.
@@ -69,22 +66,24 @@ class Holomorph:
         return self.aut.fixed_point_free.ravel()
 
     @property
-    def semiregular_mask(self) -> np.ndarray:
-        """mask[k] is True when <k> acts semiregularly: each power of k up to
-        the first identity one moves every point.
+    def semiregular_orders(self) -> np.ndarray:
+        """order[k] is the order of k when <k> acts semiregularly (each power
+        of k up to the first identity one moves every point), else 0.
 
         Every element has finite order, so each walk stops; a semiregular k
         stops within |G| steps, since its orbits all have ord(k) points.
         """
         fpf = self.fixed_point_free_mask
-        mask = np.ones(self.size, dtype=bool)
+        order = np.zeros(self.size, dtype=np.int64)
         live = power = np.arange(self.size)  # elements still walking, and their powers
+        step = 1
         while live.size:
+            order[live[power == self.identity]] = step
             moving = fpf[power]
-            mask[live[~moving & (power != self.identity)]] = False
             live = live[moving]
             power = self.mul(power[moving], live)
-        return mask
+            step += 1
+        return order
 
     def conjugate_by_aut(self, k, beta):
         """Conjugates of the holomorph element(s) k by the automorphism(s) beta."""
@@ -111,15 +110,17 @@ def _closure_within(H: Holomorph, seeds: np.ndarray, allowed: np.ndarray,
 
     Aborts as soon as the closure leaves the allowed set (the semiregular
     elements) or outgrows max_size.  Each round takes all pairwise
-    products of the current members, so closures converge or explode
-    within a handful of rounds.
+    products of the current members into a membership mask over Hol(G),
+    so closures converge or explode within a handful of rounds.
     """
-    members = np.unique(seeds)
-    if not allowed[members].all():
+    if not allowed[seeds].all():
         return None
+    inside = np.zeros(H.size, dtype=bool)
+    inside[seeds] = True
+    members = np.flatnonzero(inside)
     while True:
-        prods = H.mul(members[:, None], members[None, :]).ravel()
-        new = np.union1d(members, prods)
+        inside[H.mul(members[:, None], members[None, :])] = True
+        new = np.flatnonzero(inside)
         if new.size == members.size:
             return members
         if new.size > max_size or not allowed[new].all():
@@ -143,28 +144,33 @@ def closure_search_regular(
     spec: GroupSpec,
     max_hol_order: int = DEFAULT_MAX_HOL_ORDER,
 ) -> list[np.ndarray]:
-    """Every regular subgroup of Hol(G), by generator-closure search.
+    """Every regular subgroup of Hol(G), each built from a Sylow pair.
 
     Each subgroup is returned as the sorted array of its flat member
     indices alpha * |G| + g, and the list is in increasing order of
     those arrays read as tuples.
 
-    Every member k of a regular subgroup is semiregular: <k> lies in the
-    subgroup, so no power of k other than the identity fixes a point.  So
-    the generators, the cut and every closure are restricted to the
-    semiregular elements (``Holomorph.semiregular_mask``), which also
-    bounds ord(k) by |G|.  Conjugation by Aut(G) permutes regular
-    subgroups and keeps the semiregular set, and each hit is closed up
-    under it, by one conjugation of its members by all of Aut(G) at once,
-    so the first generator r ranges over Aut(G)-orbit representatives.
-    For beta in Stab(r), <r, s^beta> is <r, s>^beta, and the cut that both
-    r s and s r stay allowed holds for s exactly when it holds for s^beta,
-    so the second generator ranges over Stab(r)-orbit representatives.  A
-    per-r mask holds the members of the found subgroups through r; a
-    second generator inside it is skipped, since <r, s> would lie in a
-    known regular subgroup.  By the classification the count tables
-    encode, every regular subgroup is isomorphic to one of the families in
-    scope, all two-generated, so generator pairs reach each one.
+    Every member k of a regular subgroup R is semiregular: <k> lies in R,
+    so no power of k other than the identity fixes a point.  So the
+    generators, the cuts and every closure are restricted to the
+    semiregular elements (``Holomorph.semiregular_orders``).  |G| = |P| q
+    with P a Sylow p-subgroup of R, so R = P <r> for any r in R of order
+    q, because |P <r>| = |P| q.  Conjugation by Aut(G) permutes regular
+    subgroups and keeps the semiregular orders, and each hit is closed up
+    under it, so r ranges over the Aut(G)-orbit representatives of the
+    semiregular elements of order q.  The second generator s, of order |P|
+    or, when |P| = p^2, of order p, ranges over the representatives of
+    the orbits of Stab(r) = {beta : r^beta = r}, because
+    <r, s^beta> = <r, s>^beta, after the cut that r s and s r stay
+    semiregular.  A cyclic P is <s>, and R = <r, s>; an s of order |P|
+    inside a found subgroup through r is skipped, since <r, s> is that
+    subgroup.  An elementary abelian P holds an s of order p; when
+    <r, s> has order p q, R = <r, s, t> for every t in P outside <s>, so
+    the third generator t ranges over the representatives of the
+    Stab(r) ∩ Stab(s)-orbits of the elements of order p that commute with
+    s, pass the cut and lie outside <r, s>.  A t inside a found subgroup
+    through r and s is skipped.  The search needs no classification of
+    the groups of order |G|.
     """
     check_aut_gate(spec)
     size = spec.n * aut_order(spec)
@@ -173,29 +179,54 @@ def closure_search_regular(
             f"oracle-too-large: |Hol(G)| = {size} exceeds the limit {max_hol_order}"
         )
     H = holo(spec)
-    allowed = H.semiregular_mask
+    n, p, q = spec.n, spec.p, spec.q
+    sylow = n // q
+    orders = H.semiregular_orders
+    allowed = orders > 0
     cand = np.flatnonzero(allowed)
     cand = cand[cand != H.identity]
-
     found: dict[tuple[int, ...], np.ndarray] = {}
 
-    for r in _orbit_reps(H, cand, range(H.aut.size)).tolist():
-        covered = np.zeros(H.size, dtype=bool)  # members of found subgroups through r
+    def through(*gens: int) -> np.ndarray:
+        """Mask of the members of the found subgroups that hold every gen."""
+        mask = np.zeros(H.size, dtype=bool)
         if found:
             subs = np.array(list(found.values()))
-            covered[subs[(subs == r).any(axis=1)]] = True
-        # quick vectorized cut: both first-round products must stay allowed
-        ok = allowed[H.mul(r, cand)] & allowed[H.mul(cand, r)]
-        for s in _orbit_reps(H, cand[ok], H.stabiliser(r)):
-            if covered[s]:
-                continue
-            members = _closure_within(H, np.array([r, s], dtype=np.int64), allowed, spec.n)
-            if members is None or members.size != spec.n:
-                continue
-            # the hit's Aut(G)-orbit, one conjugate per row
-            orbit = np.sort(H.conjugate_by_aut(members, np.arange(H.aut.size)[:, None]), axis=1)
-            covered[orbit[(orbit == r).any(axis=1)]] = True
-            for img in orbit:
-                found.setdefault(tuple(img.tolist()), img)
+            mask[subs[np.logical_and.reduce([(subs == g).any(axis=1) for g in gens])]] = True
+        return mask
 
+    def add_orbit(members: np.ndarray) -> None:
+        """Record the hit's Aut(G)-orbit, one conjugate per row."""
+        orbit = np.sort(H.conjugate_by_aut(members, np.arange(H.aut.size)[:, None]), axis=1)
+        for img in orbit:
+            found.setdefault(tuple(img.tolist()), img)
+
+    for r in _orbit_reps(H, cand[orders[cand] == q], range(H.aut.size)).tolist():
+        covered = through(r)
+        ok = allowed[H.mul(r, cand)] & allowed[H.mul(cand, r)]
+        stab = H.stabiliser(r)
+        second = cand[ok & ((orders[cand] == sylow) | (orders[cand] == p))]
+        for s in _orbit_reps(H, second, stab).tolist():
+            if covered[s] and orders[s] == sylow:
+                continue
+            pair = _closure_within(H, np.array([r, s]), allowed, n)
+            if pair is None:
+                continue
+            if pair.size == n:
+                add_orbit(pair)
+                covered = through(r)
+                continue
+            # |<r, s>| = p q: a third generator completes an elementary P
+            both = through(r, s)
+            inside = np.zeros(H.size, dtype=bool)
+            inside[pair] = True
+            third = cand[ok & (orders[cand] == p) & ~inside[cand]
+                         & (H.mul(s, cand) == H.mul(cand, s))]
+            for t in _orbit_reps(H, third, stab[H.conjugate_by_aut(s, stab) == s]).tolist():
+                if both[t]:
+                    continue
+                members = _closure_within(H, np.array([r, s, t]), allowed, n)
+                if members is not None:
+                    add_orbit(members)
+                    covered, both = through(r), through(r, s)
     return [found[key] for key in sorted(found)]

@@ -4,7 +4,7 @@ The translations, the inversion conjugation and the regularity check give
 the tests independent ways to name regular subgroups, and
 ``brute_force_regular`` is the closure search with no pruning at all,
 which the tests compare ``closure_search_regular`` against.
-``scalar_semiregular`` is ``Holomorph.semiregular_mask`` written as a
+``scalar_semiregular`` is ``Holomorph.semiregular_orders`` written as a
 walk over each element's powers one at a time.
 ``subgroup_view`` turns the flat member indices that search returns into
 holomorph elements and their sorted pair key.  ``search_candidates`` is
@@ -508,16 +508,16 @@ def brute_force_regular(spec: GroupSpec) -> set[tuple[tuple[int, int], ...]]:
 
 
 def scalar_semiregular(H: Holomorph) -> np.ndarray:
-    """mask[k] is True when no power of k but the identity fixes a point,
-    read off each power's action on G, one power at a time."""
+    """order[k] is the order of k when no power of k but the identity fixes
+    a point, else 0, read off each power's action on G, one power at a time."""
     xs = np.arange(H.n)
-    mask = np.zeros(H.size, dtype=bool)
+    order = np.zeros(H.size, dtype=np.int64)
     for k in range(H.size):
-        power = k
+        power, step = k, 1
         while power != H.identity and (act(H, power, xs) != xs).all():
-            power = int(H.mul(power, k))
-        mask[k] = power == H.identity
-    return mask
+            power, step = int(H.mul(power, k)), step + 1
+        order[k] = step if power == H.identity else 0
+    return order
 
 
 def inversion_gamma(spec: GroupSpec) -> GammaFunction:

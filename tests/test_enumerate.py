@@ -370,6 +370,14 @@ class TestSearchCounters:
             "propagations": 272, "nodes": 96, "calls": 7, "rounds": 25, "tables": 90,
         }
 
+    def test_loop_line_is_read_off_the_running_code(self, search_counters):
+        # compiled from a string, so no source file can be read for it
+        namespace: dict = {}
+        exec(compile("def walk(k):\n    total = 0\n    while k:\n"
+                     "        total += k\n        k -= 1\n    return total\n",
+                     "<no file>", "exec"), namespace)
+        assert search_counters.loop_body_line(namespace["walk"]) == 4
+
 
 class TestClosureOracle:
     def test_small_cyclic(self, enum_cache):
@@ -405,6 +413,16 @@ class TestClosureOracle:
         result = routes.closure_oracle(make_group("P2Q-Type4", 3, 2))
         assert len(result.braces) == 56
         assert result.keys() == enum_cache("P2Q-Type4", 3, 2).keys()
+
+    def test_never_consults_the_structured_route(self, enum_cache, monkeypatch):
+        structured = enum_cache("P2Q-Type4", 3, 2).keys()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle ran another route")
+
+        for route in ("gfe_search", "structured_enumerate"):
+            monkeypatch.setattr(routes, route, refuse)
+        assert routes.closure_oracle(make_group("P2Q-Type4", 3, 2)).keys() == structured
 
 
 class TestGatesBeforeAut:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from p2qbrace import holomorph
+from p2qbrace import enumerate as routes
+from p2qbrace import groups, holomorph
 from p2qbrace.enumerate import gfe_search
 from p2qbrace.groups import GroupElement as E
-from p2qbrace.groups import aut_group, classify_iso_type, make_group
+from p2qbrace.groups import GroupSpec, aut_group, classify_iso_type, make_group
 from p2qbrace.holomorph import closure_search_regular, holo
 from reference import (
     HolElement,
@@ -195,21 +196,22 @@ class TestClosureSearch:
 
 
 class TestSemiregularMask:
-    """The closure search's filter: k with every power but 1 fixed-point-free."""
+    """The closure search's filter: the orders of the k with every power but
+    1 fixed-point-free, 0 for the other k."""
 
     @pytest.mark.parametrize("family,p,q", [
         ("P2Q-Type4", 3, 2), ("PQ-Metacyclic", 7, 3), ("PQ-Cyclic", 7, 3), ("P2Q-Type1", 3, 2),
     ])
     def test_matches_scalar_power_walk(self, family, p, q):
         H = holo(make_group(family, p, q))
-        assert np.array_equal(H.semiregular_mask, scalar_semiregular(H))
+        assert np.array_equal(H.semiregular_orders, scalar_semiregular(H))
 
     @pytest.mark.parametrize("family,p,q", [("P2Q-Type4", 3, 2), ("PQ-Metacyclic", 7, 3)])
     def test_invariant_under_every_automorphism(self, family, p, q):
         H = holo(make_group(family, p, q))
-        mask = H.semiregular_mask
+        orders = H.semiregular_orders
         images = H.conjugate_by_aut(np.arange(H.size), np.arange(H.aut.size)[:, None])
-        assert (mask[images] == mask).all()
+        assert (orders[images] == orders).all()
 
     @pytest.mark.parametrize("family,p,q", [
         ("P2Q-Type4", 3, 2), ("PQ-Metacyclic", 7, 3), ("P2Q-Type1", 3, 2), ("PQ-Cyclic", 7, 3),
@@ -218,11 +220,34 @@ class TestSemiregularMask:
         """Soundness of the filter: the search route's regular subgroups,
         {(gamma(g), g)}, found without the holomorph, and the oracle's."""
         spec = make_group(family, p, q)
-        mask = holo(spec).semiregular_mask
+        mask = holo(spec).semiregular_orders > 0
         searched = {tuple(sorted(a * spec.n + g for g, a in enumerate(table)))
                     for table in gfe_search(spec).keys()}
         assert all(mask[list(members)].all() for members in searched)
         assert {tuple(flat.tolist()) for flat in closure_search_regular(spec)} == searched
+
+
+class TestElementarySylow:
+    """Groups outside the families, of order p^2 q with an elementary
+    abelian Sylow p-subgroup, where some regular subgroups of Hol(G) have
+    one too: C3 x C6 and C3 x S3 each have one that no generator pair
+    reaches, and on C2 x C6 a second generator inside a found subgroup
+    still starts a new one with a third generator."""
+
+    @pytest.mark.parametrize("name,p,q,n_mod,c_mod,t,aut,tables", [
+        ("C3xC6", 3, 2, 6, 3, 1, 48, 46),
+        ("C3xS3", 3, 2, 3, 6, 2, 12, 32),
+        ("C2xC6", 2, 3, 6, 2, 1, 12, 12),
+    ])
+    def test_oracle_equals_search(self, monkeypatch, name, p, q, n_mod, c_mod, t, aut, tables):
+        # each module reads the closed-form |Aut| by name; a GroupSpec is
+        # cached by (family, p, q), so every group here has its own name
+        for module in (groups, holomorph, routes):
+            monkeypatch.setattr(module, "aut_order", lambda spec: aut)
+        spec = GroupSpec(name, p, q, n_mod=n_mod, c_mod=c_mod, t=t)
+        searched = routes.gfe_search(spec).keys()
+        assert len(searched) == tables
+        assert routes.closure_oracle(spec).keys() == searched
 
 
 class TestClosurePruning:
@@ -237,8 +262,8 @@ class TestClosurePruning:
         assert keys == brute_force_regular(spec)
 
     @pytest.mark.parametrize("family,p,q,attempts", [
-        ("P2Q-Type4", 3, 2, 1998), ("PQ-Metacyclic", 7, 3, 1512),
-    ])
+        ("P2Q-Type4", 3, 2, 34), ("PQ-Metacyclic", 7, 3, 60),
+    ], ids=["P2Q-Type4-3-2", "PQ-Metacyclic-7-3"])  # ids that outlive a re-pin
     def test_attempt_counts(self, monkeypatch, family, p, q, attempts):
         calls = []
         closure = holomorph._closure_within
