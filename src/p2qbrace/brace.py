@@ -12,8 +12,9 @@ regular subgroup {(gamma(g), g)} of the holomorph.  This module holds
 the pointwise toolkit: the circle law, checked and classified on its
 generators, kernels, duality (conjugation of the regular subgroup by inversion),
 conjugation by automorphisms, and the cyclic-subgroup machinery used to
-build gamma functions generator-first (relative gamma functions and
-their liftings along a factorization G = A B).
+build gamma functions generator-first: relative gamma functions and
+their liftings along a factorization G = A B, in batches of one row per
+twist eta of a generator a, (k, |A|) and (k, |G|) arrays, O(k |G|) each.
 
 Composition of automorphisms is written left to right throughout, i.e.
 ``gamma(g) gamma(h)`` means "apply gamma(g) first", matching the right
@@ -23,13 +24,13 @@ action x^alpha used everywhere in this package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .groups import GroupSpec, GroupElement, _generating_set, aut_group, classify_iso_type, powers
+from .groups import GroupSpec, _generating_set, aut_group, classify_iso_type, powers
 
 
 class GfeError(RuntimeError):
@@ -296,90 +297,66 @@ def conjugate_gamma(gamma: GammaFunction, beta: int) -> GammaFunction:
 # -- relative gamma functions and liftings -----------------------------------
 
 
-@dataclass(frozen=True)
-class RGF:
-    """A gamma function defined only on a cyclic subgroup A = <a>.
+def rgf_from_generator(spec: GroupSpec, a_idx: int,
+                       etas: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The relative gamma functions on A = <a> with gamma(a) = eta, one row
+    per eta: (k, |A|) arrays of the elements a^(o i) and their values eta^i.
 
-    ``domain`` holds the member indices of A sorted, ``values`` the
-    automorphism index for each of them.
-    """
-
-    spec: GroupSpec
-    domain: tuple[int, ...]
-    values: dict[int, int] = field(hash=False)
-
-    def domain_set(self) -> frozenset[int]:
-        return frozenset(self.domain)
-
-
-def rgf_from_generator(spec: GroupSpec, a_gen: GroupElement, eta_idx: int) -> RGF:
-    """The unique relative gamma function on A = <a_gen> with gamma(a) = eta.
-
-    Exists exactly when A is eta-invariant and ord(eta) divides |A|.  It is
-    <(eta, a)> in Hol(G), and (alpha, g)(beta, h) = (alpha beta, g^beta h)
-    makes its k-th power (eta^k, a^(o k)): gamma(a^(o k)) = eta^k, where
-    a^(o k) is k steps of x -> x^eta a from the identity.  The lifted
-    table's GFE check in ``brace_from_gamma`` covers A x A; none is made here.
+    A row exists exactly when A is eta-invariant and ord(eta) divides |A|;
+    one that does not raises the batch.  It is <(eta, a)> in Hol(G), whose
+    i-th power is (eta^i, a^(o i)), and a^(o i) is i steps of x -> x^eta a
+    from 1: one gather per step for all rows.  The lifted table's GFE
+    check in ``brace_from_gamma`` covers A x A; none is made here.
     """
     ag = aut_group(spec)
-    a_idx = spec.idx(a_gen)
+    etas = np.asarray(etas, dtype=np.intp)
     d = int(spec.orders[a_idx])
-    a_pows = powers(spec.mul_table, a_idx, d, 0)
-    if ag.aperm[eta_idx, a_idx] not in a_pows:
-        raise NotInvariantError(
-            "not-invariant: the subgroup <a> is not invariant under the proposed image"
-        )
-    if d % ag.order_of(eta_idx) != 0:
-        raise OrderTooBigError(
-            f"order-too-big: ord(eta) = {ag.order_of(eta_idx)} does not divide |<a>| = {d}"
-        )
-    step = spec.mul_table[ag.aperm[eta_idx], a_idx].tolist()  # x -> x^eta a
-    circle_pows = [0]
-    for _ in range(d - 1):
-        circle_pows.append(step[circle_pows[-1]])
-    eta_pows = powers(ag.comp, eta_idx, d, ag.identity_idx)
-    values = dict(zip(circle_pows, eta_pows.tolist()))
-    if len(values) != d:
-        # unreachable for the orders in scope; guards against misuse
+    in_a = np.zeros(spec.n, dtype=bool)
+    in_a[powers(spec.mul_table, a_idx, d, 0)] = True
+    if not in_a[ag.aperm[etas, a_idx]].all():
+        raise NotInvariantError("not-invariant: the subgroup <a> is not invariant "
+                                "under the proposed image")
+    too_big = ag.orders[etas][d % ag.orders[etas] != 0]
+    if too_big.size:
+        raise OrderTooBigError(f"order-too-big: ord(eta) = {too_big[0]} does not divide "
+                               f"|<a>| = {d}")
+    circle_pows = np.zeros((etas.size, d), dtype=spec.mul_table.dtype)
+    for i in range(1, d):  # x -> x^eta a
+        circle_pows[:, i] = spec.mul_table[ag.aperm[etas, circle_pows[:, i - 1]], a_idx]
+    # a bijection's walk repeats 1 first; unreachable in scope, guards misuse
+    if (circle_pows[:, 1:] == 0).any():
         raise OrderTooBigError("order-too-big: twisted powers do not sweep out <a>")
-    return RGF(spec=spec, domain=tuple(sorted(values)), values=values)
+    return circle_pows, powers(ag.comp, etas, d, ag.identity_idx)
 
 
-def lift_rgf(spec: GroupSpec, rgf: RGF, complement: Iterable[int]) -> GammaFunction:
-    """Extend an RGF on A to all of G = A * B, constant on the B-parts.
+def lift_rgf(spec: GroupSpec, circle_pows: np.ndarray, eta_pows: np.ndarray,
+             complement: Iterable[int]) -> np.ndarray:
+    """The (k, |G|) tables gamma(a b) = gamma'(a) that extend each row of a
+    ``rgf_from_generator`` batch on A along G = A B, B given by its members.
 
-    B is given by its member indices.  Requires the RGF to kill A
-    intersect B and B to be invariant under every gamma'(a) iota(a);
-    the resulting table gamma(a b) = gamma'(a) is then a gamma function
-    with kernel ker(gamma') * B.  The table is one scatter of gamma'(a)
-    over the products a b; reading it back finds ambiguous and missed cells.
+    Each row must kill A intersect B, and B must be invariant under every
+    gamma'(a) iota(a); its table is then a gamma function with kernel
+    ker(gamma') B.  One row that fails raises the batch.  The tables are
+    one scatter over the cells a b, read back for ambiguous and missed
+    cells.  Temporaries hold k |A| |B| cells: k |G| if A, B meet trivially.
     """
     ag = aut_group(spec)
-    comp_set = sorted(set(int(c) for c in complement))
-    for x in rgf.domain_set().intersection(comp_set):
-        if rgf.values[x] != ag.identity_idx:
-            raise LiftPreconditionError(
-                "lift-precondition-failed: intersection of the factors is not "
-                "killed by the relative gamma function"
-            )
-    dom = np.array(rgf.domain, dtype=np.int64)
-    vals = np.array([rgf.values[a] for a in rgf.domain], dtype=np.int64)[:, None]
-    B = np.array(comp_set, dtype=np.int64)
-    movers = ag.comp[vals, ag.iota_map[dom][:, None]]
-    if not np.isin(ag.aperm[movers, B], B).all():
-        raise LiftPreconditionError(
-            "lift-precondition-failed: complement is not invariant under "
-            "the twisted action of the subgroup"
-        )
-    cells = spec.mul_table[dom[:, None], B[None, :]]
-    table = np.full(spec.n, -1, dtype=np.int64)
-    table[cells] = vals
-    if not (table[cells] == vals).all():
-        raise LiftPreconditionError(
-            "lift-precondition-failed: factorization is ambiguous"
-        )
-    if (table < 0).any():
-        raise LiftPreconditionError(
-            "lift-precondition-failed: the factors do not cover the group"
-        )
-    return gamma_from_array(spec, table)
+    in_b = np.zeros(spec.n, dtype=bool)
+    in_b[np.fromiter(complement, dtype=np.intp)] = True
+    B = np.flatnonzero(in_b)
+    if (eta_pows[in_b[circle_pows]] != ag.identity_idx).any():
+        raise LiftPreconditionError("lift-precondition-failed: intersection of the factors "
+                                    "is not killed by the relative gamma function")
+    movers = ag.comp[eta_pows, ag.iota_map[circle_pows]]
+    if not in_b[ag.aperm[movers[..., None], B]].all():
+        raise LiftPreconditionError("lift-precondition-failed: complement is not invariant "
+                                    "under the twisted action of the subgroup")
+    cells = spec.mul_table[circle_pows[..., None], B]  # (k, |A|, |B|)
+    # a unit middle axis lets each row's (|A|, |B|) cells index its table
+    tables = np.full((len(cells), 1, spec.n), -1, dtype=eta_pows.dtype)
+    np.put_along_axis(tables, cells, eta_pows[..., None], axis=2)
+    if (np.take_along_axis(tables, cells, axis=2) != eta_pows[..., None]).any():
+        raise LiftPreconditionError("lift-precondition-failed: factorization is ambiguous")
+    if (tables < 0).any():
+        raise LiftPreconditionError("lift-precondition-failed: the factors do not cover the group")
+    return tables[:, 0]

@@ -3,7 +3,9 @@
 * ``structured_enumerate`` materializes gamma tables from the per-family
   closed-form parameterizations (kernel branches over Sylow subgroups,
   twisted generators, duality doubling), checking every branch count
-  against its formula.
+  against its formula.  It is one loop over each family's branches, a
+  generator a with its k twists, lifted as one (k, |G|) batch in
+  O(k |G|) memory.
 * ``gfe_search`` is a depth-first constraint search over partial gamma
   assignments: the functional equation itself is the propagation rule,
   so nothing family-specific enters.  Since a solution makes (G, o) a
@@ -186,152 +188,115 @@ def _double_by_duality(gammas: dict[tuple[int, ...], GammaFunction]) -> None:
         gammas[dual.key] = dual
 
 
-def _structured_type1(spec: GroupSpec) -> dict[tuple[int, ...], GammaFunction]:
+def _formulas(spec: GroupSpec) -> dict[str, int]:
+    """How many gamma functions each branch label builds."""
+    p, q = spec.p, spec.q
+    profile = arith.divisibility_profile(p, q)
+    square = p * p * (p - 1) if profile.p_vs_q1 == "square" else 0
+    return {
+        "P2Q-Type1": {"type1/b-fixed": p, "type1/b-order-p2": square,
+                      "type1/b-order-p": p * (p - 1) if profile.p_vs_q1 != "none" else 0,
+                      "type1/a-kernel": q - 1 if profile.q_divides_p1 else 0},
+        "P2Q-Type2": {"type2/psi": p - 1, "type2/inner-twist": q * p * (p - 1),
+                      "type2/full-order-twist": q * square},
+        "P2Q-Type3": {"type3/inner-twist": q * (p * p - 1)},
+        "P2Q-Type4": {"type4/kernel-p2": p * p * (q - 1), "type4/kernel-p": p * p * (p - 1)},
+    }[spec.family]
+
+
+def _type1_branches(spec: GroupSpec):
     p, q = spec.p, spec.q
     ag = aut_group(spec)
-    a_gen = GroupElement(1, 0)
-    b_idx = spec.idx(GroupElement(0, 1))
-    A = spec.cyclic_subgroup(spec.idx(a_gen))
+    a_idx, b_idx = spec.idx(GroupElement(1, 0)), spec.idx(GroupElement(0, 1))
+    # every gamma with B in the kernel comes from a twist of a, told apart
+    # by the order mod q of r, where b^eta = b^r, the element of index r
+    etas = np.flatnonzero((p * p) % ag.orders == 0)
+    action = np.array([arith.mult_order(r, q) for r in ag.aperm[etas, b_idx].tolist()])
     B = spec.cyclic_subgroup(b_idx)
-    gammas: dict[tuple[int, ...], GammaFunction] = {}
-
-    # every gamma with B in the kernel comes from a twist of the a-generator
-    by_action: dict[int, int] = {}
-    for eta in np.flatnonzero((p * p) % ag.orders == 0).tolist():
-        gm = lift_rgf(spec, rgf_from_generator(spec, a_gen, eta), B)
-        gammas[gm.key] = gm
-        r = int(ag.aperm[eta, b_idx]) % spec.n_mod  # exponent of b^eta
-        by_action[arith.mult_order(r, q)] = by_action.get(arith.mult_order(r, q), 0) + 1
-    profile = arith.divisibility_profile(p, q)
-    _expect("type1/b-fixed", by_action.get(1, 0), p)
-    _expect("type1/b-order-p", by_action.get(p, 0),
-            p * (p - 1) if profile.p_vs_q1 != "none" else 0)
-    _expect("type1/b-order-p2", by_action.get(p * p, 0),
-            p * p * (p - 1) if profile.p_vs_q1 == "square" else 0)
-
+    for label, order in (("type1/b-fixed", 1), ("type1/b-order-p", p),
+                         ("type1/b-order-p2", p * p)):
+        yield label, a_idx, etas[action == order], B
     # with q | p-1 there are also gammas killing A, one per order-q image
-    if profile.q_divides_p1:
-        built = 0
-        for theta in np.flatnonzero(ag.orders == q).tolist():
-            gm = lift_rgf(spec, rgf_from_generator(spec, GroupElement(0, 1), theta), A)
-            gammas[gm.key] = gm
-            built += 1
-        _expect("type1/a-kernel", built, q - 1)
-    return gammas
+    if arith.divisibility_profile(p, q).q_divides_p1:
+        yield "type1/a-kernel", b_idx, np.flatnonzero(ag.orders == q), spec.cyclic_subgroup(a_idx)
 
 
-def _structured_type23(spec: GroupSpec) -> dict[tuple[int, ...], GammaFunction]:
+def _type23_branches(spec: GroupSpec):
     p, q = spec.p, spec.q
     ag = aut_group(spec)
     B = spec.cyclic_subgroup(spec.idx(GroupElement(0, 1)))
     sylows = spec.sylow_subgroups(p * p)
     _expect(f"{spec.family}/sylow-count", len(sylows), q)
-    gammas: dict[tuple[int, ...], GammaFunction] = {identity_gamma(spec).key: identity_gamma(spec)}
-
+    twists = np.isin(ag.orders, (p, p * p))
     if spec.family == "P2Q-Type2":
-        psi_idx = psi_for_A(spec, GroupElement(1, 0))
-        psi_powers = set(powers(ag.comp, psi_idx, p, ag.identity_idx)[1:].tolist())
-        built = 0
-        for xi in psi_powers:
-            gm = lift_rgf(spec, rgf_from_generator(spec, GroupElement(1, 0), xi), B)
-            gammas[gm.key] = gm
-            built += 1
-        _expect("type2/psi", built, p - 1)
-    else:
-        psi_powers = set()
-
-    mixed_built = 0
-    big_built = 0
-    twist_orders = np.isin(ag.orders, (p, p * p))
+        psi_pows = powers(ag.comp, psi_for_A(spec, GroupElement(1, 0)), p, ag.identity_idx)[1:]
+        twists[psi_pows] = False
+        yield "type2/psi", spec.idx(GroupElement(1, 0)), psi_pows, B
     for gen_idx, members in sylows:
-        a_gen = spec.el(gen_idx)
-        # twists of order p or p^2 that leave the Sylow subgroup <a_gen> invariant
-        invariant = np.isin(ag.aperm[:, gen_idx], members)
-        for xi in np.flatnonzero(twist_orders & invariant).tolist():
-            if xi in psi_powers:
-                continue
-            gm = lift_rgf(spec, rgf_from_generator(spec, a_gen, xi), B)
-            gammas[gm.key] = gm
-            if ag.orders[xi] == p:
-                mixed_built += 1
-            else:
-                big_built += 1
-    if spec.family == "P2Q-Type2":
-        _expect("type2/inner-twist", mixed_built, q * p * (p - 1))
-        want_big = q * p * p * (p - 1) if (q - 1) % (p * p) == 0 else 0
-        _expect("type2/full-order-twist", big_built, want_big)
-        _expect("type2/total", len(gammas),
-                1 + (p - 1) + q * p * (p - 1) + want_big)
-    else:
-        _expect("type3/inner-twist", mixed_built + big_built, q * (p * p - 1))
-        _expect("type3/total", len(gammas), 1 + q * (p * p - 1))
-    _double_by_duality(gammas)
-    return gammas
+        # twists of order p or p^2 that leave the Sylow subgroup <gen> invariant
+        invariant = twists & np.isin(ag.aperm[:, gen_idx], members)
+        if spec.family == "P2Q-Type2":
+            for order, label in ((p, "type2/inner-twist"), (p * p, "type2/full-order-twist")):
+                yield label, gen_idx, np.flatnonzero(invariant & (ag.orders == order)), B
+        else:
+            yield "type3/inner-twist", gen_idx, np.flatnonzero(invariant), B
 
 
-def _structured_type4(spec: GroupSpec) -> dict[tuple[int, ...], GammaFunction]:
+def _type4_branches(spec: GroupSpec):
     p, q = spec.p, spec.q
     ag = aut_group(spec)
     one = ag.identity_idx
+    mt = spec.mul_table
     b_idx = spec.idx(GroupElement(0, 1))
     B = spec.cyclic_subgroup(b_idx)
+    b_pows = powers(mt, b_idx, p * p, 0)
     sylows = spec.sylow_subgroups(q)
     _expect("type4/sylow-count", len(sylows), p * p)
-    gammas: dict[tuple[int, ...], GammaFunction] = {identity_gamma(spec).key: identity_gamma(spec)}
-
-    # kernel = the Sylow p-subgroup: twist one Sylow q-complement by an
-    # inner power of its own generator
-    built = 0
     for gen_idx, _members in sylows:
-        a_gen = spec.el(gen_idx)
-        for eta in powers(ag.comp, ag.iota_map[gen_idx], q, one)[1:].tolist():
-            gm = lift_rgf(spec, rgf_from_generator(spec, a_gen, eta), B)
-            gammas[gm.key] = gm
-            built += 1
-    _expect("type4/kernel-p2", built, p * p * (q - 1))
-
-    # kernel of order p: gamma(a^i b^j) = iota(a^-i) psi^(t j) for the
-    # complement-fixing power automorphism psi
-    built = 0
-    mt = spec.mul_table
-    b_pows = powers(mt, b_idx, p * p, 0)
-    for gen_idx, _members in sylows:
-        psi_pows = powers(ag.comp, psi_for_A(spec, spec.el(gen_idx)), p, one)
+        # kernel = the Sylow p-subgroup: twist one Sylow q-complement by an
+        # inner power of its own generator
+        yield "type4/kernel-p2", gen_idx, powers(ag.comp, ag.iota_map[gen_idx], q, one)[1:], B
+        # kernel of order p: gamma(a^i b^j) = iota(a^-i) psi^(t j) for the
+        # complement-fixing power automorphism psi, broadcast over the
+        # cells a^i b^j, which cover every element once
+        psi_pows = powers(ag.comp, psi_for_A(spec, spec.el(gen_idx)), p, one)[1:]
         iota_pows = powers(ag.comp, ag.ainv[ag.iota_map[gen_idx]], q, one)
-        # <a> <b> = G, so these cells cover every element once
-        cells = mt[powers(mt, gen_idx, q, 0)[:, None], b_pows[None, :]]
-        for psi_t in psi_pows[1:]:
-            table = np.empty(spec.n, dtype=np.int32)
-            table[cells] = ag.comp[iota_pows[:, None], powers(ag.comp, psi_t, p * p, one)]
-            gm = gamma_from_array(spec, table)
-            gammas[gm.key] = gm
-            built += 1
-    _expect("type4/kernel-p", built, p * p * (p - 1))
-    _expect("type4/total", len(gammas), 1 + p * p * (q - 1) + p * p * (p - 1))
-    _double_by_duality(gammas)
-    return gammas
+        cells = mt[powers(mt, gen_idx, q, 0)[:, None], b_pows]
+        tables = np.empty((p - 1, spec.n), dtype=ag.comp.dtype)
+        psi_tj = powers(ag.comp, psi_pows, p * p, one)
+        tables[:, cells] = ag.comp[iota_pows[:, None], psi_tj[:, None]]
+        yield "type4/kernel-p", None, tables, None
 
 
 def structured_enumerate(spec: GroupSpec) -> EnumerationResult:
     """All skew braces on a p^2 q group by the closed-form constructions.
 
-    Every claimed gamma table is built concretely; branch sizes that
-    disagree with their formulas raise ``StructuredCountMismatchError``.
-    The functional equation is checked when the records are built.
+    One loop lifts each of the family's branches (label, generator a,
+    twists, complement B) as one batch: twist eta gives gamma(a) = eta on
+    <a>, lifted along G = <a> B.  Type4's kernel-p branch has no generator
+    and brings its tables.  A count per label, the Sylow count or the
+    family total off its formula raises ``StructuredCountMismatchError``;
+    the non-abelian families are then doubled by duality.
     """
-    builders = {
-        "P2Q-Type1": _structured_type1,
-        "P2Q-Type2": _structured_type23,
-        "P2Q-Type3": _structured_type23,
-        "P2Q-Type4": _structured_type4,
-    }
-    if spec.family not in builders:
+    branches = {"P2Q-Type1": _type1_branches, "P2Q-Type2": _type23_branches,
+                "P2Q-Type3": _type23_branches, "P2Q-Type4": _type4_branches}
+    if spec.family not in branches:
         raise ValueError(f"structured enumeration covers p^2 q families, not {spec.family}")
-    gammas = builders[spec.family](spec)
-    if identity_gamma(spec).key not in gammas:
-        raise StructuredCountMismatchError(
-            "structured-count-mismatch: the trivial gamma function is missing"
-        )
+    want = _formulas(spec)
+    built = dict.fromkeys(want, 0)
+    gammas = {identity_gamma(spec).key: identity_gamma(spec)}
+    for label, a_idx, rows, complement in branches[spec.family](spec):
+        if a_idx is not None:  # rows are twists, else tables
+            rows = lift_rgf(spec, *rgf_from_generator(spec, a_idx, rows), complement)
+        for table in rows:
+            gm = gamma_from_array(spec, table)
+            gammas[gm.key] = gm
+        built[label] += len(rows)
+    for label, count in want.items():
+        _expect(label, built[label], count)
+    if spec.family != "P2Q-Type1":
+        _expect(f"type{spec.family[-1]}/total", len(gammas), 1 + sum(want.values()))
+        _double_by_duality(gammas)
     return EnumerationResult(spec, "structured", gammas)
 
 

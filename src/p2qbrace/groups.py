@@ -191,14 +191,14 @@ class GroupSpec:
     def __repr__(self) -> str:
         return f"GroupSpec({self.family}, p={self.p}, q={self.q}, t={self.t})"
 
+    def _key(self) -> tuple:
+        return self.family, self.p, self.q, self.n_mod, self.c_mod, self.t
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupSpec)
-            and (self.family, self.p, self.q) == (other.family, other.p, other.q)
-        )
+        return isinstance(other, GroupSpec) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.family, self.p, self.q))
+        return hash(self._key())
 
 
 @lru_cache(maxsize=None)

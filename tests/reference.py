@@ -26,9 +26,12 @@ only the generators: abelian and the centre from ``table == table.T``.
 which converts between ordinary powers and twisted powers of a cyclic
 generator.  When s = 1 (mod p) and m = p**n the values es(0), ...,
 es(p**n - 1) sweep out every residue class exactly once.  ``es_table``
-and ``fs`` invert it, and ``rgf_by_partial_sums`` is
-``brace.rgf_from_generator`` written with it: the twist exponent s with
-a^eta = a^s, then gamma(a^es(k)) = eta^k.
+and ``fs`` invert it, and ``rgf_by_partial_sums`` is one row of
+``brace.rgf_from_generator``'s batch written with it: the twist exponent
+s with a^eta = a^s, then gamma(a^es(k)) = eta^k.  It returns an ``RGF``,
+one relative gamma function as its sorted domain and a dict of values,
+a form only the tests keep; ``rgf_rows`` turns each row of a batch into
+one.
 
 The pointwise circle operation and its closed-form inverse, the morphism
 tests, the inversion gamma function and ``nu_subgroup`` give the tests
@@ -39,15 +42,15 @@ those pairs, read off the presentation and not off ``mul_table``.
 ``scalar_aut_perms`` is the automorphism search written with that law,
 one generator-image pair at a time, ``check_rgf_gfe`` checks the
 functional equation of a relative gamma function pair by pair, and
-``scalar_lift`` is ``brace.lift_rgf`` written as a loop over the pairs
-(a, b).  ``is_associative`` checks (x y) z = x (y z) one row of x at a
+``scalar_lift`` is one row of ``brace.lift_rgf``'s batch written as a
+loop over the pairs (a, b).  ``is_associative`` checks (x y) z = x (y z) one row of x at a
 time, over every triple.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -55,7 +58,6 @@ import numpy as np
 
 from p2qbrace import arith, counts
 from p2qbrace.brace import (
-    RGF,
     GammaFunction,
     GfeError,
     LiftPreconditionError,
@@ -131,6 +133,28 @@ def fs(r: int, s: int, m: int) -> int:
             f"s={s} is not 1 modulo {p}, so the partial sums are not invertible mod {m}"
         )
     return es_table(s, m).inverse(r)
+
+
+@dataclass(frozen=True)
+class RGF:
+    """A gamma function defined only on a cyclic subgroup A = <a>.
+
+    ``domain`` holds the member indices of A sorted, ``values`` the
+    automorphism index for each of them.
+    """
+
+    spec: GroupSpec
+    domain: tuple[int, ...]
+    values: dict[int, int] = field(hash=False)
+
+    def domain_set(self) -> frozenset[int]:
+        return frozenset(self.domain)
+
+
+def rgf_rows(spec: GroupSpec, circle_pows: np.ndarray, eta_pows: np.ndarray) -> list[RGF]:
+    """One ``RGF`` per row of a ``brace.rgf_from_generator`` batch."""
+    return [RGF(spec, tuple(sorted(cp)), dict(zip(cp, ep)))
+            for cp, ep in zip(circle_pows.tolist(), eta_pows.tolist())]
 
 
 def rgf_by_partial_sums(spec: GroupSpec, a_gen: GroupElement, eta_idx: int) -> RGF:

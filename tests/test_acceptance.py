@@ -287,8 +287,8 @@ def test_criterion_6f_generator_image_uniqueness_exhaustive():
     assert len(admissible) == 3  # identity plus the two order-3 twists
     for eta in admissible:
         assert _brute_force_rgf_count(spec, E(1, 0), eta) == 1
-        built = rgf_from_generator(spec, E(1, 0), eta)
-        assert built.values[spec.idx(E(1, 0))] == eta
+        circle_pows, eta_pows = rgf_from_generator(spec, spec.idx(E(1, 0)), [eta])
+        assert dict(zip(circle_pows[0], eta_pows[0]))[spec.idx(E(1, 0))] == eta
     print("\nACCEPTANCE 6f (generator image determines the map, exhaustively): PASS")
 
 

@@ -12,6 +12,7 @@ from p2qbrace.brace import (
     conjugate_gamma,
     dual_gamma,
     find_gfe_violation,
+    gamma_from_array,
     gamma_from_regular,
     identity_gamma,
     lift_rgf,
@@ -21,6 +22,7 @@ from p2qbrace.groups import GroupElement as E
 from p2qbrace.groups import aut_group, classify_iso_type, make_group
 from p2qbrace.holomorph import holo
 from reference import (
+    RGF,
     all_pairs_classify,
     check_rgf_gfe,
     circle,
@@ -39,6 +41,7 @@ from reference import (
     power,
     rgf_by_partial_sums,
     rgf_is_morphism,
+    rgf_rows,
     rho,
     scalar_lift,
 )
@@ -46,6 +49,12 @@ from reference import (
 
 def iota_idx(spec, el):
     return int(aut_group(spec).iota_map[spec.idx(el)])
+
+
+def lift_one(spec, a_gen, eta, complement):
+    """The gamma function lifted from the relative one with gamma(a) = eta."""
+    batch = rgf_from_generator(spec, spec.idx(a_gen), [eta])
+    return gamma_from_array(spec, lift_rgf(spec, *batch, complement)[0])
 
 
 def aut_power(spec, k, e):
@@ -191,8 +200,7 @@ class TestBraceRecords:
         spec = make_group("P2Q-Type4", 3, 2)
         ag = aut_group(spec)
         eta = int(ag.ainv[iota_idx(spec, E(1, 0))])
-        rgf = rgf_from_generator(spec, E(1, 0), eta)
-        gm = lift_rgf(spec, rgf, spec.cyclic_subgroup(spec.idx(E(0, 1))))
+        gm = lift_one(spec, E(1, 0), eta, spec.cyclic_subgroup(spec.idx(E(0, 1))))
         rec = brace_from_gamma(gm)
         assert rec.circle_type == "Type1"
         assert set(spec.cyclic_subgroup(spec.idx(E(0, 1)))) <= brace.kernel(rec.gamma)
@@ -201,8 +209,7 @@ class TestBraceRecords:
         spec = make_group("P2Q-Type3", 3, 19)
         ag = aut_group(spec)
         eta = int(ag.ainv[iota_idx(spec, E(1, 0))])  # iota(a^-1)
-        rgf = rgf_from_generator(spec, E(1, 0), eta)
-        gm = lift_rgf(spec, rgf, spec.cyclic_subgroup(spec.idx(E(0, 1))))
+        gm = lift_one(spec, E(1, 0), eta, spec.cyclic_subgroup(spec.idx(E(0, 1))))
         assert brace_from_gamma(gm).circle_type == "Type1"
 
     def test_gfe_violation_is_rejected(self):
@@ -298,8 +305,7 @@ class TestDuality:
         gm = identity_gamma(spec)
         ag = aut_group(spec)
         eta = next(k for k in range(ag.size) if ag.order_of(k) == 3)
-        rgf = rgf_from_generator(spec, E(1, 0), eta)
-        gm = lift_rgf(spec, rgf, spec.cyclic_subgroup(spec.idx(E(0, 1))))
+        gm = lift_one(spec, E(1, 0), eta, spec.cyclic_subgroup(spec.idx(E(0, 1))))
         dual = dual_gamma(gm)
         inv = spec.inv_table
         assert dual.table == tuple(gm.table[inv[x]] for x in range(spec.n))
@@ -331,12 +337,22 @@ class TestConjugation:
             assert check_gfe(conjugate_gamma(gm, beta))
 
 
+def assert_batch_fails_on_one_row(build, error, prefix, good, bad):
+    """``build`` raises ``error`` with ``prefix`` on the rows ``good``
+    with ``bad`` first or last among them, and nothing on ``good`` alone."""
+    assert len(good) >= 2
+    build(good)
+    for at in (0, len(good)):
+        with pytest.raises(error, match=f"^{prefix}"):
+            build(good[:at] + [bad] + good[at:])
+
+
 class TestRgf:
     def test_identity_image_gives_trivial_rgf(self):
         spec = make_group("P2Q-Type1", 3, 7)
         ag = aut_group(spec)
-        rgf = rgf_from_generator(spec, E(1, 0), ag.identity_idx)
-        assert all(v == ag.identity_idx for v in rgf.values.values())
+        _, eta_pows = rgf_from_generator(spec, spec.idx(E(1, 0)), [ag.identity_idx])
+        assert (eta_pows == ag.identity_idx).all()
 
     def test_type1_twist_follows_partial_sums(self):
         spec = make_group("P2Q-Type1", 3, 7)
@@ -346,7 +362,7 @@ class TestRgf:
             k for k, (img_a, img_b) in enumerate(ag.aperm[:, [a_idx, b_idx]])
             if img_a == spec.idx(power(spec, E(1, 0), 4)) and img_b == b_idx
         )
-        rgf = rgf_from_generator(spec, E(1, 0), eta)
+        (rgf,) = rgf_rows(spec, *rgf_from_generator(spec, a_idx, [eta]))
         for k in range(9):
             el = spec.idx(power(spec, E(1, 0), es(k, 4, 9)))
             assert rgf.values[el] == aut_power(spec, eta, k)
@@ -356,52 +372,68 @@ class TestRgf:
     ])
     def test_walk_matches_partial_sums(self, family, p, q):
         # every (element of order p, p^2 or q, automorphism) pair: the same
-        # error class and message, or the same domain and values
+        # error class and message, or the same domain and values.  The
+        # automorphisms that build share one batch, and each one that
+        # fails is a batch of its own.
         spec = make_group(family, p, q)
 
-        def outcome(build, g, eta):
+        def outcome(g, eta):
             try:
-                rgf = build(spec, spec.el(g), eta)
+                return rgf_by_partial_sums(spec, spec.el(g), eta)
             except (brace.NotInvariantError, brace.OrderTooBigError) as exc:
                 return type(exc), str(exc)
-            return rgf.domain, rgf.values
 
         built = 0
         for g in (g for k in (p, p * p, q) for g in spec.elements_of_order(k)):
-            for eta in range(aut_group(spec).size):
-                want = outcome(rgf_by_partial_sums, g, eta)
-                assert outcome(rgf_from_generator, g, eta) == want
-                built += isinstance(want[0], tuple)
+            want = {eta: outcome(g, eta) for eta in range(aut_group(spec).size)}
+            builds = [eta for eta, rgf in want.items() if isinstance(rgf, RGF)]
+            rows = rgf_rows(spec, *rgf_from_generator(spec, g, builds))
+            assert [(r.domain, r.values) for r in rows] == \
+                [(want[eta].domain, want[eta].values) for eta in builds]
+            for eta in want.keys() - set(builds):
+                try:
+                    rgf_from_generator(spec, g, [eta])
+                except (brace.NotInvariantError, brace.OrderTooBigError) as exc:
+                    assert (type(exc), str(exc)) == want[eta]
+                else:
+                    pytest.fail(f"the twist {eta} of {g} built")
+            built += len(builds)
         assert built > 0
 
     def test_rejects_order_not_dividing(self):
         spec = make_group("P2Q-Type1", 3, 7)
         ag = aut_group(spec)
-        eta = next(k for k in range(ag.size) if ag.order_of(k) == 2)
-        with pytest.raises(brace.OrderTooBigError):
-            rgf_from_generator(spec, E(1, 0), eta)  # 2 does not divide 9
+        good = [k for k in range(ag.size) if ag.order_of(k) in (1, 3)]
+        bad = next(k for k in range(ag.size) if ag.order_of(k) == 2)  # 2 does not divide 9
+        assert_batch_fails_on_one_row(
+            lambda etas: rgf_from_generator(spec, spec.idx(E(1, 0)), etas),
+            brace.OrderTooBigError, "order-too-big: ord\\(eta\\) = 2", good, bad)
 
     def test_rejects_moved_subgroup(self):
         spec = make_group("P2Q-Type3", 3, 19)
+        ag = aut_group(spec)
         sylows = spec.sylow_subgroups(9)
-        # conjugation by a generator of one Sylow subgroup moves the others
-        eta = iota_idx(spec, spec.el(sylows[0][0]))
-        with pytest.raises(brace.NotInvariantError):
-            rgf_from_generator(spec, spec.el(sylows[1][0]), eta)
+        a_idx = sylows[1][0]
+        # conjugation by a generator of one Sylow subgroup moves the others,
+        # and by its own generator leaves it in place
+        good = [ag.identity_idx, iota_idx(spec, spec.el(a_idx))]
+        bad = iota_idx(spec, spec.el(sylows[0][0]))
+        assert_batch_fails_on_one_row(
+            lambda etas: rgf_from_generator(spec, a_idx, etas),
+            brace.NotInvariantError, "not-invariant:", good, bad)
 
     def test_invariant_sylow_is_unique_for_full_order_twists(self):
         # a full-order twist admits an RGF on exactly one of the q Sylow
         # p-subgroups; order-p twists from the center-avoiding factor
         # work on every one of them
         spec = make_group("P2Q-Type3", 3, 19)
-        ag = aut_group(spec)
         sylows = spec.sylow_subgroups(9)
         assert len(sylows) == 19
         eta = iota_idx(spec, E(1, 0))  # inner, order 9
         hits = 0
         for gen_idx, _members in sylows:
             try:
-                rgf_from_generator(spec, spec.el(gen_idx), eta)
+                rgf_from_generator(spec, gen_idx, [eta])
                 hits += 1
             except brace.NotInvariantError:
                 pass
@@ -413,7 +445,7 @@ class TestRgf:
         spec = make_group("P2Q-Type2", 3, 7)
         psi = psi_for_A(spec, E(1, 0))
         for gen_idx, _members in spec.sylow_subgroups(9):
-            rgf_from_generator(spec, spec.el(gen_idx), psi)  # must not raise
+            rgf_from_generator(spec, gen_idx, [psi])  # must not raise
 
     def test_inner_twist_admits_one_sylow_choice_of_seven(self):
         # building the same twisted map from each of the q = 7 Sylow
@@ -426,7 +458,7 @@ class TestRgf:
         outcomes = []
         for gen_idx, _members in sylows:
             try:
-                rgf_from_generator(spec, spec.el(gen_idx), eta)
+                rgf_from_generator(spec, gen_idx, [eta])
                 outcomes.append(gen_idx)
             except brace.NotInvariantError:
                 pass
@@ -439,53 +471,60 @@ class TestRgf:
             spec = make_group(family, p, q)
             ag = aut_group(spec)
             gen_idx, members = spec.sylow_subgroups(order)[0]
-            gen = spec.el(gen_idx)
-            for eta in range(ag.size):
-                if ag.order_of(eta) != p:
-                    continue
-                if int(ag.aperm[eta, gen_idx]) not in members:
-                    continue
-                assert rgf_is_morphism(rgf_from_generator(spec, gen, eta))
+            etas = [eta for eta in range(ag.size)
+                    if ag.order_of(eta) == p and int(ag.aperm[eta, gen_idx]) in members]
+            rgfs = rgf_rows(spec, *rgf_from_generator(spec, gen_idx, etas))
+            assert rgfs and all(rgf_is_morphism(rgf) for rgf in rgfs)
 
-    @pytest.mark.parametrize(
-        "family,p,q", [("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7), ("P2Q-Type3", 3, 19)]
-    )
+    @pytest.mark.parametrize("family,p,q", [
+        ("P2Q-Type1", 3, 7), ("P2Q-Type2", 3, 7), ("P2Q-Type3", 3, 19), ("P2Q-Type4", 3, 2),
+    ])
     def test_every_structured_rgf_satisfies_the_relative_equation(
         self, monkeypatch, family, p, q
     ):
         # construction does not re-check the relative equation; the
-        # reference does, on every RGF the structured route builds
+        # reference does, on every row of every batch the structured
+        # route builds
         from p2qbrace import enumerate as routes
 
         build = routes.rgf_from_generator
         checked = []
 
-        def checking(spec, a_gen, eta_idx):
-            rgf = build(spec, a_gen, eta_idx)
-            check_rgf_gfe(rgf)
-            checked.append(rgf)
-            return rgf
+        def checking(spec, a_idx, etas):
+            batch = build(spec, a_idx, etas)
+            for rgf in rgf_rows(spec, *batch):
+                check_rgf_gfe(rgf)
+                checked.append(rgf)
+            return batch
 
         monkeypatch.setattr(routes, "rgf_from_generator", checking)
-        routes.structured_enumerate(make_group(family, p, q))
-        assert checked
+        spec = make_group(family, p, q)
+        routes.structured_enumerate(spec)
+        # every table but Type4's broadcast kernel-p branch is a lift
+        lifted = {k: v for k, v in routes._formulas(spec).items() if k != "type4/kernel-p"}
+        assert len(checked) == sum(lifted.values()) > 0
 
     def test_reference_rejects_a_broken_rgf(self):
         spec = make_group("P2Q-Type4", 3, 2)
         ag = aut_group(spec)
-        rgf = rgf_from_generator(spec, E(1, 0), int(ag.iota_map[spec.idx(E(1, 0))]))
+        a_idx = spec.idx(E(1, 0))
+        (rgf,) = rgf_rows(spec, *rgf_from_generator(spec, a_idx, [int(ag.iota_map[a_idx])]))
         other = next(k for k in range(ag.size) if k not in rgf.values.values())
-        bad = brace.RGF(spec, rgf.domain, {**rgf.values, rgf.domain[1]: other})
+        bad = RGF(spec, rgf.domain, {**rgf.values, rgf.domain[1]: other})
         with pytest.raises(brace.GfeError):
             check_rgf_gfe(bad)
+
+
+def lift_rows(spec, circle_pows, eta_pows, complement, rows):
+    """``lift_rgf`` on the chosen rows of a batch."""
+    return lift_rgf(spec, circle_pows[rows], eta_pows[rows], complement)
 
 
 class TestLift:
     def test_lift_of_trivial_rgf(self):
         spec = make_group("P2Q-Type1", 3, 7)
         ag = aut_group(spec)
-        rgf = rgf_from_generator(spec, E(1, 0), ag.identity_idx)
-        gm = lift_rgf(spec, rgf, spec.cyclic_subgroup(spec.idx(E(0, 1))))
+        gm = lift_one(spec, E(1, 0), ag.identity_idx, spec.cyclic_subgroup(spec.idx(E(0, 1))))
         assert gm.table == identity_gamma(spec).table
 
     def test_lift_kernel_contains_complement(self):
@@ -493,57 +532,94 @@ class TestLift:
         ag = aut_group(spec)
         eta = next(k for k in range(ag.size) if ag.order_of(k) == 3)
         B = spec.cyclic_subgroup(spec.idx(E(0, 1)))
-        gm = lift_rgf(spec, rgf_from_generator(spec, E(1, 0), eta), B)
+        gm = lift_one(spec, E(1, 0), eta, B)
         from p2qbrace.brace import kernel
 
         assert set(B) <= kernel(gm)
 
+    def test_lift_along_factors_that_meet(self):
+        # G = <a> <a^3 b> in the cyclic group of order 18, the factors
+        # meeting in <a^3>, which every twist of order 3 kills
+        spec = make_group("P2Q-Type1", 3, 2)
+        ag = aut_group(spec)
+        etas = [k for k in range(ag.size) if ag.order_of(k) in (1, 3)]
+        batch = rgf_from_generator(spec, spec.idx(E(1, 0)), etas)
+        B = spec.cyclic_subgroup(spec.idx(E(3, 1)))
+        tables = lift_rgf(spec, *batch, B)
+        assert len(tables) == 3
+        for table, rgf in zip(tables, rgf_rows(spec, *batch)):
+            assert tuple(table) == scalar_lift(spec, rgf, B).table
+
     def test_complement_invariance_failure(self):
-        # lifting from <b> against a non-normal complement <a> in the
-        # dihedral-like group: conjugation by b moves <a>
+        # lifting from <b> against the non-normal complement <a> in the
+        # dihedral group: a twist that moves a as iota(b^-1) does makes
+        # every gamma'(x) iota(x) fix <a>; the trivial one lets
+        # conjugation by b move it
         spec = make_group("P2Q-Type4", 3, 2)
         ag = aut_group(spec)
-        rgf = rgf_from_generator(spec, E(0, 1), ag.identity_idx)
-        bad_rgf = brace.RGF(
-            spec=spec,
-            domain=rgf.domain,
-            values={k: iota_idx(spec, spec.el(k)) for k in rgf.domain},
-        )
-        A = spec.cyclic_subgroup(spec.idx(E(1, 0)))
-        with pytest.raises(brace.LiftPreconditionError, match="invariant"):
-            lift_rgf(spec, bad_rgf, A)
+        a_idx, b_idx = spec.idx(E(1, 0)), spec.idx(E(0, 1))
+        a_image = ag.aperm[ag.ainv[ag.iota_map[b_idx]], a_idx]
+        good = np.flatnonzero((ag.aperm[:, a_idx] == a_image) & (9 % ag.orders == 0)).tolist()
+        batch = rgf_from_generator(spec, b_idx, good + [ag.identity_idx])
+        A = spec.cyclic_subgroup(a_idx)
+        assert_batch_fails_on_one_row(
+            lambda rows: lift_rows(spec, *batch, A, rows), brace.LiftPreconditionError,
+            "lift-precondition-failed: complement is not invariant", list(range(len(good))),
+            len(good))
 
     def test_ambiguous_factorization(self):
-        # <a^3> kills the intersection and is characteristic, but gamma'
-        # differs on a and a^4 = a a^3, which share the cell a^4
+        # <a^3 b> meets <a> in <a^3>; a row that differs on a and on
+        # a^4 = a a^3, which share the cell a^4, is ambiguous
         spec = make_group("P2Q-Type1", 3, 2)
         ag = aut_group(spec)
-        eta = next(k for k in range(ag.size) if ag.order_of(k) == 3)
-        A = spec.cyclic_subgroup(spec.idx(E(1, 0)))
-        a3 = spec.cyclic_subgroup(spec.idx(E(3, 0)))
-        values = {x: ag.identity_idx for x in A}
-        values[spec.idx(E(1, 0))] = eta
-        rgf = brace.RGF(spec=spec, domain=A, values=values)
-        for lift in (lift_rgf, scalar_lift):
-            with pytest.raises(brace.LiftPreconditionError, match="ambiguous"):
-                lift(spec, rgf, a3)
+        etas = [k for k in range(ag.size) if ag.order_of(k) in (1, 3)]
+        circle_pows, eta_pows = rgf_from_generator(spec, spec.idx(E(1, 0)), etas)
+        B = spec.cyclic_subgroup(spec.idx(E(3, 1)))
+        circle_pows = np.vstack([circle_pows, circle_pows[1]])
+        eta_pows = np.vstack([eta_pows, eta_pows[1]])
+        eta_pows[3, 1] = eta_pows[2, 1]  # gamma'(a) only
+        assert_batch_fails_on_one_row(
+            lambda rows: lift_rows(spec, circle_pows, eta_pows, B, rows),
+            brace.LiftPreconditionError, "lift-precondition-failed: factorization is ambiguous",
+            [0, 1, 2], 3)
+        with pytest.raises(brace.LiftPreconditionError, match="ambiguous"):
+            scalar_lift(spec, rgf_rows(spec, circle_pows, eta_pows)[3], B)  # the reference agrees
 
     def test_factors_must_cover(self):
+        # a row that walks one member of <a> twice, with the same value,
+        # misses the coset of another
         spec = make_group("P2Q-Type1", 3, 2)
         ag = aut_group(spec)
-        rgf = rgf_from_generator(spec, E(1, 0), ag.identity_idx)
-        A = spec.cyclic_subgroup(spec.idx(E(1, 0)))
-        for lift in (lift_rgf, scalar_lift):
-            with pytest.raises(brace.LiftPreconditionError, match="do not cover"):
-                lift(spec, rgf, A)
+        etas = [k for k in range(ag.size) if ag.order_of(k) in (1, 3)]
+        circle_pows, eta_pows = rgf_from_generator(spec, spec.idx(E(1, 0)), etas)
+        B = spec.cyclic_subgroup(spec.idx(E(0, 1)))
+        circle_pows = np.vstack([circle_pows, circle_pows[1]])
+        eta_pows = np.vstack([eta_pows, eta_pows[1]])
+        twin = next(i for i in range(1, 8) if eta_pows[3, i] == eta_pows[3, 8])
+        circle_pows[3, 8] = circle_pows[3, twin]
+        assert_batch_fails_on_one_row(
+            lambda rows: lift_rows(spec, circle_pows, eta_pows, B, rows),
+            brace.LiftPreconditionError, "lift-precondition-failed: the factors do not cover",
+            [0, 1, 2], 3)
+        with pytest.raises(brace.LiftPreconditionError, match="do not cover"):
+            scalar_lift(spec, rgf_rows(spec, circle_pows, eta_pows)[3], B)  # the reference agrees
 
     def test_intersection_failure(self):
-        spec = make_group("P2Q-Type4", 3, 2)
+        # <a^3 b> meets <a> in <a^3>, which a row with gamma'(a^3) != 1
+        # does not kill
+        spec = make_group("P2Q-Type1", 3, 2)
         ag = aut_group(spec)
-        eta = int(ag.ainv[iota_idx(spec, E(1, 0))])
-        rgf = rgf_from_generator(spec, E(1, 0), eta)
-        with pytest.raises(brace.LiftPreconditionError, match="intersection"):
-            lift_rgf(spec, rgf, range(spec.n))  # complement = all of G
+        etas = [k for k in range(ag.size) if ag.order_of(k) in (1, 3)]
+        circle_pows, eta_pows = rgf_from_generator(spec, spec.idx(E(1, 0)), etas)
+        B = spec.cyclic_subgroup(spec.idx(E(3, 1)))
+        circle_pows = np.vstack([circle_pows, circle_pows[1]])
+        eta_pows = np.vstack([eta_pows, eta_pows[1]])
+        a3 = list(circle_pows[3]).index(spec.idx(E(3, 0)))
+        eta_pows[3, a3] = etas[1]
+        assert_batch_fails_on_one_row(
+            lambda rows: lift_rows(spec, circle_pows, eta_pows, B, rows),
+            brace.LiftPreconditionError, "lift-precondition-failed: intersection",
+            [0, 1, 2], 3)
 
 
 class TestInvariantSubgroups:

@@ -10,7 +10,8 @@ from p2qbrace import brace, holomorph
 from p2qbrace import enumerate as routes
 from p2qbrace.brace import dual_gamma
 from p2qbrace.groups import AutTooLargeError, GroupSpec, aut_group, make_group
-from reference import all_pairs_propagate, all_pairs_search, scalar_lift, search_candidates
+from reference import (all_pairs_propagate, all_pairs_search, rgf_by_partial_sums, scalar_lift,
+                       search_candidates)
 
 
 @pytest.fixture(scope="module")
@@ -136,17 +137,49 @@ class TestStructured:
         ("P2Q-Type1", 3, 7), ("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7), ("P2Q-Type3", 3, 19),
     ])
     def test_lifts_match_the_scalar_reference(self, monkeypatch, family, p, q):
+        # every row of every branch, against the pair-by-pair lift of the
+        # relative gamma function the partial sums give for its a and eta
         agrees = []
         lift = routes.lift_rgf
 
-        def checked(spec, rgf, complement):
-            gm = lift(spec, rgf, complement)
-            agrees.append(gm.key == scalar_lift(spec, rgf, complement).key)
-            return gm
+        def checked(spec, circle_pows, eta_pows, complement):
+            tables = lift(spec, circle_pows, eta_pows, complement)
+            for table, a_idx, eta in zip(tables, circle_pows[:, 1], eta_pows[:, 1]):
+                rgf = rgf_by_partial_sums(spec, spec.el(int(a_idx)), int(eta))
+                agrees.append(tuple(table.tolist()) == scalar_lift(spec, rgf, complement).key)
+            return tables
 
         monkeypatch.setattr(routes, "lift_rgf", checked)
+        spec = make_group(family, p, q)
+        routes.structured_enumerate(spec)
+        # every table but Type4's broadcast kernel-p branch is a lift
+        lifted = {k: v for k, v in routes._formulas(spec).items() if k != "type4/kernel-p"}
+        assert len(agrees) == sum(lifted.values()) > 0 and all(agrees)
+
+    @pytest.mark.parametrize("family,p,q,branches", [
+        # b fixed, b of order p, b of order p^2
+        ("P2Q-Type1", 3, 7, 3),
+        # and the a-kernel branch when q | p - 1
+        ("P2Q-Type1", 3, 2, 4),
+        # the psi branch, then order p and order p^2 twists on each Sylow p-subgroup
+        ("P2Q-Type2", 3, 7, 1 + 2 * 7),
+        # one branch per Sylow p-subgroup
+        ("P2Q-Type3", 3, 19, 19),
+        # kernel-p2 on each Sylow q-subgroup; the kernel-p branches lift nothing
+        ("P2Q-Type4", 7, 3, 49),
+    ])
+    def test_one_lift_per_branch(self, monkeypatch, family, p, q, branches):
+        calls = []
+        lift = routes.lift_rgf
+
+        def counting(spec, circle_pows, eta_pows, complement):
+            calls.append(len(circle_pows))
+            return lift(spec, circle_pows, eta_pows, complement)
+
+        monkeypatch.setattr(routes, "lift_rgf", counting)
         routes.structured_enumerate(make_group(family, p, q))
-        assert agrees and all(agrees)
+        assert len(calls) == branches
+        assert max(calls) > 1  # a branch's twists are one batch
 
     def test_rejects_pq_families(self):
         with pytest.raises(ValueError):

@@ -240,14 +240,26 @@ class TestElementarySylow:
         ("C2xC6", 2, 3, 6, 2, 1, 12, 12),
     ])
     def test_oracle_equals_search(self, monkeypatch, name, p, q, n_mod, c_mod, t, aut, tables):
-        # each module reads the closed-form |Aut| by name; a GroupSpec is
-        # cached by (family, p, q), so every group here has its own name
+        # each module reads the closed-form |Aut| by name
         for module in (groups, holomorph, routes):
             monkeypatch.setattr(module, "aut_order", lambda spec: aut)
         spec = GroupSpec(name, p, q, n_mod=n_mod, c_mod=c_mod, t=t)
         searched = routes.gfe_search(spec).keys()
         assert len(searched) == tables
         assert routes.closure_oracle(spec).keys() == searched
+
+    def test_one_name_two_presentations(self, monkeypatch):
+        # C2 x C6 and D12 under one family name are two groups, each with
+        # its own cached Aut(G)
+        for module in (groups, holomorph, routes):
+            monkeypatch.setattr(module, "aut_order", lambda spec: 12)
+        c2c6 = GroupSpec("one-name", 2, 3, n_mod=6, c_mod=2, t=1)
+        d12 = GroupSpec("one-name", 2, 3, n_mod=6, c_mod=2, t=5)
+        assert len(routes.gfe_search(c2c6).keys()) == 12
+        searched = routes.gfe_search(d12).keys()
+        assert len(searched) == 28
+        assert routes.closure_oracle(d12).keys() == searched
+        assert c2c6 != d12 and groups.aut_group(d12) is not groups.aut_group(c2c6)
 
 
 class TestClosurePruning:
