@@ -5,16 +5,17 @@ functional equation
 
     gamma(g^gamma(h) * h) = gamma(g) gamma(h),
 
-stored as a table of automorphism indices over the canonical element
+stored as a row of automorphism indices over the canonical element
 order.  Each one induces a second group operation g o h = g^gamma(h) * h
 making (G, *, o) a right skew brace, and corresponds to exactly one
 regular subgroup {(gamma(g), g)} of the holomorph.  This module holds
-the pointwise toolkit: the circle law, checked and classified on its
-generators, kernels, duality (conjugation of the regular subgroup by inversion),
-conjugation by automorphisms, and the cyclic-subgroup machinery used to
-build gamma functions generator-first: relative gamma functions and
-their liftings along a factorization G = A B, in batches of one row per
-twist eta of a generator a, (k, |A|) and (k, |G|) arrays, O(k |G|) each.
+the toolkit: the circle law, checked and classified on its generators,
+kernels, duality (conjugation of the regular subgroup by inversion) and
+conjugation by automorphisms, one gather for a whole (k, |G|) set of
+tables, and the cyclic-subgroup machinery used to build gamma functions
+generator-first: relative gamma functions and their liftings along a
+factorization G = A B, in batches of one row per twist eta of a
+generator a, (k, |A|) and (k, |G|) arrays, O(k |G|) each.
 
 Composition of automorphisms is written left to right throughout, i.e.
 ``gamma(g) gamma(h)`` means "apply gamma(g) first", matching the right
@@ -53,38 +54,21 @@ class BraceAxiomError(RuntimeError):
     """The two operations fail the skew-brace compatibility law."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GammaFunction:
-    """A total map from element indices to automorphism indices."""
+    """One gamma table as an int32 row, often a view into a route's set."""
 
     spec: GroupSpec
-    table: tuple[int, ...]
+    row: np.ndarray
 
     def __post_init__(self):
-        if len(self.table) != self.spec.n:
+        object.__setattr__(self, "row", np.asarray(self.row, dtype=np.int32))
+        if self.row.shape != (self.spec.n,):
             raise ValueError("gamma table length must equal |G|")
-
-    @property
-    def key(self) -> tuple[int, ...]:
-        return self.table
-
-    def arr(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=np.int32)
-
-
-def gamma_from_array(spec: GroupSpec, table: np.ndarray) -> GammaFunction:
-    """The gamma function with this array of automorphism indices.
-
-    The key's entries are the shared ints of ``AutGroup.ints``, so a
-    table holds |G| pointers rather than |G| int objects.
-    """
-    ints = aut_group(spec).ints
-    return GammaFunction(spec, tuple(map(ints.__getitem__, table.tolist())))
 
 
 def identity_gamma(spec: GroupSpec) -> GammaFunction:
-    ag = aut_group(spec)
-    return GammaFunction(spec, (ag.identity_idx,) * spec.n)
+    return GammaFunction(spec, np.full(spec.n, aut_group(spec).identity_idx))
 
 
 def find_gfe_violation(gamma: GammaFunction) -> Optional[tuple[int, int]]:
@@ -92,7 +76,7 @@ def find_gfe_violation(gamma: GammaFunction) -> Optional[tuple[int, int]]:
     order over the full circle table, or None."""
     circ = circle_table(gamma)
     ag = aut_group(gamma.spec)
-    gt = gamma.arr()
+    gt = gamma.row
     want = ag.comp[gt[:, None], gt[None, :]]
     bad = gt[circ] != want
     if not bad.any():
@@ -119,7 +103,7 @@ class CircleLaw:
     def __init__(self, gamma: GammaFunction):
         self._mt = gamma.spec.mul_table
         self._aperm = aut_group(gamma.spec).aperm
-        self._gt = gamma.arr()
+        self._gt = gamma.row
 
     def __len__(self) -> int:
         return len(self._gt)
@@ -135,7 +119,7 @@ class CircleLaw:
 
 def kernel(gamma: GammaFunction) -> frozenset[int]:
     ag = aut_group(gamma.spec)
-    return frozenset(int(i) for i in np.flatnonzero(gamma.arr() == ag.identity_idx))
+    return frozenset(int(i) for i in np.flatnonzero(gamma.row == ag.identity_idx))
 
 
 # how many triples the sampled brace-axiom check draws
@@ -188,7 +172,7 @@ class SkewBraceRecord:
     def to_json(self) -> str:
         return json.dumps({
             "group": self.gamma.spec.to_json_dict(),
-            "gamma": list(self.gamma.table),
+            "gamma": self.gamma.row.tolist(),
             "circle_type": self.circle_type,
             "kernel_size": self.kernel_size,
             "orbit_id": self.orbit_id,
@@ -215,7 +199,7 @@ def brace_from_gamma(gamma: GammaFunction) -> SkewBraceRecord:
       the kernel makes it a subgroup of (G, *) too.  ``_check_kernel``
       stays as the independent reference the tests run.
     """
-    law, ag, gt = CircleLaw(gamma), aut_group(gamma.spec), gamma.arr()
+    law, ag, gt = CircleLaw(gamma), aut_group(gamma.spec), gamma.row
     try:
         s, g = np.asarray(law.generators), np.arange(len(gt))[:, None]
         holds = gt[0] == ag.identity_idx and (gt[law[g, s]] == ag.comp[gt[g], gt[s]]).all()
@@ -246,8 +230,8 @@ def _check_kernel(gamma: GammaFunction, circ: np.ndarray, ker: frozenset[int]) -
         raise GfeError("kernel is not normal in (G, o)")
 
 
-def gamma_from_regular(spec: GroupSpec, members: np.ndarray) -> GammaFunction:
-    """Read the gamma table off a regular subgroup of the holomorph.
+def gamma_from_regular(spec: GroupSpec, members: np.ndarray) -> np.ndarray:
+    """Read the gamma table, an int32 row, off a regular subgroup of Hol(G).
 
     ``members`` holds the subgroup's flat indices k = alpha * |G| + g, as
     ``holomorph.closure_search_regular`` returns them.  The member
@@ -259,39 +243,35 @@ def gamma_from_regular(spec: GroupSpec, members: np.ndarray) -> GammaFunction:
         raise ValueError("subgroup is not regular: repeated identity image")
     if g.size != spec.n:
         raise ValueError("subgroup is not regular: misses identity images")
-    table = np.empty(spec.n, dtype=np.int64)
+    table = np.empty(spec.n, dtype=np.int32)
     table[g] = alpha
-    return gamma_from_array(spec, table)
+    return table
 
 
-def dual_gamma(gamma: GammaFunction) -> GammaFunction:
-    """The gamma function of the inversion-conjugate regular subgroup.
+def dual_gamma(spec: GroupSpec, tables: np.ndarray) -> np.ndarray:
+    """The tables of the inversion-conjugate regular subgroups, for one
+    table or a (k, |G|) set of them, in one gather.
 
     Pointwise: x -> gamma(x^-1) iota(x^-1).  An involution on the set of
     gamma functions; the circle groups stay isomorphic because inversion
     is an isomorphism between them.
     """
-    spec = gamma.spec
     ag = aut_group(spec)
-    gt = gamma.arr()
     inv = spec.inv_table
-    table = ag.comp[gt[inv], ag.iota_map[inv]]
-    return gamma_from_array(spec, table)
+    return ag.comp[tables[..., inv], ag.iota_map[inv]]
 
 
-def conjugate_gamma(gamma: GammaFunction, beta: int) -> GammaFunction:
-    """The gamma function of the regular subgroup conjugated by beta.
+def conjugate_gamma(spec: GroupSpec, tables: np.ndarray, beta: int) -> np.ndarray:
+    """The tables of the regular subgroups conjugated by beta, for one
+    table or a (k, |G|) set of them, in one gather.
 
-    beta is an index into the canonical AutGroup; the new table is
-    g -> beta^-1 gamma(g^(beta^-1)) beta.
+    beta is an index into the canonical AutGroup; each new table is
+    g -> beta^-1 gamma(g^(beta^-1)) beta.  The map alpha -> beta^-1 alpha
+    beta on Aut(G) is built once, then read at every moved cell.
     """
-    spec = gamma.spec
     ag = aut_group(spec)
-    gt = gamma.arr()
-    binv = int(ag.ainv[beta])
-    moved = gt[ag.aperm[binv]]
-    table = ag.comp[ag.comp[binv, moved], beta]
-    return gamma_from_array(spec, table)
+    binv = ag.ainv[beta]
+    return ag.comp[ag.comp[binv], beta][tables[..., ag.aperm[binv]]]
 
 
 # -- relative gamma functions and liftings -----------------------------------

@@ -20,21 +20,25 @@
   by the holomorph closure search, a route that never touches the
   functional equation or the other two routes.
 
-``run_routes`` runs them on one group in a fixed order; ``verify`` and
-``pq_enumerate`` compare each with the first that ran, as sets of gamma
-tables, not merely in count.  Records are built when
-``EnumerationResult.braces`` is first read, orbit by orbit under
-conjugation by Aut(G): ``brace_from_gamma`` checks the functional
-equation and classifies the circle group once per orbit, on its least
-table.  ``aut_orbits`` reports the partition, the isomorphism classes.
+Each route returns its gamma tables as one ``gamma_set``: an int32
+(k, |G|) array of distinct rows in lexicographic order.  ``run_routes``
+runs the routes on one group in a fixed order; ``verify`` and
+``pq_enumerate`` compare each with the first that ran by
+``np.array_equal``.  Records are built when ``EnumerationResult.braces``
+is first read, orbit by orbit under conjugation by Aut(G), found with one
+``conjugate_gamma`` gather per generator over the whole set.
+``brace_from_gamma`` checks the functional equation and classifies the
+circle group once per orbit, on its least table.  ``aut_orbits`` reports
+the partition, the isomorphism classes.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +50,6 @@ from .brace import (
     check_gfe,  # not called here; perfbench/tracing.py wraps it by name
     conjugate_gamma,
     dual_gamma,
-    gamma_from_array,
     gamma_from_regular,
     identity_gamma,
     lift_rgf,
@@ -72,6 +75,35 @@ class MethodDisagreementError(RuntimeError):
     """Two enumeration routes returned different brace sets."""
 
 
+def _row_keys(tables: np.ndarray) -> np.ndarray:
+    """One opaque byte string per row: its entries in big-endian order.
+    For entries >= 0 the strings compare as the rows do lexicographically."""
+    be = np.ascontiguousarray(tables, dtype=">i4")
+    return be.view(np.dtype((np.void, be.shape[1] * be.itemsize))).ravel()
+
+
+def gamma_set(rows: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """The canonical form of a set of gamma tables: a C-contiguous int32
+    (k, |G|) array, with no duplicate rows and the rows in lexicographic
+    order, the order ``sorted`` gives their tuples."""
+    rows = np.asarray(rows, dtype=np.int32)
+    keys = _row_keys(rows)
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    del keys  # before the gather, which is the memory peak
+    return rows[order[new]]
+
+
+def _lookup(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The index of each of ``rows`` in the canonical set ``tables``, or
+    -1 where it is absent: a binary search, then an exact compare."""
+    keys, probes = _row_keys(tables), _row_keys(rows)
+    at = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)
+    return np.where(keys[at] == probes, at, -1)
+
+
 @dataclass(frozen=True)
 class Orbit:
     orbit_id: int
@@ -83,62 +115,52 @@ class Orbit:
 class EnumerationResult:
     spec: GroupSpec
     method: str
-    gammas: dict[tuple[int, ...], GammaFunction]
+    gammas: np.ndarray  # the set of gamma tables, in ``gamma_set``'s form
     orbits: Optional[list[Orbit]] = None
-
-    def keys(self) -> set[tuple[int, ...]]:
-        return set(self.gammas)
 
     @cached_property
     def braces(self) -> list[SkewBraceRecord]:
-        """One record per gamma table in canonical order, built on first read.
+        """One record per row of ``gammas``, in its order, built on first read.
 
-        Each table not yet recorded leads its conjugation orbit:
-        ``brace_from_gamma`` checks and classifies it, and a walk by the
-        generators of Aut(G) reaches the members, which inherit its type
-        and kernel size: gamma^beta vanishes exactly on (ker gamma)^beta.
-        ``orbits`` is set only if the set is closed under conjugation.
+        Each generator beta of Aut(G) maps every row to the row of its
+        conjugate at once.  Labels start as row indices and are pushed
+        along these maps, keeping the least, to a fixed point: each orbit
+        ends labelled by its least row.  That row leads the orbit:
+        ``brace_from_gamma`` checks and classifies it, and the members
+        inherit its type and kernel size, since gamma^beta vanishes exactly
+        on (ker gamma)^beta.  Orbit ids follow the leaders' order.  An
+        image outside the set is no edge, and leaves ``orbits`` unset.
         """
-        gens = aut_group(self.spec).generators()
-        records: dict[tuple[int, ...], SkewBraceRecord] = {}
-        orbits: list[Orbit] = []
-        closed = True
-        for key in sorted(self.gammas):
-            if key in records:
-                continue
-            oid = len(orbits)
-            leader = brace_from_gamma(self.gammas[key])
-            leader.orbit_id = oid
-            records[key] = leader
-            orbit = [leader.gamma]
-            for gm in orbit:  # breadth first: the list grows while it is read
-                for beta in gens:
-                    image = conjugate_gamma(gm, beta).key
-                    if image not in self.gammas:
-                        closed = False
-                    elif image not in records:
-                        # keyed by the stored tuple, so the conjugate's is freed
-                        member = self.gammas[image]
-                        records[member.key] = replace(leader, gamma=member)
-                        orbit.append(member)
-            orbits.append(Orbit(orbit_id=oid, length=len(orbit), circle_type=leader.circle_type))
+        spec, tables = self.spec, self.gammas
+        rows = np.arange(len(tables))
+        images = [_lookup(tables, conjugate_gamma(spec, tables, beta))
+                  for beta in aut_group(spec).generators()]
+        closed = all((image >= 0).all() for image in images)
+        images = [np.where(image >= 0, image, rows) for image in images]
+        label = rows
+        while True:
+            pushed = label.copy()
+            for image in images:
+                np.minimum.at(pushed, image, label)
+            pushed = pushed[pushed]  # a label is a row of the same orbit
+            if np.array_equal(pushed, label):
+                break
+            label = pushed
+        leaders = np.flatnonzero(label == rows)
+        records = [replace(brace_from_gamma(GammaFunction(spec, tables[lead])), orbit_id=oid)
+                   for oid, lead in enumerate(leaders.tolist())]
         if closed:
-            self.orbits = orbits
-        return [records[key] for key in sorted(records)]
+            self.orbits = [Orbit(oid, length, rec.circle_type) for oid, (length, rec)
+                           in enumerate(zip(np.bincount(label)[leaders].tolist(), records))]
+        return [replace(records[oid], gamma=GammaFunction(spec, row))
+                for oid, row in zip(np.searchsorted(leaders, label).tolist(), tables)]
 
     def counts_by_type(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for rec in self.braces:
-            out[rec.circle_type] = out.get(rec.circle_type, 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(Counter(rec.circle_type for rec in self.braces).items()))
 
     def orbit_groups(self) -> dict[tuple[str, int], int]:
         """Number of orbits per (circle type, orbit length)."""
-        groups: dict[tuple[str, int], int] = {}
-        for orb in self.orbits or ():
-            key = (orb.circle_type, orb.length)
-            groups[key] = groups.get(key, 0) + 1
-        return groups
+        return dict(Counter((orb.circle_type, orb.length) for orb in self.orbits or ()))
 
     def summary_dict(self) -> dict:
         return {
@@ -170,22 +192,21 @@ def _expect(label: str, got: int, want: int) -> None:
         )
 
 
-def _double_by_duality(gammas: dict[tuple[int, ...], GammaFunction]) -> None:
-    """Adjoin the dual of every gamma function, in place.
+def _double_by_duality(spec: GroupSpec, gammas: np.ndarray) -> np.ndarray:
+    """The canonical set together with the dual of each of its rows.
 
     For the non-abelian families every constructed table has the
     designated central-ish subgroup inside its kernel while its dual
-    does not, so the doubled set must be exactly twice as large.
+    does not, so no dual may already lie in the set, and the doubled
+    set is exactly twice as large.
     """
-    base = list(gammas.values())
-    for gm in base:
-        dual = dual_gamma(gm)
-        if dual.key in gammas:
-            raise StructuredCountMismatchError(
-                "structured-count-mismatch: a doubled branch contains a "
-                "self-dual gamma function"
-            )
-        gammas[dual.key] = dual
+    duals = dual_gamma(spec, gammas)
+    if (_lookup(gammas, duals) >= 0).any():
+        raise StructuredCountMismatchError(
+            "structured-count-mismatch: a doubled branch contains a "
+            "self-dual gamma function"
+        )
+    return gamma_set(np.concatenate([gammas, duals]))
 
 
 def _formulas(spec: GroupSpec) -> dict[str, int]:
@@ -274,9 +295,11 @@ def structured_enumerate(spec: GroupSpec) -> EnumerationResult:
     One loop lifts each of the family's branches (label, generator a,
     twists, complement B) as one batch: twist eta gives gamma(a) = eta on
     <a>, lifted along G = <a> B.  Type4's kernel-p branch has no generator
-    and brings its tables.  A count per label, the Sylow count or the
+    and brings its tables.  The identity row and the branches are stacked
+    into one ``gamma_set``.  A count per label, the Sylow count or the
     family total off its formula raises ``StructuredCountMismatchError``;
-    the non-abelian families are then doubled by duality.
+    the non-abelian families are then doubled by duality, one
+    ``dual_gamma`` gather for the whole set.
     """
     branches = {"P2Q-Type1": _type1_branches, "P2Q-Type2": _type23_branches,
                 "P2Q-Type3": _type23_branches, "P2Q-Type4": _type4_branches}
@@ -284,19 +307,18 @@ def structured_enumerate(spec: GroupSpec) -> EnumerationResult:
         raise ValueError(f"structured enumeration covers p^2 q families, not {spec.family}")
     want = _formulas(spec)
     built = dict.fromkeys(want, 0)
-    gammas = {identity_gamma(spec).key: identity_gamma(spec)}
+    tables = [identity_gamma(spec).row[None]]
     for label, a_idx, rows, complement in branches[spec.family](spec):
         if a_idx is not None:  # rows are twists, else tables
             rows = lift_rgf(spec, *rgf_from_generator(spec, a_idx, rows), complement)
-        for table in rows:
-            gm = gamma_from_array(spec, table)
-            gammas[gm.key] = gm
+        tables.append(rows)
         built[label] += len(rows)
     for label, count in want.items():
         _expect(label, built[label], count)
+    gammas = gamma_set(np.concatenate(tables))
     if spec.family != "P2Q-Type1":
         _expect(f"type{spec.family[-1]}/total", len(gammas), 1 + sum(want.values()))
-        _double_by_duality(gammas)
+        gammas = _double_by_duality(spec, gammas)
     return EnumerationResult(spec, "structured", gammas)
 
 
@@ -410,13 +432,12 @@ def gfe_search(spec: GroupSpec) -> EnumerationResult:
     aperm = ag.aperm
     comp = ag.comp
     fpf = ag.fixed_point_free
-    found: dict[tuple[int, ...], GammaFunction] = {}
+    found: list[np.ndarray] = []  # the leaves, in the order the DFS reaches them
 
     def dfs(gamma: np.ndarray, decided: list[int]) -> None:
         unassigned = np.flatnonzero(gamma < 0)
         if unassigned.size == 0:
-            gm = gamma_from_array(spec, gamma)
-            found[gm.key] = gm
+            found.append(gamma)
             return
         x = int(unassigned[0])
         alphas = np.flatnonzero(fpf[:, x])
@@ -431,7 +452,7 @@ def gfe_search(spec: GroupSpec) -> EnumerationResult:
     if not _propagate(mt, aperm, comp, root, spec.identity_idx, [])[0]:
         raise AssertionError("the trivial seed assignment cannot conflict")
     dfs(root[0], [])
-    return EnumerationResult(spec, "gfe-search", found)
+    return EnumerationResult(spec, "gfe-search", gamma_set(found))
 
 
 # -- route 3: holomorph closure oracle ----------------------------------------
@@ -444,11 +465,9 @@ def closure_oracle(spec: GroupSpec,
     Never consults the other routes: ``run_routes`` runs it last, and its
     callers compare it with the first route that ran.
     """
-    gammas: dict[tuple[int, ...], GammaFunction] = {}
-    for members in holomorph.closure_search_regular(spec, max_hol_order=max_hol_order):
-        gm = gamma_from_regular(spec, members)
-        gammas[gm.key] = gm
-    return EnumerationResult(spec, "closure-oracle", gammas)
+    regular = holomorph.closure_search_regular(spec, max_hol_order=max_hol_order)
+    return EnumerationResult(spec, "closure-oracle",
+                             gamma_set([gamma_from_regular(spec, members) for members in regular]))
 
 
 # -- orbits under conjugation -------------------------------------------------
@@ -513,7 +532,7 @@ def pq_enumerate(p: int, q: int,
         for _method, result, base in run_routes(spec, max_hol_order):
             if isinstance(result, Exception):
                 raise result
-            if result.keys() != base.keys():
+            if not np.array_equal(result.gammas, base.gammas):
                 raise MethodDisagreementError(
                     f"{base.method} and {result.method} disagree on {spec}: "
                     f"{len(base.gammas)} vs {len(result.gammas)} braces"

@@ -108,13 +108,15 @@ class GroupSpec:
     must not be written to.
     """
 
-    def __init__(self, family: str, p: int, q: int, n_mod: int, c_mod: int, t: int):
+    def __init__(self, family: str, p: int, q: int, n_mod: int, c_mod: int, t: int,
+                 aut_order: int):
         self.family = family
         self.p = p
         self.q = q
         self.n_mod = n_mod
         self.c_mod = c_mod
         self.t = t
+        self.aut_order = aut_order  # |Aut(G)|, which ``aut_group`` checks its search against
         self.n = n_mod * c_mod
         # t^v mod n_mod for v in [0, c_mod)
         self.t_pow = tuple(pow(t, v, n_mod) for v in range(c_mod))
@@ -160,9 +162,6 @@ class GroupSpec:
     def orders(self) -> np.ndarray:
         return _element_orders(self.mul_table, 0)
 
-    def elements_of_order(self, k: int) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.orders == k)]
-
     def cyclic_subgroup(self, gen_idx: int) -> tuple[int, ...]:
         """Element indices of <gen>, sorted."""
         members = powers(self.mul_table, gen_idx, int(self.orders[gen_idx]), 0)
@@ -173,14 +172,18 @@ class GroupSpec:
 
         Returns (canonical generator index, sorted member indices) pairs,
         ordered by generator index.  Every Sylow subgroup in scope is
-        cyclic, so generator search is exhaustive.
+        cyclic, so generator search is exhaustive.  Each subgroup's members
+        are struck off once it is found, so the next element of the order
+        not yet covered is the least generator of a new one.
         """
-        found: dict[tuple[int, ...], int] = {}
-        for g in self.elements_of_order(order):
-            members = self.cyclic_subgroup(g)
-            if members not in found:
-                found[members] = g
-        return sorted((gen, members) for members, gen in found.items())
+        covered = np.zeros(self.n, dtype=bool)
+        found = []
+        for g in np.flatnonzero(self.orders == order).tolist():
+            if not covered[g]:
+                members = self.cyclic_subgroup(g)
+                covered[list(members)] = True
+                found.append((g, members))
+        return found
 
     # -- misc ------------------------------------------------------------
 
@@ -192,7 +195,7 @@ class GroupSpec:
         return f"GroupSpec({self.family}, p={self.p}, q={self.q}, t={self.t})"
 
     def _key(self) -> tuple:
-        return self.family, self.p, self.q, self.n_mod, self.c_mod, self.t
+        return self.family, self.p, self.q, self.n_mod, self.c_mod, self.t, self.aut_order
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupSpec) and self._key() == other._key()
@@ -224,44 +227,44 @@ def make_group(family: str, p: int, q: int) -> GroupSpec:
                 + f", which fails for (p, q) = ({p}, {q})"
             )
         if ftype == 1:
-            return GroupSpec(family, p, q, n_mod=q, c_mod=p * p, t=1)
-        if ftype == 2:
-            return GroupSpec(family, p, q, n_mod=q, c_mod=p * p,
-                             t=arith.canonical_action_exponent(p, q))
-        if ftype == 3:
-            return GroupSpec(family, p, q, n_mod=q, c_mod=p * p,
-                             t=arith.canonical_action_exponent(p * p, q))
-        return GroupSpec(family, p, q, n_mod=p * p, c_mod=q,
-                         t=arith.canonical_action_exponent(q, p * p))
-    # order pq families, with p the larger prime
-    if not (arith.is_prime(p) and arith.is_prime(q)):
-        raise ValueError(f"p={p}, q={q} must both be prime")
-    if p <= q:
-        raise ValueError(f"order-pq families need p > q, got ({p}, {q})")
-    if p * q > arith.MAX_GROUP_ORDER:
-        raise ValueError(f"pq = {p * q} exceeds the supported bound")
-    if family == "PQ-Cyclic":
-        return GroupSpec(family, p, q, n_mod=p, c_mod=q, t=1)
-    if (p - 1) % q != 0:
-        raise ValueError(f"PQ-Metacyclic needs q | p-1, which fails for ({p}, {q})")
-    return GroupSpec(family, p, q, n_mod=p, c_mod=q,
-                     t=arith.canonical_action_exponent(q, p))
-
-
-# -- automorphisms ----------------------------------------------------------
-
-
-def aut_order(spec: GroupSpec) -> int:
-    """|Aut(G)| by the family's closed form, known before any search."""
-    p, q = spec.p, spec.q
-    return {
+            n_mod, c_mod, t = q, p * p, 1
+        elif ftype == 2:
+            n_mod, c_mod, t = q, p * p, arith.canonical_action_exponent(p, q)
+        elif ftype == 3:
+            n_mod, c_mod, t = q, p * p, arith.canonical_action_exponent(p * p, q)
+        else:
+            n_mod, c_mod, t = p * p, q, arith.canonical_action_exponent(q, p * p)
+    else:  # order pq families, with p the larger prime
+        if not (arith.is_prime(p) and arith.is_prime(q)):
+            raise ValueError(f"p={p}, q={q} must both be prime")
+        if p <= q:
+            raise ValueError(f"order-pq families need p > q, got ({p}, {q})")
+        if p * q > arith.MAX_GROUP_ORDER:
+            raise ValueError(f"pq = {p * q} exceeds the supported bound")
+        if family == "PQ-Cyclic":
+            n_mod, c_mod, t = p, q, 1
+        elif (p - 1) % q != 0:
+            raise ValueError(f"PQ-Metacyclic needs q | p-1, which fails for ({p}, {q})")
+        else:
+            n_mod, c_mod, t = p, q, arith.canonical_action_exponent(q, p)
+    # |Aut(G)| by the family's closed form
+    aut = {
         "P2Q-Type1": p * (p - 1) * (q - 1),
         "P2Q-Type2": p * q * (q - 1),
         "P2Q-Type3": q * (q - 1),
         "P2Q-Type4": p * p * p * (p - 1),
         "PQ-Cyclic": (p - 1) * (q - 1),
         "PQ-Metacyclic": p * (p - 1),
-    }[spec.family]
+    }[family]
+    return GroupSpec(family, p, q, n_mod=n_mod, c_mod=c_mod, t=t, aut_order=aut)
+
+
+# -- automorphisms ----------------------------------------------------------
+
+
+def aut_order(spec: GroupSpec) -> int:
+    """|Aut(G)| as the spec states it, known before any search."""
+    return spec.aut_order
 
 
 class AutGroup:
@@ -347,12 +350,6 @@ class AutGroup:
                 block[:, img_a], block[:, img_b], "composite"
             ).T
         return comp
-
-    @cached_property
-    def ints(self) -> list[int]:
-        """list(range(size)), built once: gamma tables whose entries come
-        from it share one int object per automorphism."""
-        return list(range(self.size))
 
     @cached_property
     def ainv(self) -> np.ndarray:

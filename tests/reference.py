@@ -13,6 +13,12 @@ the search's candidate filter written as a plain loop.
 closed a branch under its decided elements only: every round checks
 each pair with a freshly assigned member.  ``all_pairs_search`` is the
 search's DFS driven by it, without the batched first round.
+``sylow_subgroups_by_elements`` is ``GroupSpec.sylow_subgroups`` as it
+walked every element of the order, one cyclic subgroup each, before it
+struck off each found subgroup's members.  ``orbit_walk`` is the
+conjugation-orbit partition as records once found it: a breadth-first
+walk on tuples from each least unreached table, conjugating one table
+by one generator at a time with plain list lookups.
 ``element_orders_by_steps`` finds every element's order by stepping all
 powers one exponent at a time, the O(n · exp(G)) walk that
 ``groups._element_orders`` replaced.  ``all_pairs_classify`` is
@@ -63,7 +69,6 @@ from p2qbrace.brace import (
     LiftPreconditionError,
     NotInvariantError,
     OrderTooBigError,
-    gamma_from_array,
 )
 from p2qbrace.groups import (Fingerprint, GroupElement, GroupSpec, IsoResult, _name_fingerprint,
                              _recognize_order, aut_group, powers)
@@ -391,6 +396,50 @@ def all_pairs_search(spec: GroupSpec) -> list[tuple[int, ...]]:
     return found
 
 
+def sylow_subgroups_by_elements(spec: GroupSpec, order: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(least generator, sorted members) of every cyclic subgroup of the
+    order, by generator index: one ``cyclic_subgroup`` per element."""
+    found: dict[tuple[int, ...], int] = {}
+    for g in np.flatnonzero(spec.orders == order).tolist():
+        members = spec.cyclic_subgroup(g)
+        if members not in found:
+            found[members] = g
+    return sorted((gen, members) for members, gen in found.items())
+
+
+def orbit_walk(spec: GroupSpec, tables) -> tuple[dict[tuple[int, ...], tuple[int, int]], bool]:
+    """{table: (orbit id, orbit length)} for a set of gamma tables under
+    conjugation by the generators of Aut(G), and whether every conjugate
+    stayed in the set.  Each table not yet reached, in sorted order, leads
+    a new orbit, walked breadth first; the conjugate of t by beta is
+    g -> beta^-1 t(g^(beta^-1)) beta."""
+    ag = aut_group(spec)
+    comp, aperm = ag.comp.tolist(), ag.aperm.tolist()
+    maps = []
+    for beta in ag.generators():
+        binv = int(ag.ainv[beta])
+        maps.append(([comp[comp[binv][a]][beta] for a in range(ag.size)], aperm[binv]))
+    keys = {tuple(t) for t in tables}
+    found: dict[tuple[int, ...], tuple[int, int]] = {}
+    closed, oid = True, 0
+    for key in sorted(keys):
+        if key in found:
+            continue
+        orbit, seen = [key], {key}
+        for t in orbit:  # breadth first: the list grows while it is read
+            for conj, moved in maps:
+                image = tuple(conj[t[x]] for x in moved)
+                if image not in keys:
+                    closed = False
+                elif image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        for t in orbit:
+            found[t] = (oid, len(orbit))
+        oid += 1
+    return found, closed
+
+
 def element_orders_by_steps(table: np.ndarray, ident: int) -> np.ndarray:
     """Every element's order, by stepping all powers one exponent at a time."""
     n = table.shape[0]
@@ -547,8 +596,7 @@ def scalar_semiregular(H: Holomorph) -> np.ndarray:
 def inversion_gamma(spec: GroupSpec) -> GammaFunction:
     """The gamma function of the left-regular image: y -> iota(y^-1)."""
     ag = aut_group(spec)
-    table = ag.iota_map[spec.inv_table]
-    return gamma_from_array(spec, table)
+    return GammaFunction(spec, ag.iota_map[spec.inv_table])
 
 
 def circle(gamma: GammaFunction, g: GroupElement, h: GroupElement) -> GroupElement:
@@ -556,7 +604,7 @@ def circle(gamma: GammaFunction, g: GroupElement, h: GroupElement) -> GroupEleme
     spec = gamma.spec
     ag = aut_group(spec)
     gi, hi = spec.idx(g), spec.idx(h)
-    return spec.el(int(spec.mul_table[ag.aperm[gamma.table[hi], gi], hi]))
+    return spec.el(int(spec.mul_table[ag.aperm[gamma.row[hi], gi], hi]))
 
 
 def circle_inverse(gamma: GammaFunction, a: GroupElement) -> GroupElement:
@@ -564,20 +612,20 @@ def circle_inverse(gamma: GammaFunction, a: GroupElement) -> GroupElement:
     spec = gamma.spec
     ag = aut_group(spec)
     ai = spec.idx(a)
-    inv_aut = int(ag.ainv[gamma.table[ai]])
+    inv_aut = int(ag.ainv[gamma.row[ai]])
     return spec.el(int(ag.aperm[inv_aut, spec.inv_table[ai]]))
 
 
 def nu_subgroup(gamma: GammaFunction) -> set[HolElement]:
     """The regular subgroup {(gamma(g), g) : g in G} of the holomorph."""
-    return {HolElement(int(a), g) for g, a in enumerate(gamma.table)}
+    return {HolElement(a, g) for g, a in enumerate(gamma.row.tolist())}
 
 
 def is_morphism(gamma: GammaFunction) -> bool:
     """True when gamma(x y) = gamma(x) gamma(y) for all pairs."""
     spec = gamma.spec
     ag = aut_group(spec)
-    gt = gamma.arr()
+    gt = gamma.row
     lhs = gt[spec.mul_table]
     rhs = ag.comp[gt[:, None], gt[None, :]]
     return bool(np.array_equal(lhs, rhs))

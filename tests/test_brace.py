@@ -12,7 +12,6 @@ from p2qbrace.brace import (
     conjugate_gamma,
     dual_gamma,
     find_gfe_violation,
-    gamma_from_array,
     gamma_from_regular,
     identity_gamma,
     lift_rgf,
@@ -54,7 +53,7 @@ def iota_idx(spec, el):
 def lift_one(spec, a_gen, eta, complement):
     """The gamma function lifted from the relative one with gamma(a) = eta."""
     batch = rgf_from_generator(spec, spec.idx(a_gen), [eta])
-    return gamma_from_array(spec, lift_rgf(spec, *batch, complement)[0])
+    return GammaFunction(spec, lift_rgf(spec, *batch, complement)[0])
 
 
 def aut_power(spec, k, e):
@@ -78,9 +77,9 @@ class TestGfe:
     def test_perturbed_table_fails_with_witness(self):
         spec = make_group("P2Q-Type2", 3, 7)
         gm = inversion_gamma(spec)
-        bad = list(gm.table)
+        bad = gm.row.copy()
         bad[5] = (bad[5] + 1) % aut_group(spec).size
-        witness = find_gfe_violation(GammaFunction(spec, tuple(bad)))
+        witness = find_gfe_violation(GammaFunction(spec, bad))
         assert witness is not None
         g, h = witness
         assert 0 <= g < spec.n and 0 <= h < spec.n
@@ -133,11 +132,11 @@ class TestGeneratorCheck:
         result = enum_cache(family, p, q)
         spec = result.spec
         m = aut_group(spec).size
-        tables = sorted(result.gammas)
+        tables = result.gammas
         rs = np.random.RandomState(spec.n)
         rejected = 0
         for i in range(150):
-            table = np.array(tables[rs.randint(len(tables))])
+            table = tables[rs.randint(len(tables))].copy()
             if i % 3 == 0:  # a few entries changed, the identity's included
                 cells = rs.randint(0, spec.n, 1 + i % 4)
                 table[cells] = rs.randint(0, m, cells.size)
@@ -147,7 +146,7 @@ class TestGeneratorCheck:
             else:  # the head of one valid table on the tail of another
                 cut = rs.randint(1, spec.n)
                 table[cut:] = tables[rs.randint(len(tables))][cut:]
-            gm = GammaFunction(spec, tuple(table.tolist()))
+            gm = GammaFunction(spec, table)
             violation = find_gfe_violation(gm)
             if violation is None:
                 assert brace_from_gamma(gm).circle_type
@@ -275,14 +274,13 @@ class TestNuSubgroup:
         H = holo(spec)
         for rec in result.braces:
             flat = [flatten(H, m) for m in nu_subgroup(rec.gamma)]
-            back = gamma_from_regular(spec, flat)
-            assert back.table == rec.gamma.table
+            assert np.array_equal(gamma_from_regular(spec, flat), rec.gamma.row)
 
     def test_non_regular_flat_arrays_are_rejected(self):
         spec = make_group("P2Q-Type4", 3, 2)
         ident = aut_group(spec).identity_idx
         flat = ident * spec.n + np.arange(spec.n)  # the right translations
-        assert gamma_from_regular(spec, flat).table == (ident,) * spec.n
+        assert (gamma_from_regular(spec, flat) == ident).all()
         repeated = flat.copy()
         repeated[1] = flat[0]  # two members send the identity to the identity
         with pytest.raises(ValueError, match="not regular: repeated identity image"):
@@ -294,11 +292,23 @@ class TestNuSubgroup:
 class TestDuality:
     def test_dual_of_identity_is_inversion(self):
         spec = make_group("P2Q-Type4", 3, 2)
-        assert dual_gamma(identity_gamma(spec)).table == inversion_gamma(spec).table
+        assert np.array_equal(dual_gamma(spec, identity_gamma(spec).row), inversion_gamma(spec).row)
 
     def test_involution_over_enumeration(self, enum_cache):
-        for rec in enum_cache("P2Q-Type4", 3, 2).braces:
-            assert dual_gamma(dual_gamma(rec.gamma)).table == rec.gamma.table
+        result = enum_cache("P2Q-Type4", 3, 2)
+        tables = result.gammas
+        assert np.array_equal(dual_gamma(result.spec, dual_gamma(result.spec, tables)), tables)
+
+    @pytest.mark.parametrize("family,p,q", [("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7)])
+    def test_set_gather_matches_the_pointwise_formula(self, enum_cache, family, p, q):
+        # x -> gamma(x^-1) iota(x^-1), table by table and cell by cell
+        result = enum_cache(family, p, q)
+        spec, ag = result.spec, aut_group(result.spec)
+        duals = dual_gamma(spec, result.gammas)
+        inv = spec.inv_table.tolist()
+        for table, dual in zip(result.gammas.tolist(), duals.tolist()):
+            assert dual == [int(ag.comp[table[inv[x]], ag.iota_map[inv[x]]])
+                            for x in range(spec.n)]
 
     def test_abelian_dual_is_composition_with_inversion(self):
         spec = make_group("P2Q-Type1", 3, 7)
@@ -306,14 +316,12 @@ class TestDuality:
         ag = aut_group(spec)
         eta = next(k for k in range(ag.size) if ag.order_of(k) == 3)
         gm = lift_one(spec, E(1, 0), eta, spec.cyclic_subgroup(spec.idx(E(0, 1))))
-        dual = dual_gamma(gm)
-        inv = spec.inv_table
-        assert dual.table == tuple(gm.table[inv[x]] for x in range(spec.n))
+        assert np.array_equal(dual_gamma(spec, gm.row), gm.row[spec.inv_table])
 
     def test_dual_matches_inversion_conjugate_of_subgroup(self):
         spec = make_group("P2Q-Type4", 3, 2)
         gm = inversion_gamma(spec)
-        lhs = nu_subgroup(dual_gamma(gm))
+        lhs = nu_subgroup(GammaFunction(spec, dual_gamma(spec, gm.row)))
         rhs = {conjugate_by_inv(spec, h) for h in nu_subgroup(gm)}
         assert lhs == rhs
 
@@ -322,19 +330,34 @@ class TestConjugation:
     def test_conjugate_by_identity(self):
         spec = make_group("P2Q-Type2", 3, 7)
         gm = inversion_gamma(spec)
-        assert conjugate_gamma(gm, aut_group(spec).identity_idx).table == gm.table
+        assert np.array_equal(conjugate_gamma(spec, gm.row, aut_group(spec).identity_idx), gm.row)
 
     def test_trivial_gamma_is_fixed_by_everything(self):
         spec = make_group("P2Q-Type4", 3, 2)
         gm = identity_gamma(spec)
         for beta in range(aut_group(spec).size):
-            assert conjugate_gamma(gm, beta).table == gm.table
+            assert np.array_equal(conjugate_gamma(spec, gm.row, beta), gm.row)
 
     def test_conjugation_preserves_gfe(self):
         spec = make_group("P2Q-Type4", 3, 2)
         gm = inversion_gamma(spec)
         for beta in aut_group(spec).generators():
-            assert check_gfe(conjugate_gamma(gm, beta))
+            assert check_gfe(GammaFunction(spec, conjugate_gamma(spec, gm.row, beta)))
+
+    @pytest.mark.parametrize("family,p,q", [("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7)])
+    def test_set_gather_matches_the_pointwise_formula(self, enum_cache, family, p, q):
+        # g -> beta^-1 gamma(g^(beta^-1)) beta, table by table and cell by
+        # cell, for every automorphism beta
+        result = enum_cache(family, p, q)
+        spec, ag = result.spec, aut_group(result.spec)
+        comp, aperm = ag.comp.tolist(), ag.aperm.tolist()
+        tables = result.gammas.tolist()
+        for beta in range(ag.size):
+            binv = int(ag.ainv[beta])
+            images = conjugate_gamma(spec, result.gammas, beta).tolist()
+            for table, image in zip(tables, images):
+                assert image == [comp[comp[binv][table[aperm[binv][g]]]][beta]
+                                 for g in range(spec.n)]
 
 
 def assert_batch_fails_on_one_row(build, error, prefix, good, bad):
@@ -384,7 +407,7 @@ class TestRgf:
                 return type(exc), str(exc)
 
         built = 0
-        for g in (g for k in (p, p * p, q) for g in spec.elements_of_order(k)):
+        for g in (g for k in (p, p * p, q) for g in np.flatnonzero(spec.orders == k).tolist()):
             want = {eta: outcome(g, eta) for eta in range(aut_group(spec).size)}
             builds = [eta for eta, rgf in want.items() if isinstance(rgf, RGF)]
             rows = rgf_rows(spec, *rgf_from_generator(spec, g, builds))
@@ -525,7 +548,7 @@ class TestLift:
         spec = make_group("P2Q-Type1", 3, 7)
         ag = aut_group(spec)
         gm = lift_one(spec, E(1, 0), ag.identity_idx, spec.cyclic_subgroup(spec.idx(E(0, 1))))
-        assert gm.table == identity_gamma(spec).table
+        assert np.array_equal(gm.row, identity_gamma(spec).row)
 
     def test_lift_kernel_contains_complement(self):
         spec = make_group("P2Q-Type1", 3, 7)
@@ -548,7 +571,7 @@ class TestLift:
         tables = lift_rgf(spec, *batch, B)
         assert len(tables) == 3
         for table, rgf in zip(tables, rgf_rows(spec, *batch)):
-            assert tuple(table) == scalar_lift(spec, rgf, B).table
+            assert np.array_equal(table, scalar_lift(spec, rgf, B).row)
 
     def test_complement_invariance_failure(self):
         # lifting from <b> against the non-normal complement <a> in the
@@ -633,7 +656,7 @@ class TestInvariantSubgroups:
         sylows = [m for order in (spec.p * spec.p, spec.q)
                   for _gen, m in spec.sylow_subgroups(order)]
         for rec in result.braces:
-            gt = rec.gamma.arr()
+            gt = rec.gamma.row
             circ = circle_table(rec.gamma)
             for members in sylows:
                 marr = np.array(members)
@@ -651,7 +674,7 @@ class TestInvariantSubgroups:
         sylows = [gm for order in (spec.p * spec.p, spec.q)
                   for gm in spec.sylow_subgroups(order)]
         for rec in result.braces:
-            gt = rec.gamma.arr()
+            gt = rec.gamma.row
             circ = circle_table(rec.gamma)
             for gen, members in sylows:
                 marr = np.array(members)
@@ -680,7 +703,7 @@ class TestMorphism:
         for rec in result.braces:
             if not is_morphism(rec.gamma):
                 continue
-            gt = rec.gamma.arr()
+            gt = rec.gamma.row
             for x in range(spec.n):
                 for y in range(spec.n):
                     comm = int(mt[inv[x], ag.aperm[gt[y], x]])

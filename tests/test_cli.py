@@ -131,15 +131,21 @@ class TestEnumerate:
         summary = json.loads(out.strip().split("\n")[-1])
         assert summary["counts"] == {"Type1": 38, "Type2": 76, "Type3": 192}
 
-    def test_methods_agree_on_small_case(self, capsys):
-        outs = []
+    @pytest.mark.parametrize("p,q,gtype", [(3, 2, 1), (3, 2, 4), (3, 7, 1), (3, 7, 2)])
+    def test_methods_print_identical_records(self, capsys, p, q, gtype):
+        # the same record lines, byte for byte; the summaries differ in
+        # their method only
+        lines, methods = [], []
         for method in ("structured", "search", "oracle"):
-            code, out, _ = run(capsys, "enumerate", "--p", "3", "--q", "2",
-                               "--type", "4", "--method", method)
+            code, out, _ = run(capsys, "enumerate", "--p", str(p), "--q", str(q), "--type",
+                               str(gtype), "--method", method, "--oracle-limit", "10000")
             assert code == 0
-            records = [json.loads(l) for l in out.strip().split("\n")[:-1]]
-            outs.append(sorted(tuple(r["gamma"]) for r in records))
-        assert outs[0] == outs[1] == outs[2]
+            *records, summary = out.splitlines()
+            summary = json.loads(summary)
+            methods.append(summary.pop("method"))
+            lines.append((records, summary))
+        assert methods == ["structured", "gfe-search", "closure-oracle"]
+        assert lines[0][0] and lines[0] == lines[1] == lines[2]
 
 
 class TestVerify:
@@ -180,7 +186,7 @@ class TestVerify:
         def drop_one_on_pq(spec, *args, **kwargs):
             result = oracle(spec, *args, **kwargs)
             if spec.family.startswith("PQ-"):
-                result.gammas.popitem()
+                result.gammas = result.gammas[:-1]
             return result
 
         monkeypatch.setattr(routes, "closure_oracle", drop_one_on_pq)
@@ -265,7 +271,7 @@ class TestVerify:
         def drop_last(spec):
             result = structured(spec)
             if spec.family == "P2Q-Type4":
-                del result.gammas[max(result.gammas)]  # its conjugates now leave the set
+                result.gammas = result.gammas[:-1]  # its conjugates now leave the set
             return result
 
         monkeypatch.setattr(routes, "structured_enumerate", drop_last)

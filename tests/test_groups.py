@@ -20,6 +20,7 @@ from reference import (
     mul,
     power,
     scalar_aut_perms,
+    sylow_subgroups_by_elements,
 )
 
 ALL_DESK_SPECS = [
@@ -133,6 +134,20 @@ class TestAutGroup:
     )
     def test_sizes_match_closed_forms(self, family, p, q, size):
         assert aut_group(make_group(family, p, q)).size == size
+
+    @pytest.mark.parametrize("family,p,q", ALL_DESK_SPECS)
+    def test_make_group_states_the_closed_form(self, family, p, q):
+        spec = make_group(family, p, q)
+        assert groups.aut_order(spec) == spec.aut_order == aut_group(spec).size
+
+    def test_a_hand_built_spec_is_checked_against_its_own_order(self):
+        # C2 x C6 has 12 automorphisms; a spec that states 11 fails the search
+        good = groups.GroupSpec("C2xC6", 2, 3, n_mod=6, c_mod=2, t=1, aut_order=12)
+        assert aut_group(good).size == 12
+        bad = groups.GroupSpec("C2xC6", 2, 3, n_mod=6, c_mod=2, t=1, aut_order=11)
+        assert bad != good
+        with pytest.raises(groups.AutSizeMismatchError, match="^aut-size-mismatch: .*expected 11$"):
+            aut_group(bad)
 
     def test_composition_closure_and_inverses(self):
         ag = aut_group(make_group("P2Q-Type4", 3, 2))
@@ -280,6 +295,26 @@ class TestAutGroup:
         assert aperm.tobytes() == ref.tobytes()
 
 
+class TestSylowSubgroups:
+    @pytest.mark.parametrize("family,p,q", [
+        ("P2Q-Type1", 3, 7), ("P2Q-Type2", 3, 7), ("P2Q-Type3", 3, 19), ("P2Q-Type4", 3, 2),
+        ("P2Q-Type4", 7, 3), ("P2Q-Type2", 5, 11), ("PQ-Cyclic", 7, 3), ("PQ-Metacyclic", 7, 3),
+    ])
+    def test_match_the_per_element_walk(self, monkeypatch, family, p, q):
+        # one cyclic_subgroup call per subgroup found, none per element
+        spec = make_group(family, p, q)
+        orders = (p, p * p, q) if family.startswith("P2Q") else (p, q)
+        for order in orders:
+            want = sylow_subgroups_by_elements(spec, order)
+            calls = []
+            walk = groups.GroupSpec.cyclic_subgroup
+            monkeypatch.setattr(groups.GroupSpec, "cyclic_subgroup",
+                                lambda self, g: calls.append(g) or walk(self, g))
+            assert spec.sylow_subgroups(order) == want
+            monkeypatch.undo()
+            assert calls == [gen for gen, _members in want]
+
+
 class TestPowers:
     @pytest.mark.parametrize("family,p,q", [("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7)])
     def test_element_powers_match_the_scalar_law(self, family, p, q):
@@ -408,7 +443,7 @@ class TestPsi:
         ag = aut_group(spec)
         psi = psi_for_A(spec, E(1, 0))
         assert ag.aperm[psi, spec.idx(E(0, 1))] == spec.idx(E(0, 1))
-        for i in spec.elements_of_order(9):
+        for i in np.flatnonzero(spec.orders == 9).tolist():
             x = spec.el(i)
             assert ag.aperm[psi, i] == spec.idx(power(spec, x, 1 + spec.p))
 
