@@ -4,10 +4,12 @@
 
 Run from the repository root.  The script wraps ``enumerate._propagate``
 from outside the package.  Each call closes one node's batch of
-branches, one row per candidate: every row is one propagation, and every
-row its mask keeps opens one DFS node, the root included.  A call is one
-kernel call, and a round is one pass of the loop in ``_propagate``,
-counted by a line tracer on that function's frames alone.  The groups
+branches, one row per fixed-point-free candidate, with no pre-filter:
+every row is one propagation, and every row its mask keeps opens one
+DFS node.  The root, gamma(1) = 1 alone, is not closed, so it counts as
+no call and no node.  A call is one kernel call, and a round is one
+pass of the loop in ``_propagate``, counted by a line tracer on that
+function's frames alone.  The groups
 are the nine that ``verify`` runs on (3,2) --pq, (3,7) and (3,19);
 ``--type4-7`` adds Type4 (7,2) and (7,3).  A group over the search
 budget reads "gated".  Prints one JSON object.

@@ -10,12 +10,13 @@
   assignments: the functional equation itself is the propagation rule,
   so nothing family-specific enters.  Since a solution makes (G, o) a
   group, it branches on x only over the automorphisms alpha for which
-  y -> y^alpha x has no fixed point.  Each node closes all its branches
-  in one batch under right multiplication by the elements decided so
-  far, not pair by pair: gamma is consistent on a set A exactly when
-  {(gamma(g), g) : g in A} is a subgroup of Hol(G), and a set closed
-  under its generators is that subgroup.  It runs while |G| x |Aut|, the
-  size of the candidate mask, is within ``GFE_SEARCH_BUDGET``.
+  y -> y^alpha x has no fixed point.  Each node closes all of them,
+  unfiltered, in one kernel call under right multiplication by the
+  elements decided so far, not pair by pair: gamma is consistent on a
+  set A exactly when {(gamma(g), g) : g in A} is a subgroup of Hol(G),
+  and a set closed under its generators is that subgroup.  It runs while
+  |G| x |Aut|, the size of the candidate mask, is within
+  ``GFE_SEARCH_BUDGET``.
 * ``closure_oracle`` reads gamma tables off the regular subgroups found
   by the holomorph closure search, a route that never touches the
   functional equation or the other two routes.
@@ -55,8 +56,8 @@ from .brace import (
     lift_rgf,
     rgf_from_generator,
 )
-from .groups import (P2Q_FAMILIES, GroupElement, GroupSpec, aut_group, aut_order,
-                     check_aut_gate, make_group, powers, psi_for_A)
+from .groups import (P2Q_FAMILIES, GroupElement, GroupSpec, aut_group, check_aut_gate,
+                     make_group, powers, psi_for_A)
 
 # |G| x |Aut|, the cells of the search's candidate table; Type4 (7,3) is
 # the largest group it admits
@@ -197,16 +198,16 @@ def _double_by_duality(spec: GroupSpec, gammas: np.ndarray) -> np.ndarray:
 
     For the non-abelian families every constructed table has the
     designated central-ish subgroup inside its kernel while its dual
-    does not, so no dual may already lie in the set, and the doubled
-    set is exactly twice as large.
+    does not, so the duals are distinct and none lies in the set: the
+    doubled set is exactly twice as large, and any other size fails.
     """
-    duals = dual_gamma(spec, gammas)
-    if (_lookup(gammas, duals) >= 0).any():
+    doubled = gamma_set(np.concatenate([gammas, dual_gamma(spec, gammas)]))
+    if len(doubled) != 2 * len(gammas):
         raise StructuredCountMismatchError(
             "structured-count-mismatch: a doubled branch contains a "
             "self-dual gamma function"
         )
-    return gamma_set(np.concatenate([gammas, duals]))
+    return doubled
 
 
 def _formulas(spec: GroupSpec) -> dict[str, int]:
@@ -332,13 +333,14 @@ def _propagate(mt: np.ndarray, aperm: np.ndarray, comp: np.ndarray,
     rows that closed without a conflict.
 
     A pair (g, h) of assigned elements forces gamma[g^gamma(h) h] =
-    gamma(g) gamma(h).  On entry the rows differ only at x, just assigned,
-    and the assigned set is closed under g -> g o s for every s in
-    ``decided``, each such pair consistent.  The first round checks
-    (assigned, x) and (x, s) for s in ``decided`` on every row; each later
-    round checks the elements the round before assigned on a live row
-    against ``decided`` and x.  Cells are flat indices row |G| + element,
-    so each row closes as it would alone, and a dead row assigns no more.
+    gamma(g) gamma(h).  On entry the rows differ only at x, just assigned
+    one candidate each, and the assigned set is closed under g -> g o s
+    for every s in ``decided``, each such pair consistent.  This is the
+    only check a candidate meets: the first round checks (assigned, x)
+    and (x, s) for s in ``decided`` on every row; each later round checks
+    the elements the round before assigned on a live row against
+    ``decided`` and x.  Cells are flat indices row |G| + element, so each
+    row closes as it would alone, and a dead row assigns no more.
     """
     n = table.shape[1]
     flat = table.reshape(-1)
@@ -365,32 +367,6 @@ def _propagate(mt: np.ndarray, aperm: np.ndarray, comp: np.ndarray,
     return alive
 
 
-def _first_round(mt: np.ndarray, aperm: np.ndarray, comp: np.ndarray,
-                 gamma: np.ndarray, x: int, alphas: np.ndarray) -> np.ndarray:
-    """Which candidates alpha for gamma(x) survive the pairs (x, h), (g, x)
-    and (x, x) over the assigned g and h, all rows in one batch.
-
-    A row fails on a conflict with gamma or when one target gets two
-    values: exactly the branches that the first round of checking every
-    assigned pair would reject.
-    """
-    assigned = np.flatnonzero(gamma >= 0)
-    gamma_a = gamma[assigned]
-    col = alphas[:, None]
-    targets = np.hstack([
-        np.broadcast_to(mt[aperm[gamma_a, x], assigned], (alphas.size, assigned.size)),
-        mt[aperm[col, assigned], x],
-        mt[aperm[col, x], x],
-    ])
-    values = np.hstack([comp[col, gamma_a], comp[gamma_a, col], comp[col, col]])
-    table = np.tile(gamma, (alphas.size, 1))
-    table[:, x] = alphas
-    rows = np.broadcast_to(np.arange(alphas.size)[:, None], targets.shape)
-    unset = table[rows, targets] < 0
-    table[rows[unset], targets[unset]] = values[unset]
-    return (table[rows, targets] == values).all(axis=1)
-
-
 def gfe_search(spec: GroupSpec) -> EnumerationResult:
     """Depth-first search for every gamma table, with forced propagation.
 
@@ -408,9 +384,9 @@ def gfe_search(spec: GroupSpec) -> EnumerationResult:
     holds.  Each closure therefore ends where closing under every
     assigned pair would, with the same gamma or the same conflict, and a
     full assignment is a gamma function: leaves are not re-checked.
-    At each node ``_first_round`` drops the candidates of x that the first
-    round over every assigned pair would reject, and ``_propagate`` closes
-    the rest together, one row each; the tree and its nodes do not change.
+    Each node makes one ``_propagate`` call, which closes every candidate
+    of x together, one row each, with no pre-filter; the root is the
+    assignment gamma(1) = 1 alone, which no pair can contradict.
 
     A solution makes (G, o) a group with y o x = y^gamma(x) x, and in a
     group y o x = y forces x = 1.  So for x != 1, gamma(x) = alpha only if
@@ -421,7 +397,7 @@ def gfe_search(spec: GroupSpec) -> EnumerationResult:
     at call time.
     """
     check_aut_gate(spec)
-    m = aut_order(spec)
+    m = spec.aut_order
     if spec.n * m > GFE_SEARCH_BUDGET:
         raise SearchTooLargeError(
             f"search-too-large: |G| x |Aut| = {spec.n} x {m} = "
@@ -441,17 +417,14 @@ def gfe_search(spec: GroupSpec) -> EnumerationResult:
             return
         x = int(unassigned[0])
         alphas = np.flatnonzero(fpf[:, x])
-        alphas = alphas[_first_round(mt, aperm, comp, gamma, x, alphas)]
         branches = np.tile(gamma, (alphas.size, 1))
         branches[:, x] = alphas
         for branch in branches[_propagate(mt, aperm, comp, branches, x, decided)]:
             dfs(branch, [*decided, x])
 
-    root = np.full((1, spec.n), -1, dtype=np.int32)
-    root[0, spec.identity_idx] = ag.identity_idx
-    if not _propagate(mt, aperm, comp, root, spec.identity_idx, [])[0]:
-        raise AssertionError("the trivial seed assignment cannot conflict")
-    dfs(root[0], [])
+    root = np.full(spec.n, -1, dtype=np.int32)
+    root[spec.identity_idx] = ag.identity_idx
+    dfs(root, [])
     return EnumerationResult(spec, "gfe-search", gamma_set(found))
 
 

@@ -55,8 +55,6 @@ P2Q_FAMILIES = ("P2Q-Type1", "P2Q-Type2", "P2Q-Type3", "P2Q-Type4")
 PQ_FAMILIES = ("PQ-Cyclic", "PQ-Metacyclic")
 FAMILIES = P2Q_FAMILIES + PQ_FAMILIES
 
-ISO_TYPES = ("Type1", "Type2", "Type3", "Type4", "PQ-Cyclic", "PQ-Metacyclic", "Other")
-
 
 class AutSizeMismatchError(RuntimeError):
     """The searched automorphism group disagrees with the predicted size,
@@ -262,11 +260,6 @@ def make_group(family: str, p: int, q: int) -> GroupSpec:
 # -- automorphisms ----------------------------------------------------------
 
 
-def aut_order(spec: GroupSpec) -> int:
-    """|Aut(G)| as the spec states it, known before any search."""
-    return spec.aut_order
-
-
 class AutGroup:
     """The full automorphism group over the canonical element order.
 
@@ -420,7 +413,7 @@ def check_aut_gate(spec: GroupSpec) -> None:
     """
     if spec.n > arith.MAX_GROUP_ORDER:
         raise ValueError(f"|G| = {spec.n} exceeds the supported bound")
-    m = aut_order(spec)
+    m = spec.aut_order
     predicted = 4 * max(m, spec.n) ** 2
     if predicted > AUT_TABLE_MAX_BYTES:
         raise AutTooLargeError(
@@ -458,11 +451,10 @@ def aut_group(spec: GroupSpec) -> AutGroup:
     del seen  # before the copy of the kept rows, which is the memory peak
     aperm = perms[bijective]
     del perms
-    expected = aut_order(spec)
-    if len(aperm) != expected:
+    if len(aperm) != spec.aut_order:
         raise AutSizeMismatchError(
             f"aut-size-mismatch: found {len(aperm)} automorphisms of "
-            f"{spec.family} (p={spec.p}, q={spec.q}), expected {expected}"
+            f"{spec.family} (p={spec.p}, q={spec.q}), expected {spec.aut_order}"
         )
     gens = (spec.idx(GroupElement(1, 0)), spec.idx(GroupElement(0, 1)))
     mt = spec.mul_table

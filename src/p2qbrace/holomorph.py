@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .groups import GroupSpec, aut_group, aut_order, check_aut_gate
+from .groups import GroupSpec, aut_group, check_aut_gate
 
 DEFAULT_MAX_HOL_ORDER = 1200
 
@@ -173,7 +173,7 @@ def closure_search_regular(
     the groups of order |G|.
     """
     check_aut_gate(spec)
-    size = spec.n * aut_order(spec)
+    size = spec.n * spec.aut_order
     if size > max_hol_order:
         raise OracleTooLargeError(
             f"oracle-too-large: |Hol(G)| = {size} exceeds the limit {max_hol_order}"

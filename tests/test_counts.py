@@ -1,7 +1,7 @@
 import pytest
 
 from p2qbrace import arith, counts
-from p2qbrace.groups import aut_order, make_group
+from p2qbrace.groups import make_group
 from reference import totals
 
 DESK_PAIRS = [(3, 2), (3, 7), (3, 19), (5, 2), (5, 3), (5, 11), (7, 3), (3, 31), (7, 2)]
@@ -42,7 +42,7 @@ class TestE:
     def test_scaling_identity_with_formula_aut_sizes(self):
         for p, q in DESK_PAIRS:
             table = counts.count_table(p, q)
-            auts = {t: aut_order(make_group(f"P2Q-Type{t}", p, q))
+            auts = {t: make_group(f"P2Q-Type{t}", p, q).aut_order
                     for t in arith.divisibility_profile(p, q).g_types}
             for (gt, g), ep in table.e_prime.items():
                 assert table.e[(gt, g)] * auts[g] == auts[gt] * ep

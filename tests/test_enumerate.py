@@ -314,13 +314,13 @@ class TestGfeSearch:
         assert same_set(result, enum_cache("P2Q-Type2", 3, 7))
 
     def test_pinned_propagation_and_node_counts(self, monkeypatch):
-        # one _propagate call per node, the root included, closing one row
-        # per candidate the batched first round keeps; a row that closes
-        # without a conflict opens one DFS node
+        # one _propagate call per node below the root, closing one row per
+        # fixed-point-free candidate; a row that closes without a conflict
+        # opens one DFS node
         propagate = routes._propagate
         for family, p, q, tables, pinned in [
-            ("P2Q-Type2", 3, 7, 90, Counter(propagations=272, nodes=96, calls=7)),
-            ("P2Q-Type2", 3, 19, 918, Counter(propagations=2108, nodes=936, calls=19)),
+            ("P2Q-Type2", 3, 7, 90, Counter(propagations=649, nodes=95, calls=6)),
+            ("P2Q-Type2", 3, 19, 918, Counter(propagations=17497, nodes=935, calls=18)),
         ]:
             calls = Counter()
 
@@ -343,59 +343,52 @@ class TestGfeSearch:
         alive = routes._propagate(spec.mul_table, ag.aperm, ag.comp, table, 1, [])
         assert alive.shape == (0,) and alive.dtype == bool
 
-    def test_node_with_every_candidate_dropped(self, monkeypatch, enum_cache):
-        # on Type4 (3,2) the first round keeps no candidate at six nodes;
-        # the kernel closes their empty batches and they have no children
+    def test_every_batch_holds_the_identity_automorphism(self, monkeypatch, enum_cache):
+        # y -> y x has no fixed point for x != 1, so every column the search
+        # branches on holds the identity automorphism and no batch is empty;
+        # on Type4 (3,2) a pre-filter once left six empty ones. No call
+        # branches on 1 itself: gamma(1) = 1 is set in the root row
+        spec = make_group("P2Q-Type4", 3, 2)
+        ag = aut_group(spec)
         propagate = routes._propagate
-        empty = []
+        batches = []
 
         def recording(mt, aperm, comp, table, x, decided):
-            alive = propagate(mt, aperm, comp, table, x, decided)
-            if not len(table):
-                empty.append(alive)
-            return alive
+            batches.append((x, table[:, x].tolist(), table[:, spec.identity_idx].tolist()))
+            return propagate(mt, aperm, comp, table, x, decided)
 
         monkeypatch.setattr(routes, "_propagate", recording)
-        result = routes.gfe_search(make_group("P2Q-Type4", 3, 2))
-        assert [alive.shape for alive in empty] == [(0,)] * 6
+        result = routes.gfe_search(spec)
+        assert batches
+        for x, alphas, at_identity in batches:
+            assert x != spec.identity_idx
+            assert ag.identity_idx in alphas
+            assert at_identity == [ag.identity_idx] * len(alphas)
         assert same_set(result, enum_cache("P2Q-Type4", 3, 2))
 
     def test_batch_rows_close_as_single_rows(self, monkeypatch, search_counters):
-        # every candidate of x at each node, unfiltered by the first round,
-        # so that rows die in round 1 (on Type4 (3,2)) and only in a later
-        # round (on Type2 (3,7)); each row's verdict and table must be what
-        # closing it alone gives
+        # every batch the search closes, so that rows die in round 1 (on
+        # Type4 (3,2)) and only in a later round (on Type2 (3,7)); each
+        # row's verdict and table must be what closing it alone gives
         propagate = routes._propagate
         died_in = Counter()
+
+        def checked(mt, aperm, comp, table, x, decided):
+            entry = table.copy()
+            alive = propagate(mt, aperm, comp, table, x, decided)
+            for single, row, ok in zip(entry, table, alive.tolist()):
+                single = single[None].copy()
+                counts = Counter()
+                closing = search_counters.counted(propagate, counts)
+                assert closing(mt, aperm, comp, single, x, decided).tolist() == [ok]
+                assert np.array_equal(single[0], row)
+                if not ok:
+                    died_in["round 1" if counts["rounds"] == 1 else "later"] += 1
+            return alive
+
+        monkeypatch.setattr(routes, "_propagate", checked)
         for family, p, q in [("P2Q-Type2", 3, 7), ("P2Q-Type4", 3, 2)]:
-            spec = make_group(family, p, q)
-            ag = aut_group(spec)
-            mt, aperm, comp = spec.mul_table, ag.aperm, ag.comp
-            nodes = []
-
-            def recording(mt, aperm, comp, table, x, decided):
-                if len(table):
-                    gamma = table[0].copy()
-                    gamma[x] = -1
-                    nodes.append((gamma, x, list(decided)))
-                return propagate(mt, aperm, comp, table, x, decided)
-
-            monkeypatch.setattr(routes, "_propagate", recording)
-            routes.gfe_search(spec)
-            for gamma, x, decided in nodes:
-                alphas = np.flatnonzero(ag.fixed_point_free[:, x])
-                batch = np.tile(gamma, (alphas.size, 1))
-                batch[:, x] = alphas
-                alive = propagate(mt, aperm, comp, batch, x, decided)
-                for alpha, row, ok in zip(alphas.tolist(), batch, alive.tolist()):
-                    single = gamma[None, :].copy()
-                    single[0, x] = alpha
-                    counts = Counter()
-                    closing = search_counters.counted(propagate, counts)
-                    assert closing(mt, aperm, comp, single, x, decided).tolist() == [ok]
-                    assert np.array_equal(single[0], row)
-                    if not ok:
-                        died_in["round 1" if counts["rounds"] == 1 else "later"] += 1
+            routes.gfe_search(make_group(family, p, q))
         assert died_in["round 1"] > 0 and died_in["later"] > 0
 
     REFERENCE_GROUPS = [
@@ -404,13 +397,16 @@ class TestGfeSearch:
 
     @pytest.mark.parametrize("family,p,q", REFERENCE_GROUPS)
     def test_every_node_matches_the_all_pairs_reference(self, monkeypatch, family, p, q):
+        # every node closes the whole fixed-point-free column of x, and
         # closing under the decided elements gives the all-pairs answer on
-        # every branch, and the batched first round drops only branches
-        # that the all-pairs rule rejects
-        propagate, first_round = routes._propagate, routes._first_round
+        # every branch
+        spec = make_group(family, p, q)
+        fpf = aut_group(spec).fixed_point_free
+        propagate = routes._propagate
         seen = Counter()
 
         def checked(mt, aperm, comp, table, x, decided):
+            assert table[:, x].tolist() == np.flatnonzero(fpf[:, x]).tolist()
             want = table.copy()
             oks = [all_pairs_propagate(mt, aperm, comp, row, [x]) for row in want]
             alive = propagate(mt, aperm, comp, table, x, decided)
@@ -419,20 +415,9 @@ class TestGfeSearch:
             seen["propagations"] += len(table)
             return alive
 
-        def filtered(mt, aperm, comp, gamma, x, alphas):
-            keep = first_round(mt, aperm, comp, gamma, x, alphas)
-            for alpha in alphas[~keep].tolist():
-                branch = gamma.copy()
-                branch[x] = alpha
-                assert not all_pairs_propagate(mt, aperm, comp, branch, [x])
-                seen["dropped"] += 1
-            return keep
-
         monkeypatch.setattr(routes, "_propagate", checked)
-        monkeypatch.setattr(routes, "_first_round", filtered)
-        result = routes.gfe_search(make_group(family, p, q))
+        result = routes.gfe_search(spec)
         assert len(result.gammas) and seen["propagations"] > len(result.gammas)
-        assert seen["dropped"] > 0
 
     @pytest.mark.parametrize("family,p,q", REFERENCE_GROUPS)
     def test_key_sequence_matches_the_all_pairs_search(self, monkeypatch, family, p, q):
@@ -454,7 +439,7 @@ class TestGfeSearch:
 class TestSearchCounters:
     def test_pinned_counts(self, search_counters):
         assert search_counters.count("P2Q-Type2", 3, 7) == {
-            "propagations": 272, "nodes": 96, "calls": 7, "rounds": 25, "tables": 90,
+            "propagations": 649, "nodes": 95, "calls": 6, "rounds": 27, "tables": 90,
         }
 
     def test_loop_line_is_read_off_the_running_code(self, search_counters):
