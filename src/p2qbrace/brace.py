@@ -132,7 +132,9 @@ def verify_brace_axiom(gamma: GammaFunction, exhaustive: bool) -> None:
 
     An independent reference for tests.  Record building does not call
     it: for one k the law says that gamma(k) is an endomorphism of
-    (G, *), which ``aut_group`` proves once for every row of Aut(G).
+    (G, *), which every row of Aut(G) is by von Dyck's theorem, since
+    ``aut_group`` builds each row from generator images that satisfy the
+    defining relations (the tests prove it exhaustively).
     """
     spec = gamma.spec
     n = spec.n
@@ -192,8 +194,10 @@ def brace_from_gamma(gamma: GammaFunction) -> SkewBraceRecord:
     else needs a check here:
 
     * the brace law holds because every value of gamma is a row of
-      Aut(G), and ``aut_group`` proves each row a homomorphism once per
-      group;
+      Aut(G), and each row is a homomorphism by von Dyck's theorem:
+      ``aut_group`` builds it from generator images that satisfy the
+      defining relations (a test proves it for every admitted group of
+      order up to 600);
     * once the equation holds, gamma is a homomorphism from (G, o) to
       Aut(G), so its kernel is normal in (G, o), and g o h = g h for h in
       the kernel makes it a subgroup of (G, *) too.  ``_check_kernel``

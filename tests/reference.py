@@ -46,7 +46,9 @@ name a group's elements as ``GroupElement`` pairs.  ``mul``,
 ``inv_elem``, ``power`` and ``elem_order`` are the scalar group law on
 those pairs, read off the presentation and not off ``mul_table``.
 ``scalar_aut_perms`` is the automorphism search written with that law,
-one generator-image pair at a time, ``check_rgf_gfe`` checks the
+one generator-image pair at a time.  ``homomorphism_failure`` proves
+every row of Aut(G) a homomorphism, the property ``aut_group`` takes
+from von Dyck's theorem.  ``check_rgf_gfe`` checks the
 functional equation of a relative gamma function pair by pair, and
 ``scalar_lift`` is one row of ``brace.lift_rgf``'s batch written as a
 loop over the pairs (a, b).  ``is_associative`` checks (x y) z = x (y z) one row of x at a
@@ -281,6 +283,22 @@ def scalar_aut_perms(spec: GroupSpec) -> np.ndarray:
     aperm = np.array(perms, dtype=np.int32).reshape(len(perms), spec.n)
     ga, gb = spec.idx(GroupElement(1, 0)), spec.idx(GroupElement(0, 1))
     return aperm[np.lexsort((aperm[:, gb], aperm[:, ga]))]
+
+
+def homomorphism_failure(spec: GroupSpec, aperm: np.ndarray) -> tuple[int, int, int] | None:
+    """The first (k, x, g) with alpha(x g) != alpha(x) alpha(g), where
+    alpha is row k of ``aperm`` and g runs over the generators a, then b;
+    None when every row is a homomorphism.
+
+    Both generators suffice: alpha(x g) = alpha(x) alpha(g) for all x
+    extends, by associativity, to every product of generators."""
+    mt = spec.mul_table
+    for g in (spec.idx(GroupElement(1, 0)), spec.idx(GroupElement(0, 1))):
+        bad = aperm[:, mt[:, g]] != mt[aperm, aperm[:, [g]]]
+        if bad.any():
+            k, x = (int(i) for i in np.argwhere(bad)[0])
+            return k, x, g
+    return None
 
 
 def check_rgf_gfe(rgf: RGF) -> None:

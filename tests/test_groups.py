@@ -1,11 +1,12 @@
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from p2qbrace import groups
+from p2qbrace import arith, groups
 from p2qbrace.groups import GroupElement as E
 from p2qbrace.groups import aut_group, classify_iso_type, make_group, psi_for_A
 from reference import (
@@ -13,6 +14,7 @@ from reference import (
     elem_order,
     element_orders_by_steps,
     elements,
+    homomorphism_failure,
     identity,
     inv_elem,
     iota,
@@ -37,6 +39,35 @@ ALL_DESK_SPECS = [
     ("PQ-Metacyclic", 3, 2),
     ("PQ-Cyclic", 7, 3),
     ("PQ-Metacyclic", 7, 3),
+]
+
+
+def _admitted(max_order):
+    """(family, p, q) of every family group of order at most max_order
+    that passes the gate."""
+    primes = [r for r in range(2, max_order + 1) if arith.is_prime(r)]
+    specs = []
+    for family in groups.FAMILIES:
+        for p in primes:
+            for q in primes:
+                if (p * p * q if family in groups.P2Q_FAMILIES else p * q) > max_order:
+                    continue
+                try:
+                    groups.check_aut_gate(make_group.__wrapped__(family, p, q))
+                except (ValueError, groups.AutTooLargeError):
+                    continue
+                specs.append((family, p, q))
+    return specs
+
+
+ADMITTED_UP_TO_600 = _admitted(600)
+# presentations outside the families, as (name, p, q, n_mod, c_mod, t,
+# |Aut|); C3 x C6 and C2 x C6 are not coprime
+HAND_BUILT = [
+    ("C3xC6", 3, 2, 6, 3, 1, 48),
+    ("C3xS3", 3, 2, 3, 6, 2, 12),
+    ("C2xC6", 2, 3, 6, 2, 1, 12),
+    ("D12", 2, 3, 6, 2, 5, 12),
 ]
 
 
@@ -177,31 +208,52 @@ class TestAutGroup:
             b_members = np.array(spec.cyclic_subgroup(spec.idx(E(0, 1))))
             assert np.isin(ag.aperm[:, b_members], b_members).all()
 
-    def test_non_homomorphic_row_is_rejected(self, monkeypatch):
+    def test_non_homomorphic_row_is_rejected(self):
         # swap two images of the automorphism a -> ab, b -> b: still a
         # bijection, but two automorphisms agree on a subgroup, so a
         # permutation two points away from one is no automorphism
-        build = groups._candidate_perms
+        spec = make_group("P2Q-Type4", 3, 2)
+        aperm = aut_group(spec).aperm.copy()
+        row = (aperm[:, spec.idx(E(1, 0))] == spec.idx(E(1, 1))) & (
+            aperm[:, spec.idx(E(0, 1))] == spec.idx(E(0, 1))
+        )
+        (k,) = np.flatnonzero(row)
+        aperm[k, [3, 4]] = aperm[k, [4, 3]]
+        assert sorted(aperm[k].tolist()) == list(range(spec.n))
+        assert homomorphism_failure(spec, aperm) == (6, 3, 9)
 
-        def tampered(spec):
-            perms = build(spec)
-            row = (perms[:, spec.idx(E(1, 0))] == spec.idx(E(1, 1))) & (
-                perms[:, spec.idx(E(0, 1))] == spec.idx(E(0, 1))
-            )
-            (k,) = np.flatnonzero(row)
-            perms[k, [3, 4]] = perms[k, [4, 3]]
-            return perms
+    @pytest.mark.parametrize("args", ADMITTED_UP_TO_600 + HAND_BUILT,
+                             ids=lambda args: "-".join(map(str, args)))
+    def test_every_row_is_a_homomorphism(self, args):
+        # von Dyck's theorem, which aut_group relies on, checked in full;
+        # uncached, so the session keeps none of these tables
+        if len(args) == 3:
+            spec = make_group.__wrapped__(*args)
+        else:
+            name, p, q, n_mod, c_mod, t, aut = args
+            spec = groups.GroupSpec(name, p, q, n_mod=n_mod, c_mod=c_mod, t=t, aut_order=aut)
+        assert homomorphism_failure(spec, aut_group.__wrapped__(spec).aperm) is None
 
-        monkeypatch.setattr(groups, "_candidate_perms", tampered)
-        # the proof runs in row blocks; one row per block reports the
-        # same first failure as one block for the whole group
-        for entries in (groups._COMP_BLOCK_ENTRIES, 1):
-            monkeypatch.setattr(groups, "_COMP_BLOCK_ENTRIES", entries)
-            with pytest.raises(groups.AutSizeMismatchError, match=(
-                r"^aut-not-homomorphism: automorphism 6 of P2Q-Type4 \(p=3, q=2\) "
-                r"fails at \(x, g\) = \(3, 9\)$"
-            )):
-                aut_group.__wrapped__(make_group("P2Q-Type4", 3, 2))
+    def test_admitted_groups_up_to_600(self):
+        assert (len(ADMITTED_UP_TO_600), len(HAND_BUILT)) == (266, 4)
+
+    @pytest.mark.parametrize("family,p,q,failure", [
+        ("P2Q-Type2", 3, 7, (0, 1, 7)),
+        ("PQ-Metacyclic", 7, 3, (0, 1, 7)),
+        ("P2Q-Type3", 3, 19, (0, 1, 19)),
+    ])
+    def test_a_wrong_relation_passes_the_size_check_but_not_the_proof(
+        self, family, p, q, failure
+    ):
+        # rows from the pairs with x^-1 y x = y^(t^2), expanded with the
+        # true law: as many bijections as automorphisms, none of them one
+        spec = make_group(family, p, q)
+        law = {name: getattr(spec, name) for name in (
+            "mul_table", "inv_table", "orders", "c_mod", "n_mod", "n")}
+        planted = groups._candidate_perms(SimpleNamespace(**law, t=spec.t ** 2 % spec.n_mod))
+        assert len(planted) == spec.aut_order
+        assert (np.sort(planted, axis=1) == np.arange(spec.n)).all()
+        assert homomorphism_failure(spec, planted) == failure
 
     @pytest.mark.parametrize("family,p,q,gens", [
         ("P2Q-Type4", 7, 3, [1, 2, 42]),
@@ -587,7 +639,7 @@ class TestBuildPeaks:
         table, peak = self.traced_peak(lambda: spec.mul_table)
         assert peak <= 1.75 * table.nbytes
 
-    def test_homomorphism_proof_runs_in_row_blocks(self):
+    def test_aut_group_peak_is_bounded_by_its_result(self):
         spec = make_group.__wrapped__("P2Q-Type1", 3, 397)
         spec.mul_table, spec.inv_table, spec.orders
         ag, peak = self.traced_peak(lambda: aut_group.__wrapped__(spec))
