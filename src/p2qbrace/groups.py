@@ -34,12 +34,12 @@ Every power table, of an element or of an automorphism, comes from
 Derived tables are cached properties, built on first read, except
 Aut(G)'s fixed-point-free table: the search and the oracle both prune
 with it, and it is built by one scatter on each read and kept by its
-reader only.  ``mul_table`` runs in row blocks and ``comp`` in column
-blocks, which keeps their temporaries small next to the result.
-``_generating_set`` walks a table to its least-index greedy generating
-set, and rejects one needing more than floor(log2 n) generators; it
-gives ``AutGroup.generators``, and a group's associativity and
-isomorphism type are read on those generators alone.
+reader only.  ``mul_table`` and ``comp`` are filled in row blocks, which
+keeps their temporaries small next to the result.  ``_generating_set``
+walks a table to its least-index greedy generating set, and rejects one
+needing more than floor(log2 n) generators; a group's associativity and
+isomorphism type are read on those generators alone.  ``comp`` is filled
+along the same walk over Aut(G), so its picks are ``AutGroup.generators``.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class AutTooLargeError(RuntimeError):
 # (|Aut| x |Aut|), ``aperm`` (|Aut| x |G|) or a |G| x |G| table.
 AUT_TABLE_MAX_BYTES = 1 << 28
 
-# entries of ``comp`` built per column block, which bounds the temporaries
+# entries of ``comp`` filled per row block, which bounds the temporaries
 _COMP_BLOCK_ENTRIES = 1 << 16
 
 
@@ -269,8 +269,10 @@ class AutGroup:
     image of element x under automorphism k, and ``comp[i, j]`` is "apply
     i, then j".  The constructor takes the rows sorted by the image of a,
     then of b, which makes every downstream enumeration order-stable.
-    Every derived table except ``fixed_point_free`` is a cached property;
-    ``generators()`` is the least-index greedy generating set of ``comp``.
+    Every derived table except ``fixed_point_free`` is a cached property.
+    ``comp`` is filled along ``_generating_set``'s walk over Aut(G), and
+    ``generators()`` returns that walk's picks, the least-index greedy
+    generating set of ``comp``.
 
     A homomorphism is fixed by its images of the generators a and b, so
     automorphisms are looked up by that pair: one int32 table gives the
@@ -297,7 +299,7 @@ class AutGroup:
         self._lut[self._rank_a[img_a], self._rank_b[img_b]] = np.arange(
             self.size, dtype=np.int32
         )
-        self.identity_idx = self.index_of_perm(np.arange(spec.n))
+        self.identity_idx = int(self._closed_lookup(*self._gen_idx, "the identity"))
 
     @staticmethod
     def _ranks(images: np.ndarray, n: int) -> np.ndarray:
@@ -316,7 +318,7 @@ class AutGroup:
         if (idx < 0).any():
             spec = self.spec
             raise AutSizeMismatchError(
-                f"aut-not-closed: a {what} of {spec.family} (p={spec.p}, "
+                f"aut-not-closed: {what} of {spec.family} (p={spec.p}, "
                 f"q={spec.q}) is not among its {self.size} automorphisms"
             )
         return idx
@@ -331,25 +333,46 @@ class AutGroup:
         return k
 
     @cached_property
-    def comp(self) -> np.ndarray:
-        """comp[i, j] = index of the composite "i then j"."""
+    def _walk(self) -> tuple[np.ndarray, list[int]]:
+        """``comp`` and its picks: a pick g gets its row from one lookup, and
+        a row reached as "h then g" is comp[h][comp[g]] by associativity."""
         m = self.size
         img_a, img_b = (self.aperm[:, g] for g in self._gen_idx)
         comp = np.empty((m, m), dtype=np.int32)
-        cols = max(1, _COMP_BLOCK_ENTRIES // m)
-        for lo in range(0, m, cols):
-            # "i then j" sends a to aperm[j, img_a[i]], and b likewise
-            block = self.aperm[lo:lo + cols]
-            comp[:, lo:lo + cols] = self._closed_lookup(
-                block[:, img_a], block[:, img_b], "composite"
-            ).T
-        return comp
+        comp[self.identity_idx] = np.arange(m, dtype=np.int32)
+        reached = np.arange(m) == self.identity_idx
+        rows = max(1, _COMP_BLOCK_ENTRIES // m)
+        gens: list[int] = []
+        while not reached.all():
+            pick = int(np.argmin(reached))
+            gens.append(pick)
+            # "pick then j" sends a to aperm[j, img_a[pick]], and b likewise
+            row_a, row_b = self.aperm[:, img_a[pick]], self.aperm[:, img_b[pick]]
+            comp[pick] = self._closed_lookup(row_a, row_b, "a composite")
+            frontier = np.flatnonzero(reached)
+            while frontier.size:
+                found = []
+                for g in gens:
+                    xs, first = np.unique(comp[frontier, g], return_index=True)
+                    fresh = ~reached[xs]
+                    xs, hs = xs[fresh], frontier[first[fresh]]
+                    reached[xs] = True
+                    for lo in range(0, xs.size, rows):
+                        comp[xs[lo:lo + rows]] = np.take(comp[hs[lo:lo + rows]], comp[g], axis=1)
+                    found.append(xs)
+                frontier = np.concatenate(found)
+        return comp, gens
+
+    @cached_property
+    def comp(self) -> np.ndarray:
+        """comp[i, j] = index of the composite "i then j"."""
+        return self._walk[0]
 
     @cached_property
     def ainv(self) -> np.ndarray:
         # the inverse of k sends each generator g to its preimage under k
         pre_a, pre_b = (np.argmax(self.aperm == g, axis=1) for g in self._gen_idx)
-        return self._closed_lookup(pre_a, pre_b, "inverse")
+        return self._closed_lookup(pre_a, pre_b, "an inverse")
 
     @cached_property
     def iota_map(self) -> np.ndarray:
@@ -358,7 +381,7 @@ class AutGroup:
         inv = self.spec.inv_table
         rng = np.arange(self.spec.n)
         conj_a, conj_b = (mt[mt[inv, g], rng] for g in self._gen_idx)
-        return self._closed_lookup(conj_a, conj_b, "conjugation")
+        return self._closed_lookup(conj_a, conj_b, "a conjugation")
 
     @cached_property
     def orders(self) -> np.ndarray:
@@ -378,13 +401,9 @@ class AutGroup:
         fixed[np.arange(self.size)[:, None], moved] = True
         return ~fixed
 
-    @cached_property
-    def _generators(self) -> list[int]:
-        return _generating_set(self.comp, self.identity_idx)
-
     def generators(self) -> list[int]:
-        """The least-index greedy generating set (``_generating_set``)."""
-        return self._generators
+        """The picks of ``comp``'s walk, ``_generating_set(comp, identity_idx)``."""
+        return self._walk[1]
 
 
 def _candidate_perms(spec: GroupSpec) -> np.ndarray:
@@ -626,33 +645,33 @@ def classify_iso_type(table) -> IsoResult:
 
 
 def _element_orders(table: np.ndarray, ident: int) -> np.ndarray:
-    """Every element's order, by descent from n = |table|: while p divides
-    an element's order d and x^(d/p) is the identity, d drops to d/p, for
-    each prime p dividing n.  Each x^e is a square-and-multiply walk of
-    gathers, all elements at once."""
+    """Every element's order, one prime at a time: for each prime power
+    r^a exactly dividing n = |table|, y = x^(n / r^a) is the r-part of x,
+    and its order is r^j, where j counts the powers y, y^r, ...,
+    y^(r^(a-1)) that are not the identity; y^(r^a) = x^n must be.  Each
+    power is a square-and-multiply walk of gathers, with one exponent
+    for all elements."""
     n = len(table)
-    rng = np.arange(n)
 
-    def power(e: np.ndarray) -> np.ndarray:
-        out = np.full(n, ident)
-        base = rng
-        while e.any():
-            odd = (e & 1).astype(bool)
-            out[odd] = table[out[odd], base[odd]]
-            base = table[base, base]
-            e = e >> 1
+    def power(x: np.ndarray, e: int) -> np.ndarray:
+        out = x
+        for bit in bin(e)[3:]:  # the bits of e after the leading one
+            out = table[out, out]
+            if bit == "1":
+                out = table[out, x]
         return out
 
-    orders = np.full(n, n, dtype=np.int64)
-    if (power(orders) != ident).any():
-        raise ValueError("table rows do not close; not a group table")
-    for p in _prime_factors(n):
-        while True:
-            drop = (orders % p == 0) & (power(orders // p) == ident)
-            if not drop.any():
-                break
-            orders[drop] //= p
-    return orders.astype(np.int32)
+    orders = np.ones(n, dtype=np.int32)
+    for r, a in _prime_factors(n).items():
+        y = power(np.arange(n), n // r ** a)
+        j = np.zeros(n, dtype=np.int32)
+        for _ in range(a):
+            j += y != ident
+            y = power(y, r)
+        if (y != ident).any():
+            raise ValueError("table rows do not close; not a group table")
+        orders *= r ** j
+    return orders
 
 
 def _name_fingerprint(fp: Fingerprint, is_p2q: bool) -> str:

@@ -24,6 +24,9 @@ powers one exponent at a time, the O(n · exp(G)) walk that
 ``groups._element_orders`` replaced.  ``all_pairs_classify`` is
 ``groups.classify_iso_type`` as it read a whole table before it asked
 only the generators: abelian and the centre from ``table == table.T``.
+``comp_by_lookup`` is ``AutGroup.comp`` as it was built before it was
+filled along the generator walk: one generator-image lookup per entry,
+in column blocks.
 
 ``es`` is the partial geometric sum
 
@@ -470,6 +473,22 @@ def element_orders_by_steps(table: np.ndarray, ident: int) -> np.ndarray:
             return orders
         cur = table[cur, rng]
     raise ValueError("table rows do not close; not a group table")
+
+
+def comp_by_lookup(ag) -> np.ndarray:
+    """comp[i, j] = index of "i then j", which sends a to aperm[j, img_a[i]]
+    and b likewise, looked up by that image pair a block of columns at a
+    time."""
+    m = ag.size
+    img_a, img_b = (ag.aperm[:, g] for g in ag._gen_idx)
+    comp = np.empty((m, m), dtype=np.int32)
+    cols = max(1, (1 << 16) // m)
+    for lo in range(0, m, cols):
+        block = ag.aperm[lo:lo + cols]
+        comp[:, lo:lo + cols] = ag._closed_lookup(
+            block[:, img_a], block[:, img_b], "a composite"
+        ).T
+    return comp
 
 
 def all_pairs_classify(table: np.ndarray) -> IsoResult:

@@ -11,6 +11,7 @@ from p2qbrace.groups import GroupElement as E
 from p2qbrace.groups import aut_group, classify_iso_type, make_group, psi_for_A
 from reference import (
     cayley_to_json,
+    comp_by_lookup,
     elem_order,
     element_orders_by_steps,
     elements,
@@ -61,6 +62,16 @@ def _admitted(max_order):
 
 
 ADMITTED_UP_TO_600 = _admitted(600)
+# groups with their least-index greedy Aut(G) generators
+GREEDY_GENERATORS = [
+    ("P2Q-Type4", 7, 3, [1, 2, 42]),
+    ("P2Q-Type2", 5, 11, [1, 10, 110]),
+    ("P2Q-Type2", 3, 19, [1, 18, 342]),
+    ("P2Q-Type3", 3, 19, [1, 18]),
+    ("P2Q-Type1", 3, 7, [1, 2, 6]),
+    ("PQ-Metacyclic", 13, 3, [1, 12]),
+    ("P2Q-Type4", 3, 2, [1, 6]),
+]
 # presentations outside the families, as (name, p, q, n_mod, c_mod, t,
 # |Aut|); C3 x C6 and C2 x C6 are not coprime
 HAND_BUILT = [
@@ -69,6 +80,14 @@ HAND_BUILT = [
     ("C2xC6", 2, 3, 6, 2, 1, 12),
     ("D12", 2, 3, 6, 2, 5, 12),
 ]
+
+
+def _spec(args, make=make_group):
+    """The group of a (family, p, q) or a ``HAND_BUILT`` entry."""
+    if len(args) == 3:
+        return make(*args)
+    name, p, q, n_mod, c_mod, t, aut = args
+    return groups.GroupSpec(name, p, q, n_mod=n_mod, c_mod=c_mod, t=t, aut_order=aut)
 
 
 class TestConstruction:
@@ -227,11 +246,7 @@ class TestAutGroup:
     def test_every_row_is_a_homomorphism(self, args):
         # von Dyck's theorem, which aut_group relies on, checked in full;
         # uncached, so the session keeps none of these tables
-        if len(args) == 3:
-            spec = make_group.__wrapped__(*args)
-        else:
-            name, p, q, n_mod, c_mod, t, aut = args
-            spec = groups.GroupSpec(name, p, q, n_mod=n_mod, c_mod=c_mod, t=t, aut_order=aut)
+        spec = _spec(args, make_group.__wrapped__)
         assert homomorphism_failure(spec, aut_group.__wrapped__(spec).aperm) is None
 
     def test_admitted_groups_up_to_600(self):
@@ -255,18 +270,20 @@ class TestAutGroup:
         assert (np.sort(planted, axis=1) == np.arange(spec.n)).all()
         assert homomorphism_failure(spec, planted) == failure
 
-    @pytest.mark.parametrize("family,p,q,gens", [
-        ("P2Q-Type4", 7, 3, [1, 2, 42]),
-        ("P2Q-Type2", 5, 11, [1, 10, 110]),
-        ("P2Q-Type2", 3, 19, [1, 18, 342]),
-        ("P2Q-Type3", 3, 19, [1, 18]),
-        ("P2Q-Type1", 3, 7, [1, 2, 6]),
-        ("PQ-Metacyclic", 13, 3, [1, 12]),
-        ("P2Q-Type4", 3, 2, [1, 6]),
-    ])
+    @pytest.mark.parametrize("family,p,q,gens", GREEDY_GENERATORS)
     def test_generators_are_the_least_index_greedy_set(self, family, p, q, gens):
         # the records' orbit walk visits conjugates in this order
         assert aut_group(make_group(family, p, q)).generators() == gens
+
+    @pytest.mark.parametrize("args", [g[:3] for g in GREEDY_GENERATORS] + HAND_BUILT,
+                             ids=lambda args: "-".join(map(str, args)))
+    def test_walk_matches_the_lookup_reference(self, args):
+        # comp filled along the generator walk, byte for byte, and the
+        # walk's picks are the greedy set of the looked-up table
+        ag = aut_group(_spec(args))
+        ref = comp_by_lookup(ag)
+        assert ag.comp.dtype == ref.dtype and ag.comp.tobytes() == ref.tobytes()
+        assert ag.generators() == groups._generating_set(ref, ag.identity_idx)
 
     def test_generators_generate(self):
         ag = aut_group(make_group("P2Q-Type2", 3, 7))
@@ -321,6 +338,13 @@ class TestAutGroup:
         partial = groups.AutGroup(ag.spec, np.delete(ag.aperm, drop, axis=0))
         with pytest.raises(groups.AutSizeMismatchError, match="^aut-not-closed:"):
             partial.comp
+
+    def test_missing_identity_is_not_closed(self):
+        ag = aut_group(make_group("P2Q-Type4", 3, 2))
+        aperm = np.delete(ag.aperm, ag.identity_idx, axis=0)
+        with pytest.raises(groups.AutSizeMismatchError,
+                           match=r"^aut-not-closed: the identity of P2Q-Type4 \(p=3, q=2\)"):
+            groups.AutGroup(ag.spec, aperm)
 
     def test_table_gate_is_checked_before_search(self, monkeypatch):
         spec = make_group("P2Q-Type4", 3, 2)
@@ -402,8 +426,8 @@ class TestPowers:
 
 
 class TestElementOrders:
-    """``_element_orders`` descends over the primes dividing n; the
-    reference steps every power one exponent at a time."""
+    """``_element_orders`` works one prime power r^a exactly dividing n at
+    a time; the reference steps every power one exponent at a time."""
 
     LADDER = [
         ("P2Q-Type1", 3, 2), ("P2Q-Type4", 3, 2), ("PQ-Cyclic", 3, 2), ("PQ-Metacyclic", 3, 2),
@@ -411,7 +435,8 @@ class TestElementOrders:
         ("P2Q-Type1", 3, 19), ("P2Q-Type2", 3, 19), ("P2Q-Type3", 3, 19),
     ]
 
-    @pytest.mark.parametrize("family,p,q", LADDER)
+    # Type4 (7,3): |Aut| = 2,058 = 2 * 3 * 7^3, with automorphisms of order 49
+    @pytest.mark.parametrize("family,p,q", LADDER + [("P2Q-Type4", 7, 3)])
     def test_group_and_automorphism_orders_match_the_reference(self, family, p, q):
         spec = make_group(family, p, q)
         ag = aut_group(spec)
@@ -426,6 +451,13 @@ class TestElementOrders:
         got = groups._element_orders(table, 0)
         assert np.array_equal(got, element_orders_by_steps(table, 0))
         assert int((got == n).sum()) == 996  # the generators: phi(2 * 997)
+
+    def test_direct_product_c9_c3_c2(self):
+        # n = 54 = 2 * 3^3, with 3-parts of order 1, 3 and 9
+        table = _direct_product_table([9, 3, 2])
+        got = groups._element_orders(table, 0)
+        assert np.array_equal(got, element_orders_by_steps(table, 0))
+        assert sorted(set(got.tolist())) == [1, 2, 3, 6, 9, 18]
 
     def test_rows_that_do_not_close_are_rejected(self):
         # 1 * 1 = 1, so no power of 1 reaches the identity 0
@@ -638,6 +670,12 @@ class TestBuildPeaks:
         spec = make_group.__wrapped__("P2Q-Type1", 3, 397)
         table, peak = self.traced_peak(lambda: spec.mul_table)
         assert peak <= 1.75 * table.nbytes
+
+    def test_comp_is_filled_in_row_blocks(self):
+        spec = make_group.__wrapped__("P2Q-Type1", 3, 397)
+        ag = aut_group.__wrapped__(spec)
+        comp, peak = self.traced_peak(lambda: ag.comp)
+        assert peak <= 1.05 * comp.nbytes
 
     def test_aut_group_peak_is_bounded_by_its_result(self):
         spec = make_group.__wrapped__("P2Q-Type1", 3, 397)
