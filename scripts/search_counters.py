@@ -1,17 +1,26 @@
-"""Count the search's propagations, DFS nodes, kernel calls and rounds.
+"""Count the search's root cut, kernel calls, rows per depth, rounds and
+the rows its Aut-closure adds.
 
     PYTHONPATH=src python scripts/search_counters.py [--type4-7]
 
 Run from the repository root.  The script wraps ``enumerate._propagate``
-from outside the package.  Each call closes one node's batch of
-branches, one row per fixed-point-free candidate, with no pre-filter:
-every row is one propagation, and every row its mask keeps opens one
-DFS node.  The root, gamma(1) = 1 alone, is not closed, so it counts as
-no call and no node.  A call is one kernel call, and a round is one
-pass of the loop in ``_propagate``, counted by a line tracer on that
-function's frames alone.  The groups
-are the nine that ``verify`` runs on (3,2) --pq, (3,7) and (3,19);
-``--type4-7`` adds Type4 (7,2) and (7,3).  A group over the search
+from outside the package.  Each call closes one batch of at most |Aut|
+branches, one row per candidate, from any nodes of one depth: the depth
+is the number of a row's generators less one.  Per group it reports:
+
+* ``root``: the root element's fixed-point-free candidates and the
+  representatives the first call closes, one per orbit of the root's
+  stabiliser (equal where the search roots at the least non-identity
+  element instead);
+* ``depths``: per depth, the kernel calls, the rows they close
+  (propagations) and the rows that close without a conflict (nodes);
+* ``rounds``: passes of the loop in ``_propagate``, counted by a line
+  tracer on that function's frames alone;
+* ``leaves``: the full rows the calls return, and ``closure_added``: the
+  tables the Aut-closure adds to them, ``tables`` less ``leaves``.
+
+The groups are the nine that ``verify`` runs on (3,2) --pq, (3,7) and
+(3,19); ``--type4-7`` adds Type4 (7,2) and (7,3).  A group over the search
 budget reads "gated".  Prints one JSON object.
 """
 
@@ -23,7 +32,7 @@ import json
 import sys
 
 from p2qbrace import enumerate as routes
-from p2qbrace.groups import make_group
+from p2qbrace.groups import aut_group, make_group
 
 LADDER = [
     ("P2Q-Type1", 3, 2), ("P2Q-Type4", 3, 2), ("PQ-Cyclic", 3, 2), ("PQ-Metacyclic", 3, 2),
@@ -31,6 +40,7 @@ LADDER = [
     ("P2Q-Type1", 3, 19), ("P2Q-Type2", 3, 19), ("P2Q-Type3", 3, 19),
 ]
 TYPE4_7 = [("P2Q-Type4", 7, 2), ("P2Q-Type4", 7, 3)]
+TOTALS = ("calls", "propagations", "nodes", "rounds", "leaves", "closure_added", "tables")
 
 
 def loop_body_line(fn) -> int:
@@ -44,8 +54,9 @@ def loop_body_line(fn) -> int:
 
 
 def counted(propagate, counts: dict):
-    """``propagate`` wrapped to add its rows, surviving rows, calls and
-    loop passes to ``counts``."""
+    """``propagate`` wrapped to add its loop passes to ``counts["rounds"]``
+    and, per call, (depth, the first row's x, rows, surviving rows, full
+    surviving rows) to ``counts["batches"]``."""
     code, body = propagate.__code__, loop_body_line(propagate)
 
     def local(frame, event, arg):
@@ -56,31 +67,48 @@ def counted(propagate, counts: dict):
     def calls(frame, event, arg):
         return local if frame.f_code is code else None
 
-    def counting(*args):
+    def counting(mt, aperm, comp, table, gens):
         sys.settrace(calls)
         try:
-            alive = propagate(*args)
+            alive = propagate(mt, aperm, comp, table, gens)
         finally:
             sys.settrace(None)
-        counts["propagations"] += alive.size
-        counts["nodes"] += int(alive.sum())
-        counts["calls"] += 1
+        counts.setdefault("batches", []).append(
+            (gens.shape[1] - 1, int(gens[0, -1]) if len(gens) else -1, alive.size,
+             int(alive.sum()), int((table[alive] >= 0).all(axis=1).sum())))
         return alive
 
     return counting
 
 
 def count(family: str, p: int, q: int) -> dict | str:
+    spec = make_group(family, p, q)
     propagate = routes._propagate
-    counts = {"propagations": 0, "nodes": 0, "calls": 0, "rounds": 0}
+    counts = {"rounds": 0, "batches": []}
     routes._propagate = counted(propagate, counts)
     try:
-        result = routes.gfe_search(make_group(family, p, q))
+        result = routes.gfe_search(spec)
     except routes.SearchTooLargeError:
         return "gated"
     finally:
         routes._propagate = propagate
-    return {**counts, "tables": len(result.gammas)}
+    _depth, x, representatives, _nodes, _full = counts["batches"][0]
+    out = {"root": {"element": x,
+                    "candidates": int(aut_group(spec).fixed_point_free[:, x].sum()),
+                    "representatives": representatives},
+           "depths": {}}
+    for depth, _x, rows, nodes, _full in counts["batches"]:
+        at = out["depths"].setdefault(str(depth), {"calls": 0, "propagations": 0, "nodes": 0})
+        at["calls"] += 1
+        at["propagations"] += rows
+        at["nodes"] += nodes
+    for key in ("calls", "propagations", "nodes"):
+        out[key] = sum(at[key] for at in out["depths"].values())
+    out["rounds"] = counts["rounds"]
+    out["leaves"] = sum(full for *_rest, full in counts["batches"])
+    out["tables"] = len(result.gammas)
+    out["closure_added"] = out["tables"] - out["leaves"]
+    return out
 
 
 def main() -> None:
@@ -89,7 +117,7 @@ def main() -> None:
     args = parser.parse_args()
     groups = LADDER + (TYPE4_7 if args.type4_7 else [])
     out: dict[str, dict | str] = {}
-    total = {"propagations": 0, "nodes": 0, "calls": 0, "rounds": 0, "tables": 0}
+    total = dict.fromkeys(TOTALS, 0)
     for family, p, q in groups:
         got = count(family, p, q)
         out[f"{family} ({p},{q})"] = got

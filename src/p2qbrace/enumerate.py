@@ -6,17 +6,14 @@
   against its formula.  It is one loop over each family's branches, a
   generator a with its k twists, lifted as one (k, |G|) batch in
   O(k |G|) memory.
-* ``gfe_search`` is a depth-first constraint search over partial gamma
-  assignments: the functional equation itself is the propagation rule,
-  so nothing family-specific enters.  Since a solution makes (G, o) a
-  group, it branches on x only over the automorphisms alpha for which
-  y -> y^alpha x has no fixed point.  Each node closes all of them,
-  unfiltered, in one kernel call under right multiplication by the
-  elements decided so far, not pair by pair: gamma is consistent on a
-  set A exactly when {(gamma(g), g) : g in A} is a subgroup of Hol(G),
-  and a set closed under its generators is that subgroup.  It runs while
-  |G| x |Aut|, the size of the candidate mask, is within
-  ``GFE_SEARCH_BUDGET``.
+* ``gfe_search`` is a constraint search over partial gamma assignments,
+  one depth at a time: the functional equation itself is the propagation
+  rule, so nothing family-specific enters.  It branches on x only over
+  the automorphisms alpha for which y -> y^alpha x has no fixed point, closes a
+  depth's branches together in batches of at most |Aut| rows, searches
+  one candidate per Stab(a)-orbit at the root and closes the leaves under
+  conjugation by Aut(G).  It runs while |G| x |Aut|, the size of the
+  candidate mask, is within ``GFE_SEARCH_BUDGET``.
 * ``closure_oracle`` reads gamma tables off the regular subgroups found
   by the holomorph closure search, a route that never touches the
   functional equation or the other two routes.
@@ -327,29 +324,30 @@ def structured_enumerate(spec: GroupSpec) -> EnumerationResult:
 
 
 def _propagate(mt: np.ndarray, aperm: np.ndarray, comp: np.ndarray,
-               table: np.ndarray, x: int, decided: list[int]) -> np.ndarray:
-    """Close each row of a (k, |G|) batch of branches under right
-    multiplication by its decided elements, in place; returns the mask of
-    rows that closed without a conflict.
+               table: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Close each row r of a (k, |G|) batch of branches, in place, under
+    right multiplication by ``gens[r]``: its decided elements, then x_r,
+    the element it has just assigned.  Returns the mask of rows that
+    closed without a conflict.
 
     A pair (g, h) of assigned elements forces gamma[g^gamma(h) h] =
-    gamma(g) gamma(h).  On entry the rows differ only at x, just assigned
-    one candidate each, and the assigned set is closed under g -> g o s
-    for every s in ``decided``, each such pair consistent.  This is the
-    only check a candidate meets: the first round checks (assigned, x)
-    and (x, s) for s in ``decided`` on every row; each later round checks
-    the elements the round before assigned on a live row against
-    ``decided`` and x.  Cells are flat indices row |G| + element, so each
-    row closes as it would alone, and a dead row assigns no more.
+    gamma(g) gamma(h).  On entry each row's assigned set is closed under
+    g -> g o s for its decided s, each such pair consistent, so the rows
+    may come from different nodes.  This is the only check a candidate
+    meets: round 1 checks (g, x_r) for every assigned g of row r and
+    (x_r, s) for its decided s, as flat 1-D arrays; each later round
+    checks the cells the round before assigned on a live row against its
+    generators.  Cells are flat indices row |G| + element, so each row
+    closes as it would alone, and a dead row assigns no more.
     """
     n = table.shape[1]
     flat = table.reshape(-1)
     alive = np.ones(len(table), dtype=bool)
-    gens = np.array([*decided, x], dtype=np.int32)
-    assigned = np.flatnonzero(table[:1] >= 0).astype(np.int32)  # shared by the rows
-    rows = np.arange(0, table.size, n, dtype=np.int32)[:, None]
-    gs = np.concatenate([assigned, np.full(len(decided), x, dtype=np.int32)])
-    hs = np.concatenate([np.full(assigned.size, x, dtype=np.int32), gens[:-1]])
+    x, d = gens[:, -1], gens.shape[1] - 1
+    cells = np.flatnonzero(flat >= 0).astype(np.int32)
+    rows = n * np.concatenate([cells // n, np.repeat(np.arange(len(table), dtype=np.int32), d)])
+    gs = np.concatenate([cells % n, np.repeat(x, d)])
+    hs = np.concatenate([x[cells // n], gens[:, :-1].ravel()])
     while rows.size:
         gamma_h = flat[rows + hs]
         targets = rows + mt[aperm[gamma_h, gs], hs]
@@ -359,42 +357,49 @@ def _propagate(mt: np.ndarray, aperm: np.ndarray, comp: np.ndarray,
         flat[new] = values[unset]
         # a conflict, or one new target given two values
         alive[targets[flat[targets] != values] // n] = False
-        fresh = np.zeros(flat.size, dtype=bool)
-        fresh[new] = True
-        fresh = np.flatnonzero(fresh).astype(np.int32)
-        fresh = fresh[alive[fresh // n], None]
-        rows, gs, hs = fresh - fresh % n, fresh % n, gens
+        new.sort()
+        fresh = np.ones(new.size, dtype=bool)
+        fresh[1:] = new[1:] != new[:-1]
+        fresh = new[fresh & alive[new // n], None]
+        rows, gs, hs = fresh - fresh % n, fresh % n, gens[fresh[:, 0] // n]
     return alive
 
 
 def gfe_search(spec: GroupSpec) -> EnumerationResult:
-    """Depth-first search for every gamma table, with forced propagation.
+    """Every gamma table: a search with forced propagation, one depth at
+    a time, whose leaves are then closed under conjugation by Aut(G).
 
-    Partial assignments propagate through the functional equation (two
-    assigned values force a third) to a fixpoint; conflicts prune, and
-    branching runs over the least unassigned element with automorphism
-    candidates in canonical order, so the output order is deterministic.
+    Two assigned values force a third through the functional equation;
+    conflicts prune, and each branch branches on its least unassigned
+    element x.  The equation holds for (g, h) exactly when rho_g rho_h =
+    rho_(g o h) in Hol(G), where rho_g = (gamma(g), g) and g o h =
+    g^gamma(h) h.  So propagation closes a branch under right
+    multiplication by the elements S it has branched on, x included: if A
+    is closed under g -> g o s for every s in S and every such pair holds,
+    then {rho_g : g in A} is the group the rho_s generate, and every pair
+    of A holds.  A closure thus ends where closing under every assigned
+    pair would, and a full assignment is a gamma function: leaves are not
+    re-checked.  A depth's branches have as many generators each, so
+    ``_propagate`` closes them together, whatever their node, in batches
+    of at most |Aut| rows, the most candidates one element has, expanded
+    lazily from the depth's survivors one batch at a time.
 
-    The equation holds for (g, h) exactly when rho_g rho_h = rho_(g o h)
-    in Hol(G), where rho_g = (gamma(g), g) and g o h = g^gamma(h) h.  So
-    propagation closes a branch under right multiplication by the
-    elements S it has branched on, x included: if A is closed under
-    g -> g o s for every s in S and every such pair holds, then
-    {rho_g : g in A} is the group the rho_s generate, and every pair of A
-    holds.  Each closure therefore ends where closing under every
-    assigned pair would, with the same gamma or the same conflict, and a
-    full assignment is a gamma function: leaves are not re-checked.
-    Each node makes one ``_propagate`` call, which closes every candidate
-    of x together, one row each, with no pre-filter; the root is the
-    assignment gamma(1) = 1 alone, which no pair can contradict.
+    Aut(G) permutes the solutions by gamma^beta(g) = beta^-1
+    gamma(g^(beta^-1)) beta (``conjugate_gamma``).  If beta fixes the
+    root element, the solutions with gamma(root) = alpha and those with
+    gamma(root) = beta^-1 alpha beta are conjugate by beta.  So the root
+    branches over the least candidate of each orbit of its stabiliser,
+    and the leaves are closed under ``AutGroup.generators()``, one round
+    of images of the new tables at a time.  The root is the generator a
+    of the presentation: on Type2 (3,19) Stab(a) merges its 1,026
+    candidates into 108.  Where Stab(a) merges none (Aut(G) abelian:
+    Type1 and PQ-Cyclic) the root is the least non-identity element.
 
-    A solution makes (G, o) a group with y o x = y^gamma(x) x, and in a
-    group y o x = y forces x = 1.  So for x != 1, gamma(x) = alpha only if
-    y -> y^alpha x has no fixed point, and branching on x runs over those
-    alpha alone: the column of x in ``AutGroup.fixed_point_free``, the
-    table the oracle's holomorph mask also reads.  That table has
-    |G| x |Aut| cells, which must not exceed ``GFE_SEARCH_BUDGET``, read
-    at call time.
+    In a solution y o x = y^gamma(x) x = y forces x = 1, so for x != 1,
+    gamma(x) = alpha only if y -> y^alpha x has no fixed point: branching
+    on x runs over x's column of ``AutGroup.fixed_point_free``, the table
+    the oracle's holomorph mask also reads.  Its |G| x |Aut| cells must
+    not exceed ``GFE_SEARCH_BUDGET``, read at call time.
     """
     check_aut_gate(spec)
     m = spec.aut_order
@@ -404,28 +409,53 @@ def gfe_search(spec: GroupSpec) -> EnumerationResult:
             f"{spec.n * m} exceeds the budget {GFE_SEARCH_BUDGET}"
         )
     ag = aut_group(spec)
-    mt = spec.mul_table
-    aperm = ag.aperm
-    comp = ag.comp
+    mt, aperm, comp = spec.mul_table, ag.aperm, ag.comp
     fpf = ag.fixed_point_free
-    found: list[np.ndarray] = []  # the leaves, in the order the DFS reaches them
 
-    def dfs(gamma: np.ndarray, decided: list[int]) -> None:
-        unassigned = np.flatnonzero(gamma < 0)
-        if unassigned.size == 0:
-            found.append(gamma)
-            return
-        x = int(unassigned[0])
-        alphas = np.flatnonzero(fpf[:, x])
-        branches = np.tile(gamma, (alphas.size, 1))
-        branches[:, x] = alphas
-        for branch in branches[_propagate(mt, aperm, comp, branches, x, decided)]:
-            dfs(branch, [*decided, x])
+    def children(rows, gens, xs, cands):
+        """Row r's branches on xs[r] over column r of ``cands``, in batches of |Aut| rows."""
+        parent, alphas = np.nonzero(cands.T)
+        for lo in range(0, parent.size, ag.size):
+            at, alpha = parent[lo:lo + ag.size], alphas[lo:lo + ag.size]
+            batch = rows[at]
+            batch[np.arange(at.size), xs[at]] = alpha
+            yield batch, np.column_stack([gens[at], xs[at]])
 
-    root = np.full(spec.n, -1, dtype=np.int32)
-    root[spec.identity_idx] = ag.identity_idx
-    dfs(root, [])
-    return EnumerationResult(spec, "gfe-search", gamma_set(found))
+    root = np.full((1, spec.n), -1, dtype=np.int32)
+    root[0, spec.identity_idx] = ag.identity_idx
+    x = spec.idx(GroupElement(1, 0))
+    alphas = np.flatnonzero(fpf[:, x])
+    stab = np.flatnonzero(aperm[:, x] == x)
+    cands = np.zeros((ag.size, 1), dtype=bool)  # the least of each Stab(a)-orbit
+    cands[comp[comp[ag.ainv[stab][:, None], alphas], stab[:, None]].min(axis=0)] = True
+    if cands.sum() == alphas.size:
+        x = int(np.argmax(root[0] < 0))
+        cands = fpf[:, [x]]
+    batches = children(root, np.empty((1, 0), dtype=np.int32), np.array([x], dtype=np.int32), cands)
+    found = []
+    while True:
+        rows, gens = [], []
+        for batch, batch_gens in batches:
+            alive = _propagate(mt, aperm, comp, batch, batch_gens)
+            full = alive & (batch >= 0).all(axis=1)
+            found.append(batch[full])
+            rows.append(batch[alive & ~full])
+            gens.append(batch_gens[alive & ~full])
+        rows = np.concatenate(rows)
+        if not len(rows):
+            break
+        xs = np.argmax(rows < 0, axis=1).astype(np.int32)
+        batches = children(rows, np.concatenate(gens), xs, fpf[:, xs])
+    parts = [gamma_set(np.concatenate(found))]  # each round's new tables
+    while len(parts[-1]):
+        missing = []
+        for beta in ag.generators():
+            image = conjugate_gamma(spec, parts[-1], beta)
+            for part in parts:
+                image = image[_lookup(part, image) < 0]
+            missing.append(image)
+        parts.append(gamma_set(np.concatenate(missing)))
+    return EnumerationResult(spec, "gfe-search", gamma_set(np.concatenate(parts)))
 
 
 # -- route 3: holomorph closure oracle ----------------------------------------

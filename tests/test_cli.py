@@ -282,6 +282,20 @@ class TestVerify:
         assert check["status"] == "fail"
         assert "conjugation left the enumerated set" in check["detail"]
 
+    @pytest.mark.parametrize("args,prefix", [
+        ("3 2 --pq", "424a2cfa42f647aa"), ("3 7", "4c11aa283b0f0ece"),
+        ("3 19", "5900572e55505998"), ("5 2", "8520bd410c7f83b1"),
+        ("7 2", "793508e0cd650c89"), ("7 3", "bd7a929ed6b74437"),
+        ("5 11", "8f506643a7552d67"), ("13 5 --pq", "b43c13d1b3b99df4"),
+    ])
+    def test_report_bytes_are_pinned(self, capsys, args, prefix):
+        # the sha256 of the whole report; every searched group among them
+        # must keep its search set, or a gfe-search-agrees check flips
+        p, q, *rest = args.split()
+        code, out, _ = run(capsys, "verify", "--p", p, "--q", q, *rest)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
     @pytest.mark.slow
     def test_square_division_pair_searches_every_group(self, capsys):
         code, out, _ = run(capsys, "verify", "--p", "3", "--q", "19")

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from p2qbrace import brace, holomorph
+from p2qbrace import arith, brace, holomorph
 from p2qbrace import enumerate as routes
 from p2qbrace.brace import dual_gamma, identity_gamma
 from p2qbrace.groups import P2Q_FAMILIES, AutTooLargeError, GroupSpec, aut_group, make_group
@@ -313,26 +313,59 @@ class TestGfeSearch:
         result = routes.gfe_search(make_group("P2Q-Type2", 3, 7))
         assert same_set(result, enum_cache("P2Q-Type2", 3, 7))
 
+    def test_search_never_consults_the_structured_route(self, enum_cache, monkeypatch):
+        want = enum_cache("P2Q-Type2", 3, 7)
+
+        def structured(*args, **kwargs):
+            raise AssertionError("the search reached the structured route")
+
+        monkeypatch.setattr(routes, "structured_enumerate", structured)
+        for name in ("rgf_from_generator", "lift_rgf", "dual_gamma"):
+            monkeypatch.setattr(brace, name, structured)
+            monkeypatch.setattr(routes, name, structured)
+        result = routes.gfe_search(make_group("P2Q-Type2", 3, 7))
+        assert same_set(result, want)
+
+    @pytest.mark.slow
+    def test_search_equals_structured_on_every_admitted_p2q_group(self):
+        # every p^2 q group within the Aut(G) gate and the search budget
+        primes = [r for r in range(2, 80) if arith.is_prime(r)]
+        checked = 0
+        for family in P2Q_FAMILIES:
+            for p in primes:
+                for q in primes:
+                    try:
+                        spec = make_group(family, p, q)
+                    except ValueError:
+                        continue
+                    if spec.n * spec.aut_order > routes.GFE_SEARCH_BUDGET:
+                        continue
+                    base = routes.structured_enumerate(spec)
+                    assert same_set(routes.gfe_search(spec), base), spec
+                    checked += 1
+        assert checked == 48
+
     def test_pinned_propagation_and_node_counts(self, monkeypatch):
-        # one _propagate call per node below the root, closing one row per
-        # fixed-point-free candidate; a row that closes without a conflict
-        # opens one DFS node
+        # one _propagate call per batch of at most |Aut| rows, one row per
+        # branch; a row that closes without a conflict is a node
         propagate = routes._propagate
         for family, p, q, tables, pinned in [
-            ("P2Q-Type2", 3, 7, 90, Counter(propagations=649, nodes=95, calls=6)),
-            ("P2Q-Type2", 3, 19, 918, Counter(propagations=17497, nodes=935, calls=18)),
+            ("P2Q-Type2", 3, 7, 90, Counter(propagations=435, nodes=51, calls=5)),
+            ("P2Q-Type2", 3, 19, 918, Counter(propagations=4233, nodes=177, calls=6)),
         ]:
+            spec = make_group(family, p, q)
             calls = Counter()
 
-            def counting(mt, aperm, comp, table, x, decided):
-                alive = propagate(mt, aperm, comp, table, x, decided)
+            def counting(mt, aperm, comp, table, gens):
+                assert len(table) <= spec.aut_order
+                alive = propagate(mt, aperm, comp, table, gens)
                 calls["propagations"] += len(table)
                 calls["nodes"] += int(alive.sum())
                 calls["calls"] += 1
                 return alive
 
             monkeypatch.setattr(routes, "_propagate", counting)
-            result = routes.gfe_search(make_group(family, p, q))
+            result = routes.gfe_search(spec)
             assert len(result.gammas) == tables
             assert calls == pinned
 
@@ -340,56 +373,66 @@ class TestGfeSearch:
         spec = make_group("P2Q-Type4", 3, 2)
         ag = aut_group(spec)
         table = np.empty((0, spec.n), dtype=np.int32)
-        alive = routes._propagate(spec.mul_table, ag.aperm, ag.comp, table, 1, [])
+        gens = np.empty((0, 2), dtype=np.int32)
+        alive = routes._propagate(spec.mul_table, ag.aperm, ag.comp, table, gens)
         assert alive.shape == (0,) and alive.dtype == bool
 
     def test_every_batch_holds_the_identity_automorphism(self, monkeypatch, enum_cache):
-        # y -> y x has no fixed point for x != 1, so every column the search
-        # branches on holds the identity automorphism and no batch is empty;
-        # on Type4 (3,2) a pre-filter once left six empty ones. No call
-        # branches on 1 itself: gamma(1) = 1 is set in the root row
+        # y -> y x has no fixed point for x != 1, so every node's branches
+        # hold the identity automorphism at x, the identity is its own
+        # Stab(a)-orbit at the root, and no batch is empty; on Type4 (3,2)
+        # a pre-filter once left six empty ones. No row branches on 1
+        # itself: gamma(1) = 1 is set in the root row
         spec = make_group("P2Q-Type4", 3, 2)
         ag = aut_group(spec)
         propagate = routes._propagate
-        batches = []
+        branched = {}  # (parent table with x unset, x) -> gamma(x) of its branches
 
-        def recording(mt, aperm, comp, table, x, decided):
-            batches.append((x, table[:, x].tolist(), table[:, spec.identity_idx].tolist()))
-            return propagate(mt, aperm, comp, table, x, decided)
+        def recording(mt, aperm, comp, table, gens):
+            assert 0 < len(table) <= ag.size
+            for row, x in zip(table.tolist(), gens[:, -1].tolist()):
+                assert x != spec.identity_idx
+                assert row[spec.identity_idx] == ag.identity_idx
+                alpha, row[x] = row[x], -1
+                branched.setdefault((tuple(row), x), []).append(alpha)
+            return propagate(mt, aperm, comp, table, gens)
 
         monkeypatch.setattr(routes, "_propagate", recording)
         result = routes.gfe_search(spec)
-        assert batches
-        for x, alphas, at_identity in batches:
-            assert x != spec.identity_idx
-            assert ag.identity_idx in alphas
-            assert at_identity == [ag.identity_idx] * len(alphas)
+        assert len(branched) > 1
+        assert all(ag.identity_idx in alphas for alphas in branched.values())
         assert same_set(result, enum_cache("P2Q-Type4", 3, 2))
 
     def test_batch_rows_close_as_single_rows(self, monkeypatch, search_counters):
         # every batch the search closes, so that rows die in round 1 (on
-        # Type4 (3,2)) and only in a later round (on Type2 (3,7)); each
-        # row's verdict and table must be what closing it alone gives
+        # Type4 (3,2)) and only in a later round (on Type2 (3,7)), and one
+        # batch holds rows of two x and of other assigned sets (depth 1 of
+        # PQ-Metacyclic (11,2)); each row's verdict and table must be what
+        # closing it alone, with its own generators, gives
         propagate = routes._propagate
         died_in = Counter()
+        mixed = []
 
-        def checked(mt, aperm, comp, table, x, decided):
+        def checked(mt, aperm, comp, table, gens):
             entry = table.copy()
-            alive = propagate(mt, aperm, comp, table, x, decided)
-            for single, row, ok in zip(entry, table, alive.tolist()):
-                single = single[None].copy()
+            alive = propagate(mt, aperm, comp, table, gens)
+            for r, (row, ok) in enumerate(zip(table, alive.tolist())):
+                single = entry[r:r + 1].copy()
                 counts = Counter()
                 closing = search_counters.counted(propagate, counts)
-                assert closing(mt, aperm, comp, single, x, decided).tolist() == [ok]
+                assert closing(mt, aperm, comp, single, gens[r:r + 1]).tolist() == [ok]
                 assert np.array_equal(single[0], row)
                 if not ok:
                     died_in["round 1" if counts["rounds"] == 1 else "later"] += 1
+            assigned = {row.tobytes() for row in entry >= 0}
+            mixed.append(len(set(gens[:, -1].tolist())) > 1 and len(assigned) > 1)
             return alive
 
         monkeypatch.setattr(routes, "_propagate", checked)
-        for family, p, q in [("P2Q-Type2", 3, 7), ("P2Q-Type4", 3, 2)]:
+        for family, p, q in [("P2Q-Type2", 3, 7), ("P2Q-Type4", 3, 2), ("PQ-Metacyclic", 11, 2)]:
             routes.gfe_search(make_group(family, p, q))
         assert died_in["round 1"] > 0 and died_in["later"] > 0
+        assert any(mixed)
 
     REFERENCE_GROUPS = [
         ("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7), ("PQ-Metacyclic", 7, 3), ("P2Q-Type3", 3, 19),
@@ -397,19 +440,21 @@ class TestGfeSearch:
 
     @pytest.mark.parametrize("family,p,q", REFERENCE_GROUPS)
     def test_every_node_matches_the_all_pairs_reference(self, monkeypatch, family, p, q):
-        # every node closes the whole fixed-point-free column of x, and
-        # closing under the decided elements gives the all-pairs answer on
-        # every branch
+        # every row branches on its least unassigned element over one of
+        # its fixed-point-free candidates, and closing it under its own
+        # generators gives the all-pairs answer, row by row
         spec = make_group(family, p, q)
         fpf = aut_group(spec).fixed_point_free
         propagate = routes._propagate
         seen = Counter()
 
-        def checked(mt, aperm, comp, table, x, decided):
-            assert table[:, x].tolist() == np.flatnonzero(fpf[:, x]).tolist()
+        def checked(mt, aperm, comp, table, gens):
+            xs = gens[:, -1]
+            assert fpf[table[np.arange(len(table)), xs], xs].all()
             want = table.copy()
-            oks = [all_pairs_propagate(mt, aperm, comp, row, [x]) for row in want]
-            alive = propagate(mt, aperm, comp, table, x, decided)
+            oks = [all_pairs_propagate(mt, aperm, comp, row, gen.tolist())
+                   for row, gen in zip(want, gens)]
+            alive = propagate(mt, aperm, comp, table, gens)
             assert alive.tolist() == oks
             assert np.array_equal(table[alive], want[alive])
             seen["propagations"] += len(table)
@@ -417,29 +462,25 @@ class TestGfeSearch:
 
         monkeypatch.setattr(routes, "_propagate", checked)
         result = routes.gfe_search(spec)
-        assert len(result.gammas) and seen["propagations"] > len(result.gammas)
+        assert len(result.gammas) and seen["propagations"] > 0
 
     @pytest.mark.parametrize("family,p,q", REFERENCE_GROUPS)
     def test_key_sequence_matches_the_all_pairs_search(self, monkeypatch, family, p, q):
-        # the leaves in the order the DFS reaches them, read before the
-        # canonical form sorts them
-        leaves = []
-        canonical = routes.gamma_set
-
-        def recording(rows):
-            leaves.append([tuple(row.tolist()) for row in rows])
-            return canonical(rows)
-
-        monkeypatch.setattr(routes, "gamma_set", recording)
+        # the canonical key sequence, the set in sorted order, equals the
+        # set the uncut all-pairs DFS finds
         spec = make_group(family, p, q)
-        routes.gfe_search(spec)
-        assert leaves == [all_pairs_search(spec)]
+        want = routes.gamma_set(all_pairs_search(spec))
+        assert np.array_equal(routes.gfe_search(spec).gammas, want)
 
 
 class TestSearchCounters:
     def test_pinned_counts(self, search_counters):
         assert search_counters.count("P2Q-Type2", 3, 7) == {
-            "propagations": 649, "nodes": 95, "calls": 6, "rounds": 27, "tables": 90,
+            "root": {"element": 7, "candidates": 126, "representatives": 36},
+            "depths": {"0": {"calls": 1, "propagations": 36, "nodes": 27},
+                       "1": {"calls": 4, "propagations": 399, "nodes": 24}},
+            "calls": 5, "propagations": 435, "nodes": 51, "rounds": 84,
+            "leaves": 30, "closure_added": 60, "tables": 90,
         }
 
     def test_loop_line_is_read_off_the_running_code(self, search_counters):
