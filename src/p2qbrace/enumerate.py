@@ -413,7 +413,7 @@ def gfe_search(spec: GroupSpec) -> EnumerationResult:
     fpf = ag.fixed_point_free
 
     def children(rows, gens, xs, cands):
-        """Row r's branches on xs[r] over column r of ``cands``, in batches of |Aut| rows."""
+        """Row r's branches on xs[r] over column r of ``cands``, at most |Aut| rows a batch."""
         parent, alphas = np.nonzero(cands.T)
         for lo in range(0, parent.size, ag.size):
             at, alpha = parent[lo:lo + ag.size], alphas[lo:lo + ag.size]
@@ -428,7 +428,7 @@ def gfe_search(spec: GroupSpec) -> EnumerationResult:
     stab = np.flatnonzero(aperm[:, x] == x)
     cands = np.zeros((ag.size, 1), dtype=bool)  # the least of each Stab(a)-orbit
     cands[comp[comp[ag.ainv[stab][:, None], alphas], stab[:, None]].min(axis=0)] = True
-    if cands.sum() == alphas.size:
+    if cands.sum() == alphas.size:  # Stab(a) merges nothing
         x = int(np.argmax(root[0] < 0))
         cands = fpf[:, [x]]
     batches = children(root, np.empty((1, 0), dtype=np.int32), np.array([x], dtype=np.int32), cands)
