@@ -9,7 +9,8 @@ import pytest
 from p2qbrace import arith, brace, holomorph
 from p2qbrace import enumerate as routes
 from p2qbrace.brace import dual_gamma, identity_gamma
-from p2qbrace.groups import P2Q_FAMILIES, AutTooLargeError, GroupSpec, aut_group, make_group
+from p2qbrace.groups import (P2Q_FAMILIES, AutTooLargeError, GroupElement, GroupSpec, aut_group,
+                             make_group)
 from reference import (all_pairs_propagate, all_pairs_search, orbit_walk, rgf_by_partial_sums,
                        scalar_lift, search_candidates)
 
@@ -434,8 +435,43 @@ class TestGfeSearch:
         assert died_in["round 1"] > 0 and died_in["later"] > 0
         assert any(mixed)
 
+    @pytest.mark.parametrize("family,p,q,cut", [
+        ("P2Q-Type4", 3, 2, True), ("P2Q-Type2", 3, 7, True), ("PQ-Metacyclic", 7, 3, True),
+        ("P2Q-Type1", 3, 7, False), ("PQ-Cyclic", 7, 3, False),
+    ])
+    def test_root_branches_once_per_stabiliser_orbit(self, monkeypatch, family, p, q, cut):
+        # the first batch is the root's: gamma(a) runs over the least
+        # candidate of each orbit of {beta : a^beta = a} acting by
+        # alpha -> beta^-1 alpha beta, found here by a plain loop; where
+        # no orbit has two candidates, the root is the least
+        # non-identity element with its whole column
+        spec = make_group(family, p, q)
+        ag = aut_group(spec)
+        a = spec.idx(GroupElement(1, 0))
+        column = np.flatnonzero(ag.fixed_point_free[:, a]).tolist()
+        comp, ainv = ag.comp.tolist(), ag.ainv.tolist()
+        stab = [beta for beta in range(ag.size) if ag.aperm[beta, a] == a]
+        reps = sorted({min(comp[comp[ainv[beta]][alpha]][beta] for beta in stab)
+                       for alpha in column})
+        assert (len(reps) < len(column)) == cut
+        if not cut:
+            a = 1
+            reps = np.flatnonzero(ag.fixed_point_free[:, a]).tolist()
+        propagate = routes._propagate
+        batches = []
+
+        def recording(mt, aperm, comp, table, gens):
+            batches.append((gens.tolist(), table[:, a].tolist()))
+            return propagate(mt, aperm, comp, table, gens)
+
+        monkeypatch.setattr(routes, "_propagate", recording)
+        routes.gfe_search(spec)
+        gens, alphas = batches[0]
+        assert gens == [[a]] * len(reps) and alphas == reps
+
     REFERENCE_GROUPS = [
         ("P2Q-Type4", 3, 2), ("P2Q-Type2", 3, 7), ("PQ-Metacyclic", 7, 3), ("P2Q-Type3", 3, 19),
+        ("PQ-Metacyclic", 11, 2),
     ]
 
     @pytest.mark.parametrize("family,p,q", REFERENCE_GROUPS)
