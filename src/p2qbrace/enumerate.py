@@ -326,8 +326,8 @@ def structured_enumerate(spec: GroupSpec) -> EnumerationResult:
 def _propagate(mt: np.ndarray, aperm: np.ndarray, comp: np.ndarray,
                table: np.ndarray, gens: np.ndarray) -> np.ndarray:
     """Close each row r of a (k, |G|) batch of branches, in place, under
-    right multiplication by ``gens[r]``: its decided elements, then x_r,
-    the element it has just assigned.  Returns the mask of rows that
+    right multiplication by ``gens[r]``, its decided elements and then
+    x_r, the element it has just assigned; returns the mask of rows that
     closed without a conflict.
 
     A pair (g, h) of assigned elements forces gamma[g^gamma(h) h] =
@@ -336,12 +336,12 @@ def _propagate(mt: np.ndarray, aperm: np.ndarray, comp: np.ndarray,
     may come from different nodes.  This is the only check a candidate
     meets: round 1 checks (g, x_r) for every assigned g of row r and
     (x_r, s) for its decided s, as flat 1-D arrays; each later round
-    checks the cells the round before assigned on a live row against its
-    generators.  Cells are flat indices row |G| + element, so each row
-    closes as it would alone, and a dead row assigns no more.
+    checks each cell g the round before assigned on a live row against
+    its generators, and (g, g), which closure does not need but which
+    walks a chain of powers in doubling steps.  Cells are flat indices
+    row |G| + element, so each row closes as it would alone.
     """
-    n = table.shape[1]
-    flat = table.reshape(-1)
+    n, flat = table.shape[1], table.reshape(-1)
     alive = np.ones(len(table), dtype=bool)
     x, d = gens[:, -1], gens.shape[1] - 1
     cells = np.flatnonzero(flat >= 0).astype(np.int32)
@@ -361,7 +361,8 @@ def _propagate(mt: np.ndarray, aperm: np.ndarray, comp: np.ndarray,
         fresh = np.ones(new.size, dtype=bool)
         fresh[1:] = new[1:] != new[:-1]
         fresh = new[fresh & alive[new // n], None]
-        rows, gs, hs = fresh - fresh % n, fresh % n, gens[fresh[:, 0] // n]
+        gs = fresh % n
+        rows, hs = fresh - gs, np.concatenate([gens[fresh[:, 0] // n], gs], axis=1)
     return alive
 
 
@@ -409,8 +410,7 @@ def gfe_search(spec: GroupSpec) -> EnumerationResult:
             f"{spec.n * m} exceeds the budget {GFE_SEARCH_BUDGET}"
         )
     ag = aut_group(spec)
-    mt, aperm, comp = spec.mul_table, ag.aperm, ag.comp
-    fpf = ag.fixed_point_free
+    mt, aperm, comp, fpf = spec.mul_table, ag.aperm, ag.comp, ag.fixed_point_free
 
     def children(rows, gens, xs, cands):
         """Row r's branches on xs[r] over column r of ``cands``, at most |Aut| rows a batch."""

@@ -12,7 +12,8 @@ the search's candidate filter written as a plain loop.
 ``all_pairs_propagate`` is the search's propagation as it was before it
 closed a branch under its decided elements only: every round checks
 each pair with a freshly assigned member.  ``all_pairs_search`` is the
-search's DFS driven by it, one candidate at a time.
+search as a DFS driven by it, one candidate at a time, with no root cut
+and no closure under Aut(G).
 ``sylow_subgroups_by_elements`` is ``GroupSpec.sylow_subgroups`` as it
 walked every element of the order, one cyclic subgroup each, before it
 struck off each found subgroup's members.  ``orbit_walk`` is the
@@ -392,8 +393,8 @@ def all_pairs_propagate(mt: np.ndarray, aperm: np.ndarray, comp: np.ndarray,
 
 
 def all_pairs_search(spec: GroupSpec) -> list[tuple[int, ...]]:
-    """The search's gamma tables in the order its DFS finds them, with
-    every candidate of the least unassigned element closed by
+    """Every gamma table, in the order a DFS finds them, with every
+    candidate of the least unassigned element closed by
     ``all_pairs_propagate`` on its own."""
     ag = aut_group(spec)
     mt, aperm, comp, fpf = spec.mul_table, ag.aperm, ag.comp, ag.fixed_point_free

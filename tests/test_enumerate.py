@@ -515,7 +515,7 @@ class TestSearchCounters:
             "root": {"element": 7, "candidates": 126, "representatives": 36},
             "depths": {"0": {"calls": 1, "propagations": 36, "nodes": 27},
                        "1": {"calls": 4, "propagations": 399, "nodes": 24}},
-            "calls": 5, "propagations": 435, "nodes": 51, "rounds": 84,
+            "calls": 5, "propagations": 435, "nodes": 51, "rounds": 26,
             "leaves": 30, "closure_added": 60, "tables": 90,
         }
 
