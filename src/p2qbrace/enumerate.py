@@ -9,9 +9,9 @@
 * ``gfe_search`` is a constraint search over partial gamma assignments,
   one depth at a time: the functional equation itself is the propagation
   rule, so nothing family-specific enters.  It branches on x only over
-  the automorphisms alpha for which y -> y^alpha x has no fixed point, closes a
-  depth's branches together in batches of at most |Aut| rows, searches
-  one candidate per Stab(a)-orbit at the root and closes the leaves under
+  the alpha for which y -> y^alpha x has no fixed point, closes a depth's
+  branches together in batches of at most |Aut| rows, searches one
+  candidate per Stab(a)-orbit at the root and closes the leaves under
   conjugation by Aut(G).  It runs while |G| x |Aut|, the size of the
   candidate mask, is within ``GFE_SEARCH_BUDGET``.
 * ``closure_oracle`` reads gamma tables off the regular subgroups found
