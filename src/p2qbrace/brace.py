@@ -9,13 +9,13 @@ stored as a row of automorphism indices over the canonical element
 order.  Each one induces a second group operation g o h = g^gamma(h) * h
 making (G, *, o) a right skew brace, and corresponds to exactly one
 regular subgroup {(gamma(g), g)} of the holomorph.  This module holds
-the toolkit: the circle law, checked and classified on its generators,
-kernels, duality (conjugation of the regular subgroup by inversion) and
-conjugation by automorphisms, one gather for a whole (k, |G|) set of
-tables, and the cyclic-subgroup machinery used to build gamma functions
-generator-first: relative gamma functions and their liftings along a
-factorization G = A B, in batches of one row per twist eta of a
-generator a, (k, |A|) and (k, |G|) arrays, O(k |G|) each.
+the toolkit: the circle laws of a block of tables, checked and classified
+on each row's generators in one pass, duality (conjugation of the regular
+subgroup by inversion) and conjugation by automorphisms, one gather for a
+whole (k, |G|) set of tables, and the cyclic-subgroup machinery used to
+build gamma functions generator-first: relative gamma functions and their
+liftings along a factorization G = A B, in batches of one row per twist
+eta of a generator a, (k, |A|) and (k, |G|) arrays, O(k |G|) each.
 
 Composition of automorphisms is written left to right throughout, i.e.
 ``gamma(g) gamma(h)`` means "apply gamma(g) first", matching the right
@@ -92,34 +92,29 @@ def check_gfe(gamma: GammaFunction) -> bool:
 def circle_table(gamma: GammaFunction) -> np.ndarray:
     """All |G|^2 cells of the circle law, which only reference checks need."""
     rng = np.arange(gamma.spec.n)
-    return CircleLaw(gamma)[rng[:, None], rng]
+    return CircleLaw(gamma.spec, gamma.row[None])[0, rng[:, None], rng]
 
 
 class CircleLaw:
-    """gamma's circle operation x o y = x^gamma(y) y, read as ``law[x, y]``
-    cell by cell like a Cayley table, so no |G| x |G| table is built.
-    ``generators`` is ``groups._generating_set``'s walk of it from 0."""
+    """The circle operations x o y = x^gamma(y) y of an (L, |G|) block of
+    gamma tables, read as ``law[r, x, y]`` for row r cell by cell, like a
+    block of Cayley tables, so no |G| x |G| table is built.
+    ``generators`` is ``groups._generating_set``'s lockstep walk of every
+    row from 0: the (L, k) picks and the mask of rows within the bound."""
 
-    def __init__(self, gamma: GammaFunction):
-        self._mt = gamma.spec.mul_table
-        self._aperm = aut_group(gamma.spec).aperm
-        self._gt = gamma.row
+    def __init__(self, spec: GroupSpec, tables: np.ndarray):
+        self._mt = spec.mul_table
+        self._aperm = aut_group(spec).aperm
+        self._gt = tables
+        self.shape = tables.shape + tables.shape[-1:]
 
-    def __len__(self) -> int:
-        return len(self._gt)
-
-    def __getitem__(self, xy):
-        x, y = xy
-        return self._mt[self._aperm[self._gt[y], x], y]
+    def __getitem__(self, rxy):
+        r, x, y = rxy
+        return self._mt[self._aperm[self._gt[r, y], x], y]
 
     @cached_property
-    def generators(self) -> list[int]:
+    def generators(self) -> tuple[np.ndarray, np.ndarray]:
         return _generating_set(self, 0)
-
-
-def kernel(gamma: GammaFunction) -> frozenset[int]:
-    ag = aut_group(gamma.spec)
-    return frozenset(int(i) for i in np.flatnonzero(gamma.row == ag.identity_idx))
 
 
 # how many triples the sampled brace-axiom check draws
@@ -181,17 +176,20 @@ class SkewBraceRecord:
         })
 
 
-def brace_from_gamma(gamma: GammaFunction) -> SkewBraceRecord:
-    """Bundle a gamma function into a record.
+def brace_from_gamma(spec: GroupSpec,
+                     tables: np.ndarray) -> SkewBraceRecord | list[SkewBraceRecord]:
+    """The records of one gamma table, or a list of them for an (L, |G|)
+    block, checked and classified in one pass over the block.
 
     This is the one place a route's tables are checked against the
     functional equation, once per conjugation orbit on its least table
-    (``EnumerationResult.braces``).  It reads only the products with the
-    generators S of (G, o), as the classification does: gamma(1) = 1 and
-    gamma(g o s) = gamma(g) gamma(s) for all g and s in S suffice, by the
-    closure lemma of ``gfe_search``.  A failing table is scanned in full,
-    and the error names ``find_gfe_violation``'s first pair.  Nothing
-    else needs a check here:
+    (``EnumerationResult.braces``, a block of leaders at a time).  Each
+    row's generators S of (G, o) are walked at once (``CircleLaw``), and
+    gamma(1) = 1 and gamma(g o s) = gamma(g) gamma(s) for all g and s in S,
+    one gather for all rows, suffice by the closure lemma of
+    ``gfe_search``.  A row walked past the pick bound fails; the first
+    failing row is scanned in full, and the error names
+    ``find_gfe_violation``'s first pair.  Nothing else needs a check:
 
     * the brace law holds because every value of gamma is a row of
       Aut(G), and each row is a homomorphism by von Dyck's theorem:
@@ -203,15 +201,19 @@ def brace_from_gamma(gamma: GammaFunction) -> SkewBraceRecord:
       the kernel makes it a subgroup of (G, *) too.  ``_check_kernel``
       stays as the independent reference the tests run.
     """
-    law, ag, gt = CircleLaw(gamma), aut_group(gamma.spec), gamma.row
-    try:
-        s, g = np.asarray(law.generators), np.arange(len(gt))[:, None]
-        holds = gt[0] == ag.identity_idx and (gt[law[g, s]] == ag.comp[gt[g], gt[s]]).all()
-    except ValueError:  # more generators than any group of order |G| needs
-        holds = False
-    if not holds:
-        raise GfeError(f"gamma functional equation fails at pair {find_gfe_violation(gamma)}")
-    return SkewBraceRecord(gamma, classify_iso_type(law).iso_type, len(kernel(gamma)))
+    block = np.atleast_2d(tables)
+    law, ag = CircleLaw(spec, block), aut_group(spec)
+    gens, bounded = law.generators
+    r, g, s = np.arange(len(block))[:, None, None], np.arange(spec.n)[:, None], gens[:, None]
+    holds = bounded & (block[:, 0] == ag.identity_idx) & (
+        block[r, law[r, g, s]] == ag.comp[block[r, g], block[r, s]]).all(axis=(1, 2))
+    if not holds.all():
+        bad = GammaFunction(spec, block[np.argmin(holds)])
+        raise GfeError(f"gamma functional equation fails at pair {find_gfe_violation(bad)}")
+    records = [SkewBraceRecord(GammaFunction(spec, row), iso.iso_type, kernel_size)
+               for row, iso, kernel_size in zip(block, classify_iso_type(law),
+                                                (block == ag.identity_idx).sum(axis=1).tolist())]
+    return records if np.ndim(tables) == 2 else records[0]
 
 
 def _check_kernel(gamma: GammaFunction, circ: np.ndarray, ker: frozenset[int]) -> None:

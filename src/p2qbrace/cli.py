@@ -8,8 +8,8 @@ Subcommands:
     pq               print the closed-form tables for order pq
     classify-cayley  name the isomorphism class of a Cayley table
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 resource gate hit.  All output is deterministic for fixed inputs.
+Exit codes: 0 success, 1 verification failure or record defect, 2 invalid
+input, 3 resource gate hit.  All output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from . import counts, holomorph
 from . import enumerate as routes
+from .brace import GfeError
 from .groups import (
     AutTooLargeError,
     aut_group,
@@ -241,6 +242,9 @@ def main(argv=None) -> int:
             routes.SearchTooLargeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RESOURCE_GATE
+    except (GfeError, routes.MethodDisagreementError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_VERIFY_FAILED
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT

@@ -24,10 +24,11 @@ runs the routes on one group in a fixed order; ``verify`` and
 ``pq_enumerate`` compare each with the first that ran by
 ``np.array_equal``.  Records are built when ``EnumerationResult.braces``
 is first read, orbit by orbit under conjugation by Aut(G), found with one
-``conjugate_gamma`` gather per generator over the whole set.
-``brace_from_gamma`` checks the functional equation and classifies the
-circle group once per orbit, on its least table.  ``aut_orbits`` reports
-the partition, the isomorphism classes.
+``conjugate_gamma`` gather per generator over the whole set and looked
+up by the set's keys, built once.  ``brace_from_gamma`` checks the
+functional equation and classifies the circle group once per orbit, on
+its least table, for blocks of leaders of ``_COMP_BLOCK_ENTRIES`` cells.
+``aut_orbits`` reports the partition, the isomorphism classes.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ from .brace import (
     lift_rgf,
     rgf_from_generator,
 )
-from .groups import (P2Q_FAMILIES, GroupElement, GroupSpec, aut_group, check_aut_gate,
-                     make_group, powers, psi_for_A)
+from .groups import (_COMP_BLOCK_ENTRIES, P2Q_FAMILIES, GroupElement, GroupSpec, aut_group,
+                     check_aut_gate, make_group, powers, psi_for_A)
 
 # |G| x |Aut|, the cells of the search's candidate table; Type4 (7,3) is
 # the largest group it admits
@@ -94,10 +95,11 @@ def gamma_set(rows: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     return rows[order[new]]
 
 
-def _lookup(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The index of each of ``rows`` in the canonical set ``tables``, or
-    -1 where it is absent: a binary search, then an exact compare."""
-    keys, probes = _row_keys(tables), _row_keys(rows)
+def _lookup(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The index of each of ``rows`` in the canonical set whose
+    ``_row_keys`` are ``keys``, built once per set, or -1 where it is
+    absent: a binary search, then an exact compare."""
+    probes = _row_keys(rows)
     at = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)
     return np.where(keys[at] == probes, at, -1)
 
@@ -126,12 +128,14 @@ class EnumerationResult:
         ends labelled by its least row.  That row leads the orbit:
         ``brace_from_gamma`` checks and classifies it, and the members
         inherit its type and kernel size, since gamma^beta vanishes exactly
-        on (ker gamma)^beta.  Orbit ids follow the leaders' order.  An
-        image outside the set is no edge, and leaves ``orbits`` unset.
+        on (ker gamma)^beta.  Leaders are recorded in blocks of at most
+        ``_COMP_BLOCK_ENTRIES`` cells, one ``brace_from_gamma`` call each.
+        Orbit ids follow the leaders' order.  An image outside the set is
+        no edge, and leaves ``orbits`` unset.
         """
         spec, tables = self.spec, self.gammas
-        rows = np.arange(len(tables))
-        images = [_lookup(tables, conjugate_gamma(spec, tables, beta))
+        rows, keys = np.arange(len(tables)), _row_keys(tables)
+        images = [_lookup(keys, conjugate_gamma(spec, tables, beta))
                   for beta in aut_group(spec).generators()]
         closed = all((image >= 0).all() for image in images)
         images = [np.where(image >= 0, image, rows) for image in images]
@@ -145,12 +149,13 @@ class EnumerationResult:
                 break
             label = pushed
         leaders = np.flatnonzero(label == rows)
-        records = [replace(brace_from_gamma(GammaFunction(spec, tables[lead])), orbit_id=oid)
-                   for oid, lead in enumerate(leaders.tolist())]
+        step, records = max(1, _COMP_BLOCK_ENTRIES // spec.n), []
+        for lo in range(0, leaders.size, step):
+            records += brace_from_gamma(spec, tables[leaders[lo:lo + step]])
         if closed:
             self.orbits = [Orbit(oid, length, rec.circle_type) for oid, (length, rec)
                            in enumerate(zip(np.bincount(label)[leaders].tolist(), records))]
-        return [replace(records[oid], gamma=GammaFunction(spec, row))
+        return [replace(records[oid], gamma=GammaFunction(spec, row), orbit_id=oid)
                 for oid, row in zip(np.searchsorted(leaders, label).tolist(), tables)]
 
     def counts_by_type(self) -> dict[str, int]:
@@ -447,14 +452,16 @@ def gfe_search(spec: GroupSpec) -> EnumerationResult:
         xs = np.argmax(rows < 0, axis=1).astype(np.int32)
         batches = children(rows, np.concatenate(gens), xs, fpf[:, xs])
     parts = [gamma_set(np.concatenate(found))]  # each round's new tables
+    keys = [_row_keys(parts[0])]
     while len(parts[-1]):
         missing = []
         for beta in ag.generators():
             image = conjugate_gamma(spec, parts[-1], beta)
-            for part in parts:
-                image = image[_lookup(part, image) < 0]
+            for part_keys in keys:
+                image = image[_lookup(part_keys, image) < 0]
             missing.append(image)
         parts.append(gamma_set(np.concatenate(missing)))
+        keys.append(_row_keys(parts[-1]))
     return EnumerationResult(spec, "gfe-search", gamma_set(np.concatenate(parts)))
 
 

@@ -33,13 +33,14 @@ Every power table, of an element or of an automorphism, comes from
 ``powers``, which gathers through ``mul_table`` or ``AutGroup.comp``.
 Derived tables are cached properties, built on first read, except
 Aut(G)'s fixed-point-free table: the search and the oracle both prune
-with it, and it is built by one scatter on each read and kept by its
-reader only.  ``mul_table`` and ``comp`` are filled in row blocks, which
+with it, and it is built on each read and kept by its reader only.
+``mul_table``, ``comp`` and that table are filled in row blocks, which
 keeps their temporaries small next to the result.  ``_generating_set``
-walks a table to its least-index greedy generating set, and rejects one
-needing more than floor(log2 n) generators; a group's associativity and
-isomorphism type are read on those generators alone.  ``comp`` is filled
-along the same walk over Aut(G), so its picks are ``AutGroup.generators``.
+walks each row of a block of laws (a Cayley table is a block of one) to
+its least-index greedy generating set, flagging a row that needs more
+than floor(log2 n); associativity and the isomorphism type are read on
+those generators.  ``comp`` is filled along the same walk over Aut(G),
+so its picks are ``AutGroup.generators``.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class GroupSpec:
 
     @cached_property
     def orders(self) -> np.ndarray:
-        return _element_orders(self.mul_table, 0)
+        return _element_orders(self.mul_table[None], 0)[0]
 
     def cyclic_subgroup(self, gen_idx: int) -> tuple[int, ...]:
         """Element indices of <gen>, sorted."""
@@ -386,20 +387,23 @@ class AutGroup:
     @cached_property
     def orders(self) -> np.ndarray:
         """orders[k] = the order of automorphism k."""
-        return _element_orders(self.comp, self.identity_idx)
+        return _element_orders(self.comp[None], self.identity_idx)[0]
 
     def order_of(self, k: int) -> int:
         return int(self.orders[k])
 
     @property
     def fixed_point_free(self) -> np.ndarray:
-        """fixed_point_free[alpha, g] is True when x -> x^alpha g moves every x."""
+        """fixed_point_free[alpha, g] is True when x -> x^alpha g moves every
+        x, filled in row blocks of ``_COMP_BLOCK_ENTRIES`` entries."""
         spec = self.spec
-        # (alpha, g) fixes x exactly when g = (x^alpha)^-1 x
-        fixed = np.zeros((self.size, spec.n), dtype=bool)
-        moved = spec.mul_table[spec.inv_table[self.aperm], np.arange(spec.n)]
-        fixed[np.arange(self.size)[:, None], moved] = True
-        return ~fixed
+        free = np.ones((self.size, spec.n), dtype=bool)
+        rows = max(1, _COMP_BLOCK_ENTRIES // spec.n)
+        for lo in range(0, self.size, rows):
+            # (alpha, g) fixes x exactly when g = (x^alpha)^-1 x
+            fixed = spec.mul_table[spec.inv_table[self.aperm[lo:lo + rows]], np.arange(spec.n)]
+            free[lo:lo + rows][np.arange(len(fixed))[:, None], fixed] = False
+        return free
 
     def generators(self) -> list[int]:
         """The picks of ``comp``'s walk, ``_generating_set(comp, identity_idx)``."""
@@ -563,26 +567,36 @@ def _recognize_order(n: int) -> tuple[int, int, bool]:
     raise ValueError(f"order {n} is not p^2 q or pq for distinct primes")
 
 
-def _generating_set(table: np.ndarray, identity: int) -> list[int]:
-    """Least-index greedy generating set: each pick is the least element not
-    yet reached, then the reached set is closed under right multiplication
-    by the picks.  A group needs at most floor(log2 n) picks, since each at
-    least doubles that set; a table needing more raises ValueError."""
-    n = len(table)
-    reached = np.zeros(n, dtype=bool)
-    reached[identity] = True
-    gens: list[int] = []
-    while not reached.all():
-        if len(gens) == n.bit_length() - 1:
-            raise ValueError("table is not associative")
-        gens.append(int(np.argmin(reached)))
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            step = np.zeros(n, dtype=bool)
-            step[table[frontier[:, None], gens]] = True
-            frontier = np.flatnonzero(step & ~reached)
-            reached |= step
-    return gens
+def _generating_set(table, identity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least-index greedy generating sets of a block of laws ``table[r, x, y]``
+    (a Cayley table is the block ``table[None]``), walked in lockstep:
+    each round every unfinished row picks its least unreached element, and
+    the flat cells r n + x reached are closed under right multiplication by
+    the row's picks.  Returns the (L, k) picks, where a row done early
+    repeats its first pick, and the mask of rows within floor(log2 n)
+    picks, all a group needs, since each at least doubles the reached set."""
+    rows, n = table.shape[:2]
+    reached = np.zeros((rows, n), dtype=bool)
+    reached[:, identity] = True
+    flat = reached.reshape(-1)
+    gens = np.empty((rows, 0), dtype=np.intp)
+    live = np.ones(rows, dtype=bool)
+    while True:
+        live &= ~reached.all(axis=1)
+        if not live.any() or gens.shape[1] == n.bit_length() - 1:
+            return gens, ~live
+        pick = np.argmin(reached, axis=1)
+        gens = np.column_stack([gens, np.where(live, pick, gens[:, 0]) if gens.size else pick])
+        # the reached set is closed under the earlier picks: times the new one first
+        cells, first = np.flatnonzero(reached & live[:, None]), -1
+        while cells.size:
+            r, x = np.divmod(cells, n)
+            new = (r[:, None] * n + table[r[:, None], x[:, None], gens[r, first:]]).ravel()
+            new = np.sort(new[~flat[new]])
+            fresh = np.ones(new.size, dtype=bool)
+            fresh[1:] = new[1:] != new[:-1]
+            cells, first = new[fresh], 0
+            flat[cells] = True
 
 
 def _validate_group_table(table: np.ndarray) -> int:
@@ -601,70 +615,73 @@ def _validate_group_table(table: np.ndarray) -> int:
         raise ValueError("table has no two-sided identity")
     if not ((table == ident).sum(axis=1) == 1).all():
         raise ValueError("table has an element without a two-sided inverse")
-    for g in _generating_set(table, ident):
+    gens, bounded = _generating_set(table[None], ident)
+    if not bounded[0]:
+        raise ValueError("table is not associative")
+    for g in gens[0].tolist():
         if not np.array_equal(table[:, g][table], table[:, table[:, g]]):
             raise ValueError("table is not associative")
     return ident
 
 
-def classify_iso_type(table) -> IsoResult:
-    """Fingerprint a group and name its isomorphism class.
+def classify_iso_type(table) -> IsoResult | list[IsoResult]:
+    """Fingerprint groups and name their isomorphism classes.
 
-    ``table`` is a Cayley table, validated in full, or a group law with
-    identity 0 that carries its ``generators`` (``brace.CircleLaw``).
-    The centre is the elements commuting with every generator.  Order
-    p^2 q (p odd) maps onto Type1..Type4 when the Sylow p-subgroup is
-    cyclic, order pq onto the pq families, anything else to "Other".
+    ``table`` is a Cayley table, validated in full and classified as a
+    block of one, or a block of laws with identity 0, read ``law[r, x, y]``,
+    whose rows passed their ``generators`` walk (``brace.CircleLaw``): one
+    result per row.  Orders and the centre, what commutes with every pick
+    of its row, are read for the whole block at once.  Order p^2 q (p odd)
+    maps onto Type1..Type4 when the Sylow p-subgroup is cyclic, order pq
+    onto the pq families, anything else to "Other".
     """
-    n = len(table)
+    cayley, ident = not hasattr(table, "generators"), 0
+    if cayley:
+        table = np.asarray(table, dtype=np.int32)[None]
+        ident = _validate_group_table(table[0])
+    gens = (_generating_set(table, ident) if cayley else table.generators)[0]
+    rows, n = table.shape[:2]
     p, q, is_p2q = _recognize_order(n)
-    ident, gens = 0, getattr(table, "generators", None)
-    if gens is None:  # a Cayley table
-        table = np.asarray(table, dtype=np.int32)
-        ident = _validate_group_table(table)
-        gens = _generating_set(table, ident)
-
     orders = _element_orders(table, ident)
-    s, x = np.asarray(gens), np.arange(n)[:, None]
-    central = (table[x, s] == table[s, x]).all(axis=1)
-    abelian = bool(central[s].all())
-    cyclic = bool((orders == n).any())
-    has_p2 = bool((orders == p * p).any()) if is_p2q else True
-    center_size = int(central.sum())
+    r, x, s = np.arange(rows)[:, None, None], np.arange(n)[:, None], gens[:, None, :]
+    central = (table[r, x, s] == table[r, s, x]).all(axis=2)
     p_part = p * p if is_p2q else p
-    num_p_elements = int((p_part % orders == 0).sum())
-    num_q_elements = int(((orders == 1) | (orders == q)).sum())
-    sylow_p_normal = num_p_elements == p_part
-    sylow_q_normal = num_q_elements == q
-    fp = Fingerprint(
-        n=n, p=p, q=q, abelian=abelian, cyclic=cyclic, has_p2_element=has_p2,
-        center_size=center_size, sylow_p_normal=sylow_p_normal,
-        sylow_q_normal=sylow_q_normal,
+    columns = (
+        np.take_along_axis(central, gens, axis=1).all(axis=1),  # abelian
+        (orders == n).any(axis=1),  # cyclic
+        (orders == p * p).any(axis=1) | (not is_p2q),  # has a p^2 element
+        central.sum(axis=1),
+        (p_part % orders == 0).sum(axis=1) == p_part,  # Sylow p normal
+        ((orders == 1) | (orders == q)).sum(axis=1) == q,  # Sylow q normal
     )
-    return IsoResult(iso_type=_name_fingerprint(fp, is_p2q), fingerprint=fp)
+    fps = [Fingerprint(n, p, q, *fields) for fields in zip(*(c.tolist() for c in columns))]
+    out = [IsoResult(iso_type=_name_fingerprint(fp, is_p2q), fingerprint=fp) for fp in fps]
+    return out[0] if cayley else out
 
 
-def _element_orders(table: np.ndarray, ident: int) -> np.ndarray:
-    """Every element's order, one prime at a time: for each prime power
-    r^a exactly dividing n = |table|, y = x^(n / r^a) is the r-part of x,
-    and its order is r^j, where j counts the powers y, y^r, ...,
-    y^(r^(a-1)) that are not the identity; y^(r^a) = x^n must be.  Each
-    power is a square-and-multiply walk of gathers, with one exponent
-    for all elements."""
-    n = len(table)
+def _element_orders(table, ident: int) -> np.ndarray:
+    """Every element's order in each law of a block, read ``table[r, x, y]``
+    as in ``_generating_set``: an (L, n) array, one prime at a time.  For
+    each prime power r^a exactly dividing n, y = x^(n / r^a) is the
+    r-part of x, and its order is r^j, where j counts the powers y, y^r,
+    ..., y^(r^(a-1)) that are not the identity; y^(r^a) = x^n must be.
+    Each power is a square-and-multiply walk of gathers, with one
+    exponent for all elements of all rows."""
+    rows, n = table.shape[:2]
+    at = np.arange(rows)[:, None]
 
     def power(x: np.ndarray, e: int) -> np.ndarray:
         out = x
         for bit in bin(e)[3:]:  # the bits of e after the leading one
-            out = table[out, out]
+            out = table[at, out, out]
             if bit == "1":
-                out = table[out, x]
+                out = table[at, out, x]
         return out
 
-    orders = np.ones(n, dtype=np.int32)
+    orders = np.ones((rows, n), dtype=np.int32)
     for r, a in _prime_factors(n).items():
-        y = power(np.arange(n), n // r ** a)
-        j = np.zeros(n, dtype=np.int32)
+        y = power(np.broadcast_to(np.arange(n), (rows, n)), n // r ** a)
+        j = np.zeros((rows, n), dtype=np.int32)
         for _ in range(a):
             j += y != ident
             y = power(y, r)

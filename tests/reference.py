@@ -27,7 +27,12 @@ powers one exponent at a time, the O(n · exp(G)) walk that
 only the generators: abelian and the centre from ``table == table.T``.
 ``comp_by_lookup`` is ``AutGroup.comp`` as it was built before it was
 filled along the generator walk: one generator-image lookup per entry,
-in column blocks.
+in column blocks.  ``kernel`` is the set of elements a gamma function
+sends to the identity automorphism; records keep only its size.
+``greedy_generators`` is one row of
+``groups._generating_set``'s lockstep walk written with Python sets, and
+``fixed_point_free_by_loop`` is ``AutGroup.fixed_point_free`` one
+automorphism at a time.
 
 ``es`` is the partial geometric sum
 
@@ -474,6 +479,38 @@ def element_orders_by_steps(table: np.ndarray, ident: int) -> np.ndarray:
             return orders
         cur = table[cur, rng]
     raise ValueError("table rows do not close; not a group table")
+
+
+def kernel(gamma: GammaFunction) -> frozenset[int]:
+    """The elements gamma sends to the identity automorphism."""
+    ag = aut_group(gamma.spec)
+    return frozenset(int(i) for i in np.flatnonzero(gamma.row == ag.identity_idx))
+
+
+def greedy_generators(table: np.ndarray, ident: int) -> list[int]:
+    """The least-index greedy generating set of one group table: pick the
+    least unreached element, close the reached set under right
+    multiplication by every pick, repeat."""
+    n = len(table)
+    rows = table.tolist()
+    reached, gens = {ident}, []
+    while len(reached) < n:
+        gens.append(min(set(range(n)) - reached))
+        frontier = set(reached)
+        while frontier:
+            frontier = {rows[x][g] for x in frontier for g in gens} - reached
+            reached |= frontier
+    return gens
+
+
+def fixed_point_free_by_loop(spec: GroupSpec) -> np.ndarray:
+    """mask[alpha, g]: x -> x^alpha g moves every x, one alpha at a time."""
+    ag = aut_group(spec)
+    mask = np.ones((ag.size, spec.n), dtype=bool)
+    for alpha in range(ag.size):
+        # x is fixed by (alpha, g) for g = (x^alpha)^-1 x
+        mask[alpha, spec.mul_table[spec.inv_table[ag.aperm[alpha]], np.arange(spec.n)]] = False
+    return mask
 
 
 def comp_by_lookup(ag) -> np.ndarray:

@@ -1,9 +1,11 @@
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from p2qbrace import brace
+from p2qbrace import arith, brace
+from p2qbrace import enumerate as routes
 from p2qbrace.brace import (
     GammaFunction,
     brace_from_gamma,
@@ -18,7 +20,8 @@ from p2qbrace.brace import (
     rgf_from_generator,
 )
 from p2qbrace.groups import GroupElement as E
-from p2qbrace.groups import aut_group, classify_iso_type, make_group
+from p2qbrace.groups import (FAMILIES, P2Q_FAMILIES, AutTooLargeError, _generating_set,
+                             aut_group, check_aut_gate, classify_iso_type, make_group)
 from p2qbrace.holomorph import holo
 from reference import (
     RGF,
@@ -30,10 +33,12 @@ from reference import (
     elements,
     es,
     flatten,
+    greedy_generators,
     identity,
     inversion_gamma,
     is_morphism,
     is_regular,
+    kernel,
     lambda_rep,
     mul,
     nu_subgroup,
@@ -124,7 +129,7 @@ class TestGeneratorCheck:
         for rec in enum_cache(family, p, q).braces:
             want = all_pairs_classify(circle_table(rec.gamma))
             assert rec.circle_type == want.iso_type
-            assert classify_iso_type(brace.CircleLaw(rec.gamma)) == want
+            assert classify_iso_type(brace.CircleLaw(rec.gamma.spec, rec.gamma.row[None])) == [want]
 
     @pytest.mark.parametrize("family,p,q", LADDER)
     def test_corrupted_tables_fail_with_the_full_scans_pair(
@@ -149,10 +154,10 @@ class TestGeneratorCheck:
             gm = GammaFunction(spec, table)
             violation = find_gfe_violation(gm)
             if violation is None:
-                assert brace_from_gamma(gm).circle_type
+                assert brace_from_gamma(gm.spec, gm.row).circle_type
                 continue
             with pytest.raises(brace.GfeError) as err:
-                brace_from_gamma(gm)
+                brace_from_gamma(gm.spec, gm.row)
             assert str(err.value) == f"gamma functional equation fails at pair {violation}"
             rejected += 1
         assert rejected >= 100
@@ -164,12 +169,12 @@ class TestGeneratorCheck:
         ag = aut_group(spec)
         alpha = 1 - ag.identity_idx
         gm = GammaFunction(spec, (ag.identity_idx,) + (alpha,) * (spec.n - 1))
-        with pytest.raises(ValueError, match="^table is not associative$"):
-            brace.CircleLaw(gm).generators
+        gens, bounded = brace.CircleLaw(spec, gm.row[None]).generators
+        assert gens.shape == (1, (spec.n).bit_length() - 1) and not bounded[0]
         violation = find_gfe_violation(gm)
         assert violation is not None
         with pytest.raises(brace.GfeError) as err:
-            brace_from_gamma(gm)
+            brace_from_gamma(gm.spec, gm.row)
         assert str(err.value) == f"gamma functional equation fails at pair {violation}"
 
     def test_records_allocate_no_circle_table(self, enum_cache):
@@ -181,35 +186,198 @@ class TestGeneratorCheck:
         for gm in leaders.values():
             tracemalloc.start()
             try:
-                brace_from_gamma(gm)
+                brace_from_gamma(gm.spec, gm.row)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 4 * n * n
 
 
+# the largest order the record sweep reaches
+SWEEP_MAX_ORDER = 300
+
+
+def _sweep_groups():
+    """Every family group of order at most ``SWEEP_MAX_ORDER`` within the
+    Aut(G) gate, and for order pq within the search budget too."""
+    primes = [r for r in range(2, SWEEP_MAX_ORDER) if arith.is_prime(r)]
+    specs = []
+    for family in FAMILIES:
+        for p in primes:
+            for q in primes:
+                if (p * p * q if family in P2Q_FAMILIES else p * q) > SWEEP_MAX_ORDER:
+                    continue
+                try:
+                    spec = make_group(family, p, q)
+                    check_aut_gate(spec)
+                except (ValueError, AutTooLargeError):
+                    continue
+                if family in P2Q_FAMILIES or spec.n * spec.aut_order <= routes.GFE_SEARCH_BUDGET:
+                    specs.append(spec)
+    return specs
+
+
+class TableBlock:
+    """A stack of Cayley tables with identity 0, read as a block of laws."""
+
+    def __init__(self, tables):
+        self.tables, self.shape = tables, tables.shape
+
+    def __getitem__(self, rxy):
+        return self.tables[rxy]
+
+    @cached_property
+    def generators(self):
+        return _generating_set(self.tables, 0)
+
+
+class TestBatchedRecords:
+    """``brace_from_gamma`` checks and classifies a block of tables in one
+    pass; every row must come out as it would alone."""
+
+    def test_leaders_match_the_all_pairs_reference_on_every_small_group(self, enum_cache):
+        # 28 structured p^2 q sets and 112 searched pq sets, about 1.2 s
+        swept = []
+        for spec in _sweep_groups():
+            method = "structured" if spec.family in P2Q_FAMILIES else "search"
+            result = enum_cache(spec.family, spec.p, spec.q, method=method)
+            leaders = {}
+            for rec in result.braces:
+                leaders.setdefault(rec.orbit_id, rec)
+            for rec in leaders.values():
+                circ = circle_table(rec.gamma)
+                assert rec.circle_type == all_pairs_classify(circ).iso_type, (spec, rec.orbit_id)
+                # g is in the kernel when x o g = x g for every x
+                assert rec.kernel_size == int((circ == spec.mul_table).all(axis=0).sum())
+            swept.append(method)
+        assert (swept.count("structured"), swept.count("search")) == (28, 112)
+
+    @pytest.mark.parametrize("family,p,q,method", [
+        ("P2Q-Type2", 3, 7, "structured"), ("P2Q-Type4", 3, 2, "structured"),
+        ("PQ-Metacyclic", 7, 3, "search"), ("P2Q-Type3", 3, 19, "structured"),
+    ])
+    def test_each_rows_picks_are_its_own_walk(self, enum_cache, family, p, q, method):
+        # the set's tables, then random rows with gamma(1) = 1: laws that
+        # are no groups and need other numbers of picks
+        result = enum_cache(family, p, q, method=method)
+        spec, bound, m = result.spec, result.spec.n.bit_length() - 1, aut_group(result.spec).size
+        noise = np.random.RandomState(spec.n).randint(0, m, (40, spec.n)).astype(np.int32)
+        noise[:, 0] = aut_group(spec).identity_idx
+        tables = np.vstack([result.gammas, noise])
+        gens, bounded = brace.CircleLaw(spec, tables).generators
+        lengths = set()
+        for row, picks, ok in zip(tables, gens.tolist(), bounded.tolist()):
+            alone, alone_ok = brace.CircleLaw(spec, row[None]).generators
+            want = greedy_generators(circle_table(GammaFunction(spec, row)), 0)[:bound + 1]
+            lengths.add(len(want))
+            assert ok == alone_ok[0] == (len(want) <= bound)
+            assert alone[0].tolist() == want[:bound]
+            # a row done early repeats its first pick
+            assert picks == want[:bound] + [want[0]] * (len(picks) - len(want[:bound]))
+        assert len(lengths) > 1
+
+    def test_a_failing_row_between_valid_leaders_is_named(self, enum_cache):
+        result = enum_cache("P2Q-Type2", 3, 19)
+        spec, block = result.spec, result.gammas[:40].copy()
+        # row 20 splices two tables: it holds on its first pick, not its second
+        block[20, :38], block[20, 38:] = result.gammas[0, :38], result.gammas[1, 38:]
+        block[30, 40] = (block[30, 40] + 1) % aut_group(spec).size
+        first, later = (find_gfe_violation(GammaFunction(spec, block[i])) for i in (20, 30))
+        assert first is not None and later is not None and first != later
+        with pytest.raises(brace.GfeError) as err:
+            brace_from_gamma(spec, block)
+        assert str(err.value) == f"gamma functional equation fails at pair {first}"
+
+    def test_a_row_past_the_pick_bound_fails_inside_a_block(self, enum_cache):
+        # gamma(1) = 1 and one automorphism elsewhere on C_6: its law's
+        # greedy walk needs more than floor(log2 6) = 2 picks
+        valid = enum_cache("PQ-Cyclic", 3, 2, method="search").gammas
+        spec = make_group("PQ-Cyclic", 3, 2)
+        ag = aut_group(spec)
+        bad = np.array([ag.identity_idx] + [1 - ag.identity_idx] * (spec.n - 1), dtype=np.int32)
+        block = np.vstack([valid[:1], bad, valid[1:]])
+        gens, bounded = brace.CircleLaw(spec, block).generators
+        assert bounded.tolist() == [True, False] + [True] * (len(valid) - 1)
+        assert gens.shape == (len(block), 2)
+        violation = find_gfe_violation(GammaFunction(spec, bad))
+        assert violation is not None
+        with pytest.raises(brace.GfeError) as err:
+            brace_from_gamma(spec, block)
+        assert str(err.value) == f"gamma functional equation fails at pair {violation}"
+
+    def test_blocks_give_the_records_of_one_row_at_a_time(self, enum_cache, monkeypatch):
+        want = enum_cache("P2Q-Type2", 3, 19)
+        spec = want.spec
+        blocks, record = [], routes.brace_from_gamma
+
+        def counting(spec, block):
+            blocks.append(len(block))
+            return record(spec, block)
+
+        monkeypatch.setattr(routes, "_COMP_BLOCK_ENTRIES", 4 * spec.n)
+        monkeypatch.setattr(routes, "brace_from_gamma", counting)
+        got = routes.EnumerationResult(spec, "structured", want.gammas).braces
+        assert blocks == [4] * 7 + [2]  # 30 orbit leaders
+        assert [(r.circle_type, r.kernel_size, r.orbit_id) for r in got] == \
+            [(r.circle_type, r.kernel_size, r.orbit_id) for r in want.braces]
+        for rec in got:
+            alone = record(spec, rec.gamma.row)
+            assert (alone.circle_type, alone.kernel_size) == (rec.circle_type, rec.kernel_size)
+
+    def test_one_table_gives_one_record_and_a_block_a_list(self):
+        spec = make_group("P2Q-Type4", 3, 2)
+        row = identity_gamma(spec).row
+        one, block = brace_from_gamma(spec, row), brace_from_gamma(spec, row[None])
+        assert isinstance(block, list) and len(block) == 1
+        assert (one.circle_type, one.kernel_size) == (block[0].circle_type, 18)
+
+    def test_a_block_of_relabelled_tables_is_classified_row_by_row(self):
+        # the records' circle laws all share their picks; relabelled
+        # Cayley tables of the two groups of order 63 do not
+        tables = []
+        rs = np.random.RandomState(63)
+        for family in ("P2Q-Type1", "P2Q-Type2"):
+            mt = make_group(family, 3, 7).mul_table
+            for _ in range(4):
+                perm = np.concatenate([[0], 1 + rs.permutation(62)])  # the identity stays 0
+                relabelled = np.empty_like(mt)
+                relabelled[perm[:, None], perm] = perm[mt]
+                tables.append(relabelled)
+        block = TableBlock(np.stack(tables))
+        assert len({tuple(row) for row in block.generators[0].tolist()}) > 1
+        assert classify_iso_type(block) == [classify_iso_type(t) for t in tables]
+
+    def test_a_cayley_table_is_a_block_of_one(self):
+        spec = make_group("P2Q-Type3", 3, 19)
+        gens, bounded = _generating_set(spec.mul_table[None], 0)
+        assert bounded.tolist() == [True]
+        assert gens[0].tolist() == greedy_generators(spec.mul_table, 0)
+        law = brace.CircleLaw(spec, identity_gamma(spec).row[None])
+        assert classify_iso_type(law) == [classify_iso_type(spec.mul_table)]
+
+
 class TestBraceRecords:
     def test_identity_gamma_record(self):
         spec = make_group("P2Q-Type2", 3, 7)
-        rec = brace_from_gamma(identity_gamma(spec))
+        rec = brace_from_gamma(spec, identity_gamma(spec).row)
         assert rec.circle_type == "Type2"
-        assert brace.kernel(rec.gamma) == frozenset(range(spec.n))
+        assert kernel(rec.gamma) == frozenset(range(spec.n))
 
     def test_type4_inverse_inner_twist_gives_cyclic(self):
         spec = make_group("P2Q-Type4", 3, 2)
         ag = aut_group(spec)
         eta = int(ag.ainv[iota_idx(spec, E(1, 0))])
         gm = lift_one(spec, E(1, 0), eta, spec.cyclic_subgroup(spec.idx(E(0, 1))))
-        rec = brace_from_gamma(gm)
+        rec = brace_from_gamma(gm.spec, gm.row)
         assert rec.circle_type == "Type1"
-        assert set(spec.cyclic_subgroup(spec.idx(E(0, 1)))) <= brace.kernel(rec.gamma)
+        assert set(spec.cyclic_subgroup(spec.idx(E(0, 1)))) <= kernel(rec.gamma)
 
     def test_type3_unit_twist_gives_cyclic(self):
         spec = make_group("P2Q-Type3", 3, 19)
         ag = aut_group(spec)
         eta = int(ag.ainv[iota_idx(spec, E(1, 0))])  # iota(a^-1)
         gm = lift_one(spec, E(1, 0), eta, spec.cyclic_subgroup(spec.idx(E(0, 1))))
-        assert brace_from_gamma(gm).circle_type == "Type1"
+        assert brace_from_gamma(gm.spec, gm.row).circle_type == "Type1"
 
     def test_gfe_violation_is_rejected(self):
         spec = make_group("P2Q-Type4", 3, 2)
@@ -218,7 +386,7 @@ class TestBraceRecords:
         gm = GammaFunction(spec, (alpha,) * spec.n)  # alpha alpha != alpha
         assert find_gfe_violation(gm) is not None
         with pytest.raises(brace.GfeError):
-            brace_from_gamma(gm)
+            brace_from_gamma(gm.spec, gm.row)
 
     def test_records_do_not_check_the_kernel(self, monkeypatch):
         def no_check(*args):
@@ -226,7 +394,7 @@ class TestBraceRecords:
 
         monkeypatch.setattr(brace, "_check_kernel", no_check)
         spec = make_group("P2Q-Type2", 3, 7)
-        assert brace_from_gamma(inversion_gamma(spec)).circle_type == "Type2"
+        assert brace_from_gamma(spec, inversion_gamma(spec).row).circle_type == "Type2"
 
     def test_records_hold_no_arrays(self, enum_cache):
         for rec in enum_cache("P2Q-Type2", 3, 7).braces:
@@ -234,7 +402,7 @@ class TestBraceRecords:
 
     def test_json_field_order(self):
         spec = make_group("P2Q-Type4", 3, 2)
-        rec = brace_from_gamma(identity_gamma(spec))
+        rec = brace_from_gamma(spec, identity_gamma(spec).row)
         text = rec.to_json()
         assert text.startswith('{"group": {"family": "P2Q-Type4", "p": 3, "q": 2, "t": 8}, "gamma":')
         assert '"circle_type"' in text and '"kernel_size": 18' in text
@@ -556,8 +724,6 @@ class TestLift:
         eta = next(k for k in range(ag.size) if ag.order_of(k) == 3)
         B = spec.cyclic_subgroup(spec.idx(E(0, 1)))
         gm = lift_one(spec, E(1, 0), eta, B)
-        from p2qbrace.brace import kernel
-
         assert set(B) <= kernel(gm)
 
     def test_lift_along_factors_that_meet(self):

@@ -242,9 +242,9 @@ class TestVerify:
         built = []
         build = routes.brace_from_gamma
 
-        def counting(gamma):
-            built.append(gamma.spec.family)
-            return build(gamma)
+        def counting(spec, tables):
+            built.extend([spec.family] * len(tables))
+            return build(spec, tables)
 
         monkeypatch.setattr(routes, "brace_from_gamma", counting)
         report = cli.verify_run(3, 2, with_pq=True)
@@ -324,6 +324,49 @@ class TestVerify:
         statuses = {c["name"]: c["status"] for c in report["checks"]}
         assert statuses["type1/closure-oracle-agrees"] == "pass"
         assert statuses["type2/closure-oracle-agrees"] == "pass"
+
+
+class TestRecordDefects:
+    """A defect the record pass or the partition finds is a verification
+    failure: exit 1, the message on stderr, no traceback."""
+
+    @staticmethod
+    def plant(monkeypatch, corrupt):
+        structured = routes.structured_enumerate
+
+        def planted(spec):
+            result = structured(spec)
+            if spec.family == "P2Q-Type4":
+                result.gammas = corrupt(spec, result.gammas)
+            return result
+
+        monkeypatch.setattr(routes, "structured_enumerate", planted)
+
+    @staticmethod
+    def with_a_gfe_violation(spec, tables):
+        # a table that is no conjugate of a valid one leads its own orbit
+        bad = tables[-1].copy()
+        bad[-1] = groups.aut_group(spec).identity_idx
+        return routes.gamma_set([*tables, bad])
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--p", "3", "--q", "2", "--type", "4"),
+        ("verify", "--p", "3", "--q", "2"),
+    ])
+    def test_a_gfe_violation_exits_1(self, capsys, monkeypatch, argv):
+        self.plant(monkeypatch, self.with_a_gfe_violation)
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_VERIFY_FAILED
+        assert err.startswith("error: gamma functional equation fails at pair (")
+        assert "Traceback" not in out + err
+
+    def test_a_partition_disagreement_in_enumerate_exits_1(self, capsys, monkeypatch):
+        self.plant(monkeypatch, lambda spec, tables: tables[:-1])
+        code, out, err = run(capsys, "enumerate", "--p", "3", "--q", "2", "--type", "4")
+        assert code == cli.EXIT_VERIFY_FAILED
+        assert out == ""
+        assert err == ("error: conjugation left the enumerated set; "
+                       "the enumeration cannot be complete\n")
 
 
 class TestBenchmarkPins:

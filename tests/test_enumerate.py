@@ -11,8 +11,8 @@ from p2qbrace import enumerate as routes
 from p2qbrace.brace import dual_gamma, identity_gamma
 from p2qbrace.groups import (P2Q_FAMILIES, AutTooLargeError, GroupElement, GroupSpec, aut_group,
                              make_group)
-from reference import (all_pairs_propagate, all_pairs_search, orbit_walk, rgf_by_partial_sums,
-                       scalar_lift, search_candidates)
+from reference import (all_pairs_propagate, all_pairs_search, kernel, orbit_walk,
+                       rgf_by_partial_sums, scalar_lift, search_candidates)
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +67,9 @@ class TestStructured:
             tables.append(key(gamma))
             return table(gamma)
 
-        def counting_record(gamma):
-            checked.append(key(gamma))
-            return record(gamma)
+        def counting_record(spec, block):
+            checked.extend(tuple(row) for row in block.tolist())
+            return record(spec, block)
 
         monkeypatch.setattr(brace, "circle_table", counting_table)
         monkeypatch.setattr(routes, "brace_from_gamma", counting_record)
@@ -233,7 +233,7 @@ class TestGammaSet:
         at = {tuple(r): i for i, r in enumerate(tables.tolist())}
         probes = np.vstack([tables, tables + 1, tables - 1, [[0, 0, 0], [10**6] * 3]])
         want = [at.get(tuple(r), -1) for r in probes.tolist()]
-        assert routes._lookup(tables, probes).tolist() == want
+        assert routes._lookup(routes._row_keys(tables), probes).tolist() == want
         assert want.count(-1) > len(tables)
 
     @pytest.mark.parametrize("family,p,q", [
@@ -642,9 +642,9 @@ class TestOrbits:
         # only orbit leaders are classified; every member checked directly
         result = enum_cache(family, p, q, method=method)
         for rec in result.braces:
-            direct = brace.brace_from_gamma(rec.gamma)
+            direct = brace.brace_from_gamma(result.spec, rec.gamma.row)
             assert (rec.circle_type, rec.kernel_size) == (
-                direct.circle_type, len(brace.kernel(rec.gamma)))
+                direct.circle_type, len(kernel(rec.gamma)))
         assert len(result.orbits) < len(result.braces)
 
     def test_set_not_closed_keeps_one_record_per_table(self, enum_cache):

@@ -15,6 +15,7 @@ from reference import (
     elem_order,
     element_orders_by_steps,
     elements,
+    fixed_point_free_by_loop,
     homomorphism_failure,
     identity,
     inv_elem,
@@ -283,7 +284,17 @@ class TestAutGroup:
         ag = aut_group(_spec(args))
         ref = comp_by_lookup(ag)
         assert ag.comp.dtype == ref.dtype and ag.comp.tobytes() == ref.tobytes()
-        assert ag.generators() == groups._generating_set(ref, ag.identity_idx)
+        assert ag.generators() == groups._generating_set(ref[None], ag.identity_idx)[0][0].tolist()
+
+    @pytest.mark.parametrize("family,p,q", [("P2Q-Type1", 3, 2), ("PQ-Metacyclic", 7, 3),
+                                            ("P2Q-Type2", 3, 7), ("P2Q-Type4", 7, 3)])
+    def test_fixed_point_free_row_blocks_match_the_loop(self, monkeypatch, family, p, q):
+        spec = make_group(family, p, q)
+        want = fixed_point_free_by_loop(spec)
+        for entries in (groups._COMP_BLOCK_ENTRIES, 5 * spec.n, 1):  # 1, several, |Aut| blocks
+            monkeypatch.setattr(groups, "_COMP_BLOCK_ENTRIES", entries)
+            got = aut_group(spec).fixed_point_free
+            assert got.dtype == bool and got.tobytes() == want.tobytes()
 
     def test_generators_generate(self):
         ag = aut_group(make_group("P2Q-Type2", 3, 7))
@@ -441,28 +452,28 @@ class TestElementOrders:
         spec = make_group(family, p, q)
         ag = aut_group(spec)
         for table, ident in ((spec.mul_table, 0), (ag.comp, ag.identity_idx)):
-            got = groups._element_orders(table, ident)
+            got = groups._element_orders(table[None], ident)[0]
             assert got.dtype == np.int32
             assert np.array_equal(got, element_orders_by_steps(table, ident))
 
     def test_cyclic_table_of_order_2_times_997(self):
         n = 2 * 997
         table = ((np.arange(n)[:, None] + np.arange(n)) % n).astype(np.int32)
-        got = groups._element_orders(table, 0)
+        got = groups._element_orders(table[None], 0)[0]
         assert np.array_equal(got, element_orders_by_steps(table, 0))
         assert int((got == n).sum()) == 996  # the generators: phi(2 * 997)
 
     def test_direct_product_c9_c3_c2(self):
         # n = 54 = 2 * 3^3, with 3-parts of order 1, 3 and 9
         table = _direct_product_table([9, 3, 2])
-        got = groups._element_orders(table, 0)
+        got = groups._element_orders(table[None], 0)[0]
         assert np.array_equal(got, element_orders_by_steps(table, 0))
         assert sorted(set(got.tolist())) == [1, 2, 3, 6, 9, 18]
 
     def test_rows_that_do_not_close_are_rejected(self):
         # 1 * 1 = 1, so no power of 1 reaches the identity 0
         table = np.array([[0, 1], [1, 1]], dtype=np.int32)
-        for orders in (groups._element_orders, element_orders_by_steps):
+        for orders in (lambda t, e: groups._element_orders(t[None], e), element_orders_by_steps):
             with pytest.raises(ValueError, match="table rows do not close; not a group table"):
                 orders(table, 0)
 
@@ -624,8 +635,9 @@ class TestValidateGroupTable:
     @pytest.mark.parametrize("family,p,q", ALL_DESK_SPECS)
     def test_generating_set_stays_within_the_bound(self, family, p, q):
         spec = make_group(family, p, q)
-        gens = groups._generating_set(spec.mul_table, 0)
-        assert 2 ** len(gens) <= spec.n
+        gens, bounded = groups._generating_set(spec.mul_table[None], 0)
+        gens = gens[0].tolist()
+        assert bounded[0] and 2 ** len(gens) <= spec.n
         assert gens[0] == 1 and gens == sorted(gens)
 
 
@@ -676,6 +688,13 @@ class TestBuildPeaks:
         ag = aut_group.__wrapped__(spec)
         comp, peak = self.traced_peak(lambda: ag.comp)
         assert peak <= 1.05 * comp.nbytes
+
+    def test_fixed_point_free_is_filled_in_row_blocks(self):
+        spec = make_group.__wrapped__("P2Q-Type1", 3, 397)
+        ag = aut_group.__wrapped__(spec)
+        spec.mul_table, spec.inv_table
+        mask, peak = self.traced_peak(lambda: ag.fixed_point_free)
+        assert peak <= 1.25 * mask.nbytes  # reads 1.11; one scatter read 9.0
 
     def test_aut_group_peak_is_bounded_by_its_result(self):
         spec = make_group.__wrapped__("P2Q-Type1", 3, 397)
