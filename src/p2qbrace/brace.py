@@ -24,7 +24,6 @@ action x^alpha used everywhere in this package.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -157,7 +156,8 @@ class SkewBraceRecord:
     """One skew brace, as ``enumerate`` prints it: the gamma table, the
     circle group's isomorphism type, the kernel's size and the orbit id.
 
-    A conjugation orbit shares the type and the kernel size.  No circle
+    A conjugation orbit shares the type and the kernel size, so
+    ``EnumerationResult.partition`` keeps one record per orbit.  No circle
     table is built; ``circle_table(rec.gamma)`` gives it.
     """
 
@@ -165,15 +165,6 @@ class SkewBraceRecord:
     circle_type: str
     kernel_size: int
     orbit_id: Optional[int] = None
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "group": self.gamma.spec.to_json_dict(),
-            "gamma": self.gamma.row.tolist(),
-            "circle_type": self.circle_type,
-            "kernel_size": self.kernel_size,
-            "orbit_id": self.orbit_id,
-        })
 
 
 def brace_from_gamma(spec: GroupSpec,
@@ -183,7 +174,7 @@ def brace_from_gamma(spec: GroupSpec,
 
     This is the one place a route's tables are checked against the
     functional equation, once per conjugation orbit on its least table
-    (``EnumerationResult.braces``, a block of leaders at a time).  Each
+    (``EnumerationResult.partition``, a block of leaders at a time).  Each
     row's generators S of (G, o) are walked at once (``CircleLaw``), and
     gamma(1) = 1 and gamma(g o s) = gamma(g) gamma(s) for all g and s in S,
     one gather for all rows, suffice by the closure lemma of

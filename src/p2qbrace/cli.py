@@ -8,13 +8,15 @@ Subcommands:
     pq               print the closed-form tables for order pq
     classify-cayley  name the isomorphism class of a Cayley table
 
-Exit codes: 0 success, 1 verification failure or record defect, 2 invalid
-input, 3 resource gate hit.  All output is deterministic for fixed inputs.
+Exit codes: 0 success, 1 verification failure or a defect in a record, a
+branch count or Aut(G), 2 invalid input, 3 resource gate hit.  All output
+is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -26,6 +28,7 @@ from . import counts, holomorph
 from . import enumerate as routes
 from .brace import GfeError
 from .groups import (
+    AutSizeMismatchError,
     AutTooLargeError,
     aut_group,
     cayley_from_json,
@@ -100,13 +103,11 @@ def _cmd_enumerate(args) -> int:
         result = routes.gfe_search(spec)
     else:
         result = routes.closure_oracle(spec, max_hol_order=args.oracle_limit)
-    routes.aut_orbits(result)
-    payload = result.to_jsonl()
+    routes.aut_orbits(result)  # every record is checked before a line is written
+    with args.out.open("w") if args.out is not None else contextlib.nullcontext(sys.stdout) as out:
+        out.writelines(result.jsonl_blocks())
     if args.out is not None:
-        args.out.write_text(payload)
         sys.stdout.write(json.dumps(result.summary_dict()) + "\n")
-    else:
-        sys.stdout.write(payload)
     return EXIT_OK
 
 
@@ -242,7 +243,8 @@ def main(argv=None) -> int:
             routes.SearchTooLargeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RESOURCE_GATE
-    except (GfeError, routes.MethodDisagreementError) as exc:
+    except (GfeError, routes.MethodDisagreementError, routes.StructuredCountMismatchError,
+            AutSizeMismatchError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VERIFY_FAILED
     except (ValueError, OSError, json.JSONDecodeError) as exc:

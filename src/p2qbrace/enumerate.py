@@ -22,13 +22,13 @@ Each route returns its gamma tables as one ``gamma_set``: an int32
 (k, |G|) array of distinct rows in lexicographic order.  ``run_routes``
 runs the routes on one group in a fixed order; ``verify`` and
 ``pq_enumerate`` compare each with the first that ran by
-``np.array_equal``.  Records are built when ``EnumerationResult.braces``
-is first read, orbit by orbit under conjugation by Aut(G), found with one
-``conjugate_gamma`` gather per generator over the whole set and looked
-up by the set's keys, built once.  ``brace_from_gamma`` checks the
-functional equation and classifies the circle group once per orbit, on
-its least table, for blocks of leaders of ``_COMP_BLOCK_ENTRIES`` cells.
-``aut_orbits`` reports the partition, the isomorphism classes.
+``np.array_equal``.  ``EnumerationResult.partition`` finds the orbits
+under conjugation by Aut(G), one ``conjugate_gamma`` gather per generator
+and row block, and keeps one record per orbit: ``brace_from_gamma``
+checks the functional equation and classifies the circle group on each
+orbit's least table.  ``aut_orbits`` reports the partition, the
+isomorphism classes; ``jsonl_blocks`` writes every row's line straight
+from the set through a byte table of the automorphism indices.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -116,29 +116,27 @@ class EnumerationResult:
     spec: GroupSpec
     method: str
     gammas: np.ndarray  # the set of gamma tables, in ``gamma_set``'s form
-    orbits: Optional[list[Orbit]] = None
 
     @cached_property
-    def braces(self) -> list[SkewBraceRecord]:
-        """One record per row of ``gammas``, in its order, built on first read.
+    def partition(self) -> tuple[np.ndarray, list[SkewBraceRecord], np.ndarray, bool]:
+        """The conjugation orbits of ``gammas``, built on first read: each
+        row's orbit id, one record per orbit, the orbit lengths, and
+        whether conjugation kept to the set (an image outside it is no edge).
 
-        Each generator beta of Aut(G) maps every row to the row of its
-        conjugate at once.  Labels start as row indices and are pushed
-        along these maps, keeping the least, to a fixed point: each orbit
-        ends labelled by its least row.  That row leads the orbit:
-        ``brace_from_gamma`` checks and classifies it, and the members
-        inherit its type and kernel size, since gamma^beta vanishes exactly
-        on (ker gamma)^beta.  Leaders are recorded in blocks of at most
-        ``_COMP_BLOCK_ENTRIES`` cells, one ``brace_from_gamma`` call each.
-        Orbit ids follow the leaders' order.  An image outside the set is
-        no edge, and leaves ``orbits`` unset.
-        """
+        Each generator of Aut(G) maps the rows to their conjugates' rows, a
+        block of ``_COMP_BLOCK_ENTRIES`` cells at a time, looked up by the
+        set's keys.  Labels start as row indices and are pushed along these
+        maps, keeping the least, until each orbit is labelled by its least
+        row, its leader; orbit ids follow the leaders.  The leaders' records
+        (``brace_from_gamma``, a block at a time) stand for their orbits,
+        since gamma^beta vanishes exactly on (ker gamma)^beta."""
         spec, tables = self.spec, self.gammas
+        step, gens = max(1, _COMP_BLOCK_ENTRIES // spec.n), aut_group(spec).generators()
         rows, keys = np.arange(len(tables)), _row_keys(tables)
-        images = [_lookup(keys, conjugate_gamma(spec, tables, beta))
-                  for beta in aut_group(spec).generators()]
-        closed = all((image >= 0).all() for image in images)
-        images = [np.where(image >= 0, image, rows) for image in images]
+        images = np.concatenate([[_lookup(keys, conjugate_gamma(spec, tables[lo:lo + step], beta))
+                                  for beta in gens] for lo in range(0, len(tables), step)], axis=1)
+        del keys
+        closed, images = bool((images >= 0).all()), np.where(images >= 0, images, rows)
         label = rows
         while True:
             pushed = label.copy()
@@ -148,18 +146,32 @@ class EnumerationResult:
             if np.array_equal(pushed, label):
                 break
             label = pushed
-        leaders = np.flatnonzero(label == rows)
-        step, records = max(1, _COMP_BLOCK_ENTRIES // spec.n), []
+        leaders, records = np.flatnonzero(label == rows), []
         for lo in range(0, leaders.size, step):
             records += brace_from_gamma(spec, tables[leaders[lo:lo + step]])
-        if closed:
-            self.orbits = [Orbit(oid, length, rec.circle_type) for oid, (length, rec)
-                           in enumerate(zip(np.bincount(label)[leaders].tolist(), records))]
-        return [replace(records[oid], gamma=GammaFunction(spec, row), orbit_id=oid)
-                for oid, row in zip(np.searchsorted(leaders, label).tolist(), tables)]
+        records = [replace(rec, orbit_id=oid) for oid, rec in enumerate(records)]
+        return np.searchsorted(leaders, label), records, np.bincount(label)[leaders], closed
+
+    @cached_property
+    def orbits(self) -> Optional[list[Orbit]]:
+        """The partition's orbits, or None when conjugation left the set."""
+        _, records, lengths, closed = self.partition
+        return [Orbit(rec.orbit_id, length, rec.circle_type)
+                for rec, length in zip(records, lengths.tolist())] if closed else None
+
+    @cached_property
+    def braces(self) -> list[SkewBraceRecord]:
+        """One record per row of ``gammas``: its orbit's, holding a view of the row."""
+        orbit_of, records, _, _ = self.partition
+        return [replace(records[oid], gamma=GammaFunction(self.spec, row))
+                for oid, row in zip(orbit_of.tolist(), self.gammas)]
 
     def counts_by_type(self) -> dict[str, int]:
-        return dict(sorted(Counter(rec.circle_type for rec in self.braces).items()))
+        _, records, lengths, _ = self.partition
+        counts: Counter = Counter()
+        for rec, length in zip(records, lengths.tolist()):
+            counts[rec.circle_type] += length
+        return dict(sorted(counts.items()))
 
     def orbit_groups(self) -> dict[tuple[str, int], int]:
         """Number of orbits per (circle type, orbit length)."""
@@ -169,7 +181,7 @@ class EnumerationResult:
         return {
             "group": self.spec.to_json_dict(),
             "method": self.method,
-            "total": len(self.braces),
+            "total": len(self.gammas),
             "counts": self.counts_by_type(),
             "orbits": [
                 {"length": length, "circle_type": ctype, "size": count}
@@ -177,11 +189,30 @@ class EnumerationResult:
             ],
         }
 
+    def jsonl_blocks(self) -> Iterator[str]:
+        """The record lines, a block of ``_COMP_BLOCK_ENTRIES`` cells at a
+        time, then the summary: one shared head, the row's entries "i, " but
+        the last ", ", and its orbit's tail, as ``json.dumps`` writes them.
+        The entries are gathered zero-padded, then compressed in one ``tobytes``."""
+        spec, (orbit_of, records, _, _) = self.spec, self.partition
+        head = json.dumps({"group": spec.to_json_dict(), "gamma": []})[:-2].encode()
+        tails = [b"], " + json.dumps({k: getattr(rec, k) for k in (
+            "circle_type", "kernel_size", "orbit_id")})[1:].encode() + b"\n" for rec in records]
+        words = np.array([f"{i}, " for i in range(aut_group(spec).size)], dtype=bytes)
+        widths = (words[:, None].view(np.uint8) != 0).sum(axis=1)  # np.char costs an import
+        step = max(1, _COMP_BLOCK_ENTRIES // spec.n)
+        for lo in range(0, len(self.gammas), step):
+            block, oids = self.gammas[lo:lo + step], orbit_of[lo:lo + step].tolist()
+            text = words[block].view(np.uint8)
+            body = memoryview(text[text != 0].tobytes())
+            ends = np.cumsum(widths[block].sum(axis=1)).tolist()
+            yield b"".join(part for start, end, oid in zip([0, *ends], ends, oids)
+                           for part in (head, body[start:end - 2], tails[oid])).decode()
+        yield json.dumps(self.summary_dict()) + "\n"
+
     def to_jsonl(self) -> str:
         """One record per line, concluded by the summary object."""
-        lines = [rec.to_json() for rec in self.braces]
-        lines.append(json.dumps(self.summary_dict()))
-        return "\n".join(lines) + "\n"
+        return "".join(self.jsonl_blocks())
 
 
 # -- route 1: structured constructions ---------------------------------------
@@ -485,15 +516,13 @@ def closure_oracle(spec: GroupSpec,
 
 def aut_orbits(result: EnumerationResult) -> list[Orbit]:
     """The conjugation-orbit partition of a complete enumeration, as
-    ``EnumerationResult.braces`` built it; raises when conjugation left
+    ``EnumerationResult.partition`` built it; raises when conjugation left
     the set.  Orbit ids follow the canonical order of each orbit's least
     gamma table.
     """
-    result.braces  # builds the partition on first read
     if result.orbits is None:
-        raise MethodDisagreementError(
-            "conjugation left the enumerated set; the enumeration cannot be complete"
-        )
+        raise MethodDisagreementError("conjugation left the enumerated set; "
+                                      "the enumeration cannot be complete")
     return result.orbits
 
 

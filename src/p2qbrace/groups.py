@@ -599,9 +599,9 @@ def _generating_set(table, identity: int) -> tuple[np.ndarray, np.ndarray]:
             flat[cells] = True
 
 
-def _validate_group_table(table: np.ndarray) -> int:
-    """Full group-axiom check; returns the identity index.  Associativity
-    is Light's test: (x y) g = x (y g) for g in ``_generating_set`` only."""
+def _validate_group_table(table: np.ndarray) -> tuple[int, np.ndarray]:
+    """Full group-axiom check; returns the identity index and the (1, k)
+    ``_generating_set`` picks g on which Light's test (x y) g = x (y g) ran."""
     n = table.shape[0]
     if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
         raise ValueError("malformed Cayley table")
@@ -621,7 +621,7 @@ def _validate_group_table(table: np.ndarray) -> int:
     for g in gens[0].tolist():
         if not np.array_equal(table[:, g][table], table[:, table[:, g]]):
             raise ValueError("table is not associative")
-    return ident
+    return ident, gens
 
 
 def classify_iso_type(table) -> IsoResult | list[IsoResult]:
@@ -635,11 +635,9 @@ def classify_iso_type(table) -> IsoResult | list[IsoResult]:
     maps onto Type1..Type4 when the Sylow p-subgroup is cyclic, order pq
     onto the pq families, anything else to "Other".
     """
-    cayley, ident = not hasattr(table, "generators"), 0
-    if cayley:
-        table = np.asarray(table, dtype=np.int32)[None]
-        ident = _validate_group_table(table[0])
-    gens = (_generating_set(table, ident) if cayley else table.generators)[0]
+    cayley = not hasattr(table, "generators")
+    table = np.asarray(table, dtype=np.int32)[None] if cayley else table
+    ident, gens = _validate_group_table(table[0]) if cayley else (0, table.generators[0])
     rows, n = table.shape[:2]
     p, q, is_p2q = _recognize_order(n)
     orders = _element_orders(table, ident)

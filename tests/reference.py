@@ -61,7 +61,9 @@ from von Dyck's theorem.  ``check_rgf_gfe`` checks the
 functional equation of a relative gamma function pair by pair, and
 ``scalar_lift`` is one row of ``brace.lift_rgf``'s batch written as a
 loop over the pairs (a, b).  ``is_associative`` checks (x y) z = x (y z) one row of x at a
-time, over every triple.
+time, over every triple.  ``record_line`` is one record's JSON line as
+``json.dumps`` writes it, the reference for ``enumerate``'s byte-table
+writer.
 """
 
 from __future__ import annotations
@@ -485,6 +487,18 @@ def kernel(gamma: GammaFunction) -> frozenset[int]:
     """The elements gamma sends to the identity automorphism."""
     ag = aut_group(gamma.spec)
     return frozenset(int(i) for i in np.flatnonzero(gamma.row == ag.identity_idx))
+
+
+def record_line(rec) -> str:
+    """One record's JSON line, without its newline, as ``json.dumps`` writes
+    the record's fields in their fixed order."""
+    return json.dumps({
+        "group": rec.gamma.spec.to_json_dict(),
+        "gamma": rec.gamma.row.tolist(),
+        "circle_type": rec.circle_type,
+        "kernel_size": rec.kernel_size,
+        "orbit_id": rec.orbit_id,
+    })
 
 
 def greedy_generators(table: np.ndarray, ident: int) -> list[int]:

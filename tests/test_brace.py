@@ -43,6 +43,7 @@ from reference import (
     mul,
     nu_subgroup,
     power,
+    record_line,
     rgf_by_partial_sums,
     rgf_is_morphism,
     rgf_rows,
@@ -403,7 +404,7 @@ class TestBraceRecords:
     def test_json_field_order(self):
         spec = make_group("P2Q-Type4", 3, 2)
         rec = brace_from_gamma(spec, identity_gamma(spec).row)
-        text = rec.to_json()
+        text = record_line(rec)
         assert text.startswith('{"group": {"family": "P2Q-Type4", "p": 3, "q": 2, "t": 8}, "gamma":')
         assert '"circle_type"' in text and '"kernel_size": 18' in text
         assert text.rstrip().endswith('"orbit_id": null}')

@@ -124,6 +124,21 @@ class TestEnumerate:
         assert len(lines) == 5  # 4 records + summary
         assert json.loads(out)["total"] == 4
 
+    @pytest.mark.parametrize("argv,prefix", [
+        (("--p", "7", "--q", "29", "--type", "2"), "364aaed9b9549eaf"),
+        (("--p", "7", "--q", "3", "--type", "4"), "f4bb4bc60bad9a89"),
+    ], ids=["type2-7-29", "type4-7-3"])
+    def test_streamed_output_is_pinned(self, capsys, tmp_path, argv, prefix):
+        # the lines are written a block at a time; --out gets the same bytes
+        code, out, _ = run(capsys, "enumerate", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+        target = tmp_path / "braces.jsonl"
+        code, summary, _ = run(capsys, "enumerate", *argv, "--out", str(target))
+        assert code == 0
+        assert target.read_bytes() == out.encode()
+        assert summary == out[out.rindex("\n", 0, -1) + 1:]
+
     def test_square_division_summary_counts(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--p", "3", "--q", "19",
                            "--type", "3", "--method", "structured")
@@ -369,6 +384,37 @@ class TestRecordDefects:
                        "the enumeration cannot be complete\n")
 
 
+class TestInternalDefects:
+    """A branch count off its formula, or an automorphism search off the
+    closed-form |Aut|, is a verification failure too."""
+
+    ARGV = [("enumerate", "--p", "3", "--q", "2", "--type", "4"),
+            ("verify", "--p", "3", "--q", "2")]
+
+    @pytest.mark.parametrize("argv", ARGV, ids=["enumerate", "verify"])
+    def test_a_structured_count_mismatch_exits_1(self, capsys, monkeypatch, argv):
+        formulas = routes._formulas
+        monkeypatch.setattr(routes, "_formulas", lambda spec: {
+            label: count + 1 for label, count in formulas(spec).items()})
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (cli.EXIT_VERIFY_FAILED, "")
+        assert err.startswith("error: structured-count-mismatch: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", ARGV, ids=["enumerate", "verify"])
+    def test_an_aut_size_mismatch_exits_1(self, capsys, monkeypatch, argv):
+        candidates = groups._candidate_perms
+        monkeypatch.setattr(groups, "_candidate_perms", lambda spec: candidates(spec)[:-1])
+        groups.aut_group.cache_clear()
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            groups.aut_group.cache_clear()  # no Aut(G) built from the short search stays
+        assert (code, out) == (cli.EXIT_VERIFY_FAILED, "")
+        assert err.startswith("error: aut-size-mismatch: ")
+        assert "Traceback" not in err
+
+
 class TestBenchmarkPins:
     # the benchmark's byte pins, checked here on every test run; the pins
     # file is read, never written
@@ -467,6 +513,16 @@ class TestClassifyCayley:
         path.write_text(cayley_to_json(spec.mul_table))
         code, out, _ = run(capsys, "classify-cayley", "--in", str(path))
         assert code == 0 and out.strip() == "Type4"
+
+    def test_generating_set_is_walked_once(self, capsys, tmp_path, monkeypatch):
+        # Light's test and the classification share one walk
+        calls, walk = [], groups._generating_set
+        monkeypatch.setattr(groups, "_generating_set",
+                            lambda *args: calls.append(args) or walk(*args))
+        path = tmp_path / "type2.json"
+        path.write_text(cayley_to_json(groups.make_group("P2Q-Type2", 3, 7).mul_table))
+        code, out, _ = run(capsys, "classify-cayley", "--in", str(path))
+        assert (code, out, len(calls)) == (0, "Type2\n", 1)
 
     def test_cyclic_pq_order(self, capsys, tmp_path):
         spec = groups.make_group("PQ-Cyclic", 3, 2)

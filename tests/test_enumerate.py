@@ -11,7 +11,7 @@ from p2qbrace import enumerate as routes
 from p2qbrace.brace import dual_gamma, identity_gamma
 from p2qbrace.groups import (P2Q_FAMILIES, AutTooLargeError, GroupElement, GroupSpec, aut_group,
                              make_group)
-from reference import (all_pairs_propagate, all_pairs_search, kernel, orbit_walk,
+from reference import (all_pairs_propagate, all_pairs_search, kernel, orbit_walk, record_line,
                        rgf_by_partial_sums, scalar_lift, search_candidates)
 
 
@@ -840,3 +840,72 @@ class TestExports:
         fresh = routes.structured_enumerate(make_group("P2Q-Type1", 3, 7))
         routes.aut_orbits(fresh)
         assert fresh.to_jsonl() == result.to_jsonl()
+
+
+def reference_jsonl(result):
+    """The records' lines as ``json.dumps`` writes them, then the summary."""
+    lines = [record_line(rec) for rec in result.braces]
+    return "\n".join([*lines, json.dumps(result.summary_dict())]) + "\n"
+
+
+class TestWriter:
+    """``to_jsonl`` writes each line from the gamma set through a byte
+    table; it must give the bytes ``json.dumps`` gives of every record."""
+
+    @pytest.mark.parametrize("family,p,q,method", [
+        *((f, p, q, "structured" if f in P2Q_FAMILIES else "search")
+          for f, p, q in TestOrbits.PARTITION_GROUPS),
+        ("P2Q-Type4", 3, 2, "oracle"),
+    ])
+    def test_bytes_equal_the_reference_lines(self, enum_cache, family, p, q, method):
+        result = enum_cache(family, p, q, method=method)
+        assert result.to_jsonl() == reference_jsonl(result)
+
+    @pytest.mark.parametrize("entries", [1, 4, 7], ids=["rows-1", "rows-4", "rows-7"])
+    def test_blocks_give_the_same_bytes_and_partition(self, enum_cache, monkeypatch, entries):
+        # 90 rows of 63 cells: one block at the default size, 90, 23 or 13 here
+        want = enum_cache("P2Q-Type2", 3, 7)
+        spec, calls = want.spec, []
+        conjugate = routes.conjugate_gamma
+        monkeypatch.setattr(routes, "_COMP_BLOCK_ENTRIES", entries * spec.n + spec.n // 2)
+        monkeypatch.setattr(routes, "conjugate_gamma",
+                            lambda spec, tables, beta: calls.append(len(tables))
+                            or conjugate(spec, tables, beta))
+        result = routes.EnumerationResult(spec, "structured", want.gammas)
+        blocks = list(result.jsonl_blocks())
+        n_blocks = -(-len(want.gammas) // entries)
+        assert len(blocks) == n_blocks + 1 and blocks[-1] == json.dumps(want.summary_dict()) + "\n"
+        assert "".join(blocks) == want.to_jsonl() == reference_jsonl(want)
+        assert len(calls) == n_blocks * len(aut_group(spec).generators())
+        assert max(calls) == entries and sum(calls) == len(calls) // n_blocks * len(want.gammas)
+        (got_of, got_records, got_lengths, _), (want_of, want_records, want_lengths, _) = \
+            result.partition, want.partition
+        assert np.array_equal(got_of, want_of) and np.array_equal(got_lengths, want_lengths)
+        assert [(r.circle_type, r.kernel_size, r.orbit_id) for r in got_records] == \
+            [(r.circle_type, r.kernel_size, r.orbit_id) for r in want_records]
+
+    @pytest.mark.parametrize("family,p,q,method", [
+        ("P2Q-Type4", 3, 2, "structured"), ("P2Q-Type2", 5, 11, "structured"),
+        ("P2Q-Type3", 3, 19, "structured"), ("PQ-Metacyclic", 7, 3, "search"),
+    ])
+    def test_counts_and_summary_equal_a_count_over_every_row(self, enum_cache, family, p, q,
+                                                             method):
+        result = enum_cache(family, p, q, method=method)
+        types = Counter(rec.circle_type for rec in result.braces)
+        assert result.counts_by_type() == dict(sorted(types.items()))
+        members = Counter(rec.orbit_id for rec in result.braces)
+        circle = {rec.orbit_id: rec.circle_type for rec in result.braces}
+        shapes = Counter((circle[oid], length) for oid, length in members.items())
+        assert result.summary_dict() == {
+            "group": result.spec.to_json_dict(), "method": result.method,
+            "total": len(result.braces), "counts": dict(sorted(types.items())),
+            "orbits": [{"length": length, "circle_type": ctype, "size": count}
+                       for (ctype, length), count in sorted(shapes.items())],
+        }
+
+    def test_unclosed_set_writes_every_row_and_no_orbits(self, enum_cache):
+        full = enum_cache("P2Q-Type4", 3, 2)
+        result = routes.EnumerationResult(full.spec, "structured", full.gammas[:-1])
+        assert result.orbits is None
+        assert result.to_jsonl() == reference_jsonl(result)
+        assert json.loads(result.to_jsonl().splitlines()[-1])["orbits"] == []

@@ -627,7 +627,9 @@ class TestValidateGroupTable:
     @example(table=np.array(_LOOP_8))  # a later generator fails, the first passes
     def test_rejects_exactly_the_non_associative_tables(self, table):
         if is_associative(table):
-            assert groups._validate_group_table(table) == 0
+            ident, gens = groups._validate_group_table(table)
+            assert ident == 0
+            assert gens.tolist() == groups._generating_set(table[None], 0)[0].tolist()
         else:
             with pytest.raises(ValueError, match="^table is not associative$"):
                 groups._validate_group_table(table)
